@@ -45,7 +45,7 @@ from .motor import (
     closed_form_mesh_fluxes,
     composite_reluctances,
     build_network,
-    regime_check,
+    dominance_ratios,
 )
 from .network import solve_linear
 
@@ -59,6 +59,8 @@ MMF_DECADES = (0.0, 4.0)
 # assume, and once more far inside the regime to expose asymptotics.
 BASE_THRESHOLD = 10.0
 STRONG_THRESHOLD = 1000.0
+# Reluctance candidates drawn and tested per vectorised rejection step.
+SAMPLE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -79,14 +81,29 @@ def sample_regime_case(rng: np.random.Generator, threshold: float) -> tuple[Relu
     threshold; rejection keeps the marginal distribution log-uniform on
     the accepted region and stays deterministic for a given generator
     state.
+
+    Candidates are drawn and tested in blocks of SAMPLE_BLOCK.  Once a
+    block holds a passing candidate, the generator is rewound to where
+    the call started and advanced over exactly the candidates up to and
+    including the first passing one, so the sample and the generator
+    state afterwards are exactly those of drawing and testing one
+    candidate at a time.
     """
+    start = rng.bit_generator.state
+    rejected = 0
     while True:
-        r_sy, r_sp, r_ry, r_g, r_pm = 10.0 ** rng.uniform(*RELUCTANCE_DECADES, size=5)
-        candidate = ReluctanceSet(r_sy=r_sy, r_sp=r_sp, r_ry=r_ry, r_g=r_g, r_pm=r_pm)
-        if regime_check(candidate, threshold).all_pass:
+        block = 10.0 ** rng.uniform(*RELUCTANCE_DECADES, size=(SAMPLE_BLOCK, 5))
+        ratios = dominance_ratios(*block.T)
+        passing = np.flatnonzero(np.logical_and.reduce([v >= threshold for v in ratios.values()]))
+        if passing.size:
             break
+        rejected += SAMPLE_BLOCK
+    rng.bit_generator.state = start
+    rng.uniform(*RELUCTANCE_DECADES, size=(rejected + int(passing[0]), 5))
+    r_sy, r_sp, r_ry, r_g, r_pm = 10.0 ** rng.uniform(*RELUCTANCE_DECADES, size=5)
+    accepted = ReluctanceSet(r_sy=r_sy, r_sp=r_sp, r_ry=r_ry, r_g=r_g, r_pm=r_pm)
     f_e, f_pm = 10.0 ** rng.uniform(*MMF_DECADES, size=2)
-    return candidate, SourceSet(f_e=float(f_e), f_pm=float(f_pm))
+    return accepted, SourceSet(f_e=float(f_e), f_pm=float(f_pm))
 
 
 def supermesh_limit_fluxes(r: ReluctanceSet, s: SourceSet) -> np.ndarray:

@@ -629,16 +629,26 @@ def closed_form_branch_fluxes(r: ReluctanceSet, s: SourceSet) -> BranchFluxes:
     )
 
 
+def dominance_ratios(r_sy, r_sp, r_ry, r_g, r_pm) -> dict:
+    """The four magnet-dominance ratios, keyed by name.
+
+    Takes scalars or equally shaped arrays and returns values of the
+    same kind, so a vectorised sampler and regime_check apply one set of
+    formulas.
+    """
+    return {
+        "pm_over_two_poles": r_pm / (2.0 * r_sp),
+        "pm_over_pole_plus_yoke": r_pm / (r_sp + r_sy),
+        "three_pm_over_excited_loop": 3.0 * r_pm / (2.0 * r_sy + 2.0 * r_g + r_ry),
+        "pm_over_yoke": r_pm / r_sy,
+    }
+
+
 def regime_check(r: ReluctanceSet, threshold: float = REGIME_THRESHOLD) -> RegimeReport:
     """Dominance ratios of the magnet reluctance over iron/gap terms.
 
     The closed-form literature assumes all four ratios are large; the
     report flags each against the threshold.
     """
-    ratios = {
-        "pm_over_two_poles": r.r_pm / (2.0 * r.r_sp),
-        "pm_over_pole_plus_yoke": r.r_pm / (r.r_sp + r.r_sy),
-        "three_pm_over_excited_loop": 3.0 * r.r_pm / (2.0 * r.r_sy + 2.0 * r.r_g + r.r_ry),
-        "pm_over_yoke": r.r_pm / r.r_sy,
-    }
+    ratios = dominance_ratios(r.r_sy, r.r_sp, r.r_ry, r.r_g, r.r_pm)
     return RegimeReport(ratios=ratios, threshold=threshold)

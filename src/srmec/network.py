@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -194,20 +193,29 @@ def assemble_mesh_system(
 
 
 def _exact_residual_vector(system: MeshSystem, values: np.ndarray) -> np.ndarray:
-    """Residual A@phi - b computed in exact rational arithmetic.
+    """Residual A@phi - b computed exactly, rounded once per entry.
 
-    Every float is a rational number, so the matvec is exact; only the
-    final conversion back to float rounds.  This makes tiny residuals
-    measurable where a float64 matvec would drown them in rounding."""
+    Every float is m / 2**k with integer m, so each product a*phi and
+    each b is an integer over a power of two.  The terms of a row are
+    summed exactly as integers over the largest of those denominators,
+    and one correctly rounded int / int division gives the float of the
+    exact residual.  This makes tiny residuals measurable where a
+    float64 matvec would drown them in rounding."""
     n = system.n
+    phi = values.tolist()
+    rhs = system.rhs.tolist()
     out = np.empty(n)
-    for i in range(n):
-        acc = Fraction(0)
-        for j in range(n):
-            a = system.matrix[i, j]
+    for i, row in enumerate(system.matrix.tolist()):
+        terms = []
+        for a, x in zip(row, phi):
             if a != 0.0:
-                acc += Fraction(a) * Fraction(values[j])
-        out[i] = float(acc - Fraction(system.rhs[i]))
+                a_num, a_den = a.as_integer_ratio()
+                x_num, x_den = x.as_integer_ratio()
+                terms.append((a_num * x_num, a_den.bit_length() + x_den.bit_length() - 2))
+        b_num, b_den = rhs[i].as_integer_ratio()
+        terms.append((-b_num, b_den.bit_length() - 1))
+        shift = max(k for _, k in terms)
+        out[i] = sum(m << (shift - k) for m, k in terms) / (1 << shift)
     return out
 
 
@@ -215,9 +223,9 @@ def solve_linear(system: MeshSystem, condition_limit: float = CONDITION_LIMIT) -
     """Solve the mesh system by dense elimination with partial pivoting.
 
     The LAPACK solution is polished with a fixed number of refinement
-    passes whose residuals are evaluated in exact rational arithmetic,
-    so the returned fluxes are the correctly rounded solution even when
-    the PM reluctance dwarfs every iron reluctance.
+    passes whose residuals are evaluated exactly, so the returned fluxes
+    are the correctly rounded solution even when the PM reluctance
+    dwarfs every iron reluctance.
 
     Args:
         system: assembled mesh system.
@@ -346,7 +354,7 @@ def kirchhoff_residual(system: MeshSystem, fluxes: MeshFluxes, floor: float = RE
     """Relative defect of a candidate solution.
 
     Returns ``max|A@phi - b| / max(max|b|, floor)`` with the matvec done
-    in exact rational arithmetic (see _exact_residual_vector).
+    exactly (see _exact_residual_vector).
 
     Args:
         system: assembled mesh system.

@@ -42,7 +42,6 @@ from .motor import (
     MotorGeometry,
     OperatingPoint,
     airgap_reluctance,
-    gap_area_m2,
     iron_path_specs,
     pm_area_m2,
     reluctances_from_geometry,

@@ -1,5 +1,7 @@
 """Tests for generic mesh-network assembly and the linear solver."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from srmec.network import (
     NetworkDefinitionError,
     ReluctanceElement,
     SolveError,
+    _exact_residual_vector,
     assemble_mesh_system,
     kirchhoff_residual,
     solve_linear,
@@ -209,3 +212,66 @@ class TestKirchhoffResidual:
         sys_ = single_mesh_system()
         with pytest.raises(ValueError, match="length"):
             kirchhoff_residual(sys_, MeshFluxes(values=np.zeros(2)))
+
+
+def fraction_residual(system, values):
+    """A@phi - b summed in Fractions and rounded once: the value the
+    integer residual must reproduce bit for bit."""
+    out = []
+    for i in range(system.n):
+        acc = Fraction(0)
+        for j in range(system.n):
+            acc += Fraction(system.matrix[i, j]) * Fraction(values[j])
+        out.append(float(acc - Fraction(system.rhs[i])))
+    return np.array(out)
+
+
+class TestExactResidualVector:
+    def assert_bitwise_equal(self, matrix, rhs, values):
+        system = MeshSystem(matrix=np.array(matrix, dtype=float), rhs=np.array(rhs, dtype=float))
+        got = _exact_residual_vector(system, np.array(values, dtype=float))
+        want = fraction_residual(system, values)
+        assert got.tobytes() == want.tobytes()
+
+    def test_zeros_subnormals_and_far_exponents(self):
+        tiny = 5e-324
+        self.assert_bitwise_equal(
+            [
+                [0.0, 1e300, -3.5, tiny],
+                [2.0**-1074, 0.0, 1e-300, -1e200],
+                [-0.0, 1.0, 0.0, 1e-310],
+                [7.0, -7.0, 1e150, 0.0],
+            ],
+            [1e-320, -0.0, 3.0, 1e300],
+            [1e-8, 1e-300, -2.5e-310, 1e100],
+        )
+
+    def test_exact_cancellation_gives_positive_zero(self):
+        system = MeshSystem(matrix=np.array([[2.0, -1.0], [0.5, 0.25]]), rhs=np.array([3.0, 1.0]))
+        residual = _exact_residual_vector(system, np.array([2.0, 1.0]))
+        assert residual.tolist() == [0.0, 0.25]
+        assert not np.signbit(residual[0])
+
+    def test_random_mixed_signs_and_scales(self):
+        rng = np.random.default_rng(17)
+
+        def draw(shape):
+            # Products stay below the float range; the smallest reach
+            # far under the subnormal range.
+            mags = 10.0 ** rng.uniform(-320, 150, size=shape)
+            signs = rng.choice([-1.0, 1.0], size=shape)
+            zeros = rng.random(shape) < 0.2
+            return np.where(zeros, 0.0, signs * mags)
+
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            self.assert_bitwise_equal(draw((n, n)), draw(n), draw(n))
+
+    def test_near_cancelling_terms_round_once(self):
+        # A float64 matvec returns 0 here; the exact residual is 2**-60.
+        matrix = [[1.0, 1.0], [1.0, -1.0]]
+        values = [1.0, 2.0**-60]
+        self.assert_bitwise_equal(matrix, [1.0, 1.0], values)
+        system = MeshSystem(matrix=np.array(matrix), rhs=np.array([1.0, 1.0]))
+        residual = _exact_residual_vector(system, np.array(values))
+        assert residual.tolist() == [2.0**-60, -(2.0**-60)]
