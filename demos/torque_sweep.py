@@ -12,7 +12,7 @@ import numpy as np
 
 from srmec.motor import MaterialSet, MotorGeometry
 from srmec.saturation import BhCurve
-from srmec.torque import torque_angle_sweep, torque_components
+from srmec.torque import torque_components
 
 BAR_WIDTH = 46
 
@@ -25,14 +25,14 @@ def main() -> None:
     print(f"{'I (A)':>5}  {'stroke mean (N*m)':>18}  {'peak (N*m)':>11}  "
           f"{'coil mean':>10}  {'magnet mean':>11}  {'magnet share':>12}")
     for current in (2.0, 4.0, 6.0, 8.0):
-        sweep = torque_angle_sweep(geometry, materials, curve, current)
         split = torque_components(geometry, materials, curve, current)
+        sweep = split.total_curve
         print(f"{current:>5.0f}  {sweep.stroke_mean_torque:>18.3f}  {sweep.peak_torque:>11.3f}  "
               f"{split.coil_only:>10.3f}  {split.pm_contribution:>11.3f}  {split.pm_share:>12.3f}")
 
     print()
+    # The last row's total curve is the 8 A one.
     print("torque profile at 8 A (one period, motoring half positive):")
-    sweep = torque_angle_sweep(geometry, materials, curve, 8.0)
     # Coarse resample for the text plot; the underlying grid is 0.25 deg.
     for index in range(0, sweep.angles.size, sweep.angles.size // 16):
         angle = sweep.angles[index]

@@ -7,7 +7,7 @@ manifest is written before any other output file so a crashed run can
 never leave outputs without their provenance stamp.
 
 Exit codes: 0 success, 2 input or configuration error, 3 numerical
-failure (non-convergent solve).
+failure (non-convergent, singular or ill-conditioned solve).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,8 +25,9 @@ from .config import ConfigError, RunConfig, config_hash, load_config
 from .fidelity import DEFAULT_SAMPLES, DEFAULT_SEED, audit_notes, run_fidelity_audit
 from .metrics import MotorDataError, comparison_table, load_motor_records
 from .motor import OperatingPoint, regime_check, reluctances_from_geometry
+from .network import SolveError
 from .saturation import BhCurve, NonConvergenceError, solve_nonlinear
-from .torque import TorqueCurve, torque_angle_sweep
+from .torque import TorqueCurve, torque_components
 
 logger = logging.getLogger("srmec.cli")
 
@@ -177,16 +178,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curve = BhCurve.default()
     outputs = tuple(_curve_file_name(i) for i in config.sweep_currents) + (SUMMARY_CSV,)
     write_manifest(args.out, "sweep", config_hash(config), outputs)
-    no_pm = replace(config.materials, pm_remanence=0.0, pm_coercivity=0.0)
     summary = ["current_a,mean_torque_nm,peak_torque_nm"]
     for current in config.sweep_currents:
-        kwargs = dict(
+        split = torque_components(
+            config.geometry,
+            config.materials,
+            curve,
+            current,
             current_points=config.current_points,
             angle_step_deg=config.angle_step_deg,
             config=config.solver,
         )
-        total = torque_angle_sweep(config.geometry, config.materials, curve, current, **kwargs)
-        coil = torque_angle_sweep(config.geometry, no_pm, curve, current, **kwargs)
+        total, coil = split.total_curve, split.coil_curve
         _write_text(args.out, _curve_file_name(current), torque_curve_csv_text(total, coil))
         summary.append(
             f"{_fmt(current)},{_fmt(total.stroke_mean_torque)},{_fmt(total.peak_torque)}"
@@ -270,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, MotorDataError) as error:
         print(f"srmec: error: {error}", file=sys.stderr)
         return 2
-    except NonConvergenceError as error:
+    except (NonConvergenceError, SolveError) as error:
         print(f"srmec: solve failed: {error}", file=sys.stderr)
         return 3
     except ValueError as error:

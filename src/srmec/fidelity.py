@@ -137,22 +137,6 @@ def rsy_variant_composites(r: ReluctanceSet):
     return composite_reluctances(widened)
 
 
-def _closed_forms_rsy_variant(r: ReluctanceSet, s: SourceSet) -> tuple[np.ndarray, BranchFluxes]:
-    comp = rsy_variant_composites(r)
-    coil_mesh = -2.0 * (r.r_g + r.r_sy) / comp.r_2 * s.f_e
-    phi1 = -2.0 / comp.r_1 * s.f_e
-    phi2 = coil_mesh - comp.r_3 / (comp.r_2 * r.r_pm) * s.f_pm
-    phi4 = coil_mesh - comp.r_4 / (comp.r_2 * r.r_pm) * s.f_pm
-    mesh = np.array([phi1, phi2, phi2, phi4, phi2])
-    coil_branch = 2.0 * (comp.r_2 - comp.r_1 * (r.r_g + r.r_sy)) / (comp.r_1 * comp.r_2) * s.f_e
-    branches = BranchFluxes(
-        phi_sy=2.0 / comp.r_1 * s.f_e,
-        phi_sp=coil_branch - comp.r_3 / (comp.r_2 * r.r_pm) * s.f_pm,
-        phi_g=coil_branch + comp.r_4 / (comp.r_2 * r.r_pm) * s.f_pm,
-    )
-    return mesh, branches
-
-
 def _branch_array(b: BranchFluxes) -> np.ndarray:
     return np.array([b.phi_sy, b.phi_sp, b.phi_g])
 
@@ -237,7 +221,9 @@ def _collect(n_samples: int, seed: int, threshold: float, stream: int):
         for k in (0, 1, 3):
             push(f"mesh{k + 1}_supermesh_limit{suffix}", abs(limit[k] - exact[k]) / mesh_scale)
 
-        variant_mesh, variant_branch = _closed_forms_rsy_variant(r, s)
+        variant = rsy_variant_composites(r)
+        variant_mesh = closed_form_mesh_fluxes(r, s, variant)
+        variant_branch = closed_form_branch_fluxes(r, s, variant)
         push("mesh2_closed_form_rsy_variant", abs(variant_mesh[1] - exact[1]) / mesh_scale)
         push("mesh4_closed_form_rsy_variant", abs(variant_mesh[3] - exact[3]) / mesh_scale)
         push(

@@ -285,6 +285,11 @@ class SourceSet:
         if not (math.isfinite(self.f_pm) and self.f_pm >= 0):
             raise ValueError(f"f_pm must be nonnegative, got {self.f_pm!r}")
 
+    @property
+    def parts(self) -> tuple["SourceSet", "SourceSet", "SourceSet"]:
+        """The total, coil-only and magnet-only source sets."""
+        return self, SourceSet(f_e=self.f_e, f_pm=0.0), SourceSet(f_e=0.0, f_pm=self.f_pm)
+
 
 @dataclass(frozen=True)
 class CompositeReluctances:
@@ -567,26 +572,33 @@ def branch_fluxes(mesh: MeshFluxes) -> BranchFluxes:
     )
 
 
-def solve_flux(
-    r: ReluctanceSet, s: SourceSet, label: str = "srm mesh system"
+def solve_superposition(
+    matrix: np.ndarray, s: SourceSet, label: str = "srm mesh system"
 ) -> FluxSolution:
-    """Linear solve with the coil/PM superposition split.
+    """Refined solves of one assembled mesh matrix with the coil/PM split.
 
-    The split solves the same matrix against coil-only and magnet-only
-    right-hand sides, so each part is itself a valid circuit solution.
+    The matrix is solved against the total, coil-only and magnet-only
+    right-hand sides of s, so each part is itself a valid circuit
+    solution; the residual is that of the total, measured exactly.
     """
-    system = build_network(r, s, label=label)
-    total = solve_linear(system)
-    coil_system = build_network(r, SourceSet(f_e=s.f_e, f_pm=0.0), label=f"{label} (coil only)")
-    pm_system = build_network(r, SourceSet(f_e=0.0, f_pm=s.f_pm), label=f"{label} (pm only)")
-    coil = solve_linear(coil_system)
-    pm = solve_linear(pm_system)
+    systems = [
+        MeshSystem(matrix, source_values(part) @ TOPOLOGY.rhs_pattern, label + suffix)
+        for part, suffix in zip(s.parts, ("", " (coil only)", " (pm only)"))
+    ]
+    total, coil, pm = (solve_linear(system) for system in systems)
     return FluxSolution(
         mesh_fluxes=total.values,
         coil_mesh_fluxes=coil.values,
         pm_mesh_fluxes=pm.values,
-        residual=kirchhoff_residual(system, total),
+        residual=kirchhoff_residual(systems[0], total),
     )
+
+
+def solve_flux(
+    r: ReluctanceSet, s: SourceSet, label: str = "srm mesh system"
+) -> FluxSolution:
+    """Linear solve with the coil/PM superposition split."""
+    return solve_superposition(build_network(r, s, label=label).matrix, s, label=label)
 
 
 # --- closed forms under audit ----------------------------------------------
@@ -603,14 +615,17 @@ def composite_reluctances(r: ReluctanceSet) -> CompositeReluctances:
     )
 
 
-def closed_form_mesh_fluxes(r: ReluctanceSet, s: SourceSet) -> np.ndarray:
+def closed_form_mesh_fluxes(
+    r: ReluctanceSet, s: SourceSet, comp: CompositeReluctances | None = None
+) -> np.ndarray:
     """Literature closed forms for the five mesh fluxes, as printed.
 
     Kept verbatim for fidelity auditing.  The audit (srmec.fidelity)
     shows these do not solve the five-mesh system above, so they carry
-    no computational weight anywhere in this package.
+    no computational weight anywhere in this package.  comp defaults to
+    the printed composites of r; the audit also passes a variant.
     """
-    comp = composite_reluctances(r)
+    comp = comp or composite_reluctances(r)
     coil_term = -2.0 * (r.r_g + r.r_sy) / comp.r_2 * s.f_e
     phi1 = -2.0 / comp.r_1 * s.f_e
     phi2 = coil_term - comp.r_3 / (comp.r_2 * r.r_pm) * s.f_pm
@@ -618,9 +633,14 @@ def closed_form_mesh_fluxes(r: ReluctanceSet, s: SourceSet) -> np.ndarray:
     return np.array([phi1, phi2, phi2, phi4, phi2])
 
 
-def closed_form_branch_fluxes(r: ReluctanceSet, s: SourceSet) -> BranchFluxes:
-    """Literature closed forms for the branch fluxes, as printed."""
-    comp = composite_reluctances(r)
+def closed_form_branch_fluxes(
+    r: ReluctanceSet, s: SourceSet, comp: CompositeReluctances | None = None
+) -> BranchFluxes:
+    """Literature closed forms for the branch fluxes, as printed.
+
+    comp defaults to the printed composites of r.
+    """
+    comp = comp or composite_reluctances(r)
     coil_term = 2.0 * (comp.r_2 - comp.r_1 * (r.r_g + r.r_sy)) / (comp.r_1 * comp.r_2) * s.f_e
     return BranchFluxes(
         phi_sy=2.0 / comp.r_1 * s.f_e,

@@ -129,6 +129,16 @@ class MeshFluxes:
             raise ValueError("mesh fluxes must be finite")
 
 
+def _index_ids(ids: Sequence[str], kind: str) -> dict[str, int]:
+    """Position of each id; a repeated id is a definition error."""
+    index: dict[str, int] = {}
+    for k, name in enumerate(ids):
+        if name in index:
+            raise NetworkDefinitionError(f"duplicate {kind} id {name!r}")
+        index[name] = k
+    return index
+
+
 def assemble_mesh_system(
     elements: Sequence[ReluctanceElement],
     sources: Sequence[MmfSource],
@@ -154,16 +164,10 @@ def assemble_mesh_system(
     if len(meshes) == 0:
         raise ValueError("at least one mesh is required")
 
-    element_values: dict[str, float] = {}
-    for el in elements:
-        if el.id in element_values:
-            raise NetworkDefinitionError(f"duplicate element id {el.id!r}")
-        element_values[el.id] = el.value
-    source_values: dict[str, float] = {}
-    for src in sources:
-        if src.id in source_values:
-            raise NetworkDefinitionError(f"duplicate source id {src.id!r}")
-        source_values[src.id] = src.value
+    _index_ids([el.id for el in elements], "element")
+    _index_ids([src.id for src in sources], "source")
+    element_values = {el.id: el.value for el in elements}
+    source_values = {src.id: src.value for src in sources}
 
     n = len(meshes)
     # Signed incidence per element: element id -> {mesh index: sign}.
@@ -200,22 +204,28 @@ def _exact_residual_vector(system: MeshSystem, values: np.ndarray) -> np.ndarray
     summed exactly as integers over the largest of those denominators,
     and one correctly rounded int / int division gives the float of the
     exact residual.  This makes tiny residuals measurable where a
-    float64 matvec would drown them in rounding."""
+    float64 matvec would drown them in rounding.
+
+    Raises SolveError, naming the system, when an input is not finite
+    or a residual entry lies outside the float range."""
     n = system.n
     phi = values.tolist()
     rhs = system.rhs.tolist()
     out = np.empty(n)
-    for i, row in enumerate(system.matrix.tolist()):
-        terms = []
-        for a, x in zip(row, phi):
-            if a != 0.0:
-                a_num, a_den = a.as_integer_ratio()
-                x_num, x_den = x.as_integer_ratio()
-                terms.append((a_num * x_num, a_den.bit_length() + x_den.bit_length() - 2))
-        b_num, b_den = rhs[i].as_integer_ratio()
-        terms.append((-b_num, b_den.bit_length() - 1))
-        shift = max(k for _, k in terms)
-        out[i] = sum(m << (shift - k) for m, k in terms) / (1 << shift)
+    try:
+        for i, row in enumerate(system.matrix.tolist()):
+            terms = []
+            for a, x in zip(row, phi):
+                if a != 0.0:
+                    a_num, a_den = a.as_integer_ratio()
+                    x_num, x_den = x.as_integer_ratio()
+                    terms.append((a_num * x_num, a_den.bit_length() + x_den.bit_length() - 2))
+            b_num, b_den = rhs[i].as_integer_ratio()
+            terms.append((-b_num, b_den.bit_length() - 1))
+            shift = max(k for _, k in terms)
+            out[i] = sum(m << (shift - k) for m, k in terms) / (1 << shift)
+    except (OverflowError, ValueError) as exc:
+        raise SolveError(f"{system.label}: exact residual is not a finite float: {exc}") from exc
     return out
 
 
@@ -236,8 +246,9 @@ def solve_linear(system: MeshSystem, condition_limit: float = CONDITION_LIMIT) -
         MeshFluxes solving the system.
 
     Raises:
-        SolveError: singular or ill-conditioned matrix, naming the
-            offending system.
+        SolveError: singular or ill-conditioned matrix, or a solution
+            whose residual does not fit a float, naming the offending
+            system.
     """
     matrix = system.matrix
     try:
@@ -312,34 +323,27 @@ def compile_topology(
 
     The patterns reproduce assemble_mesh_system exactly: stamping an
     element with unit value through the pattern equals stamping it
-    through the object-level assembler.
+    through the object-level assembler, and the same definition errors
+    are raised.
     """
     n = len(meshes)
-    e_index = {eid: k for k, eid in enumerate(element_ids)}
-    s_index = {sid: k for k, sid in enumerate(source_ids)}
-    if len(e_index) != len(element_ids):
-        raise NetworkDefinitionError("duplicate element id in topology")
-    if len(s_index) != len(source_ids):
-        raise NetworkDefinitionError("duplicate source id in topology")
-
-    matrix_pattern = np.zeros((len(element_ids), n * n))
+    e_index = _index_ids(element_ids, "element")
+    s_index = _index_ids(source_ids, "source")
     rhs_pattern = np.zeros((len(source_ids), n))
     incidence = np.zeros((len(element_ids), n))
-    membership: dict[str, list[tuple[int, int]]] = {eid: [] for eid in element_ids}
     for i, mesh in enumerate(meshes):
         for eid, sign in mesh.elements:
             if eid not in e_index:
                 raise NetworkDefinitionError(f"mesh {i} references unknown element {eid!r}")
-            membership[eid].append((i, sign))
+            if incidence[e_index[eid], i]:
+                raise NetworkDefinitionError(f"mesh {i} traverses element {eid!r} twice")
             incidence[e_index[eid], i] = sign
         for sid, sign in mesh.sources:
             if sid not in s_index:
                 raise NetworkDefinitionError(f"mesh {i} references unknown source {sid!r}")
             rhs_pattern[s_index[sid], i] += sign
-    for eid, members in membership.items():
-        for i, si in members:
-            for j, sj in members:
-                matrix_pattern[e_index[eid], i * n + j] += si * sj
+    # Each element stamps the outer product of its signed incidence.
+    matrix_pattern = np.einsum("ei,ej->eij", incidence, incidence).reshape(len(element_ids), n * n)
     return MeshStamps(
         element_ids=tuple(element_ids),
         source_ids=tuple(source_ids),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -35,7 +35,6 @@ from .motor import (
     ELEMENT_ORDER,
     IRON_ELEMENT_IDS,
     MU0,
-    SOURCE_ORDER,
     TOPOLOGY,
     FluxSolution,
     MaterialSet,
@@ -45,9 +44,10 @@ from .motor import (
     iron_path_specs,
     pm_area_m2,
     reluctances_from_geometry,
+    solve_superposition,
+    source_values,
     sources_for,
 )
-from .network import MeshSystem, kirchhoff_residual, solve_linear
 
 DEFAULT_CURVE_RESOURCE = "data/bh_m19.csv"
 
@@ -259,8 +259,10 @@ class NonlinearGridResult:
     signed T per element in ELEMENT_ORDER; iron_permeabilities holds the
     frozen chord values (H/m, per element in IRON_ELEMENT_IDS) that
     define the converged systems and can warm-start another solve;
-    iterations counts fixed-point steps per point; max_residual is the
-    worst relative Kirchhoff residual of the final systems.
+    matrices holds those systems' (n_currents, n_angles, 5, 5) mesh
+    matrices, on which the flux arrays were solved; iterations counts
+    fixed-point steps per point; max_residual is the worst relative
+    Kirchhoff residual of the final systems.
     """
 
     currents: np.ndarray
@@ -270,6 +272,7 @@ class NonlinearGridResult:
     pm_mesh_fluxes: np.ndarray
     element_densities: np.ndarray
     iron_permeabilities: np.ndarray
+    matrices: np.ndarray
     iterations: np.ndarray
     max_residual: float
 
@@ -330,12 +333,14 @@ def solve_nonlinear_grid(
     values[:, :, _GAP_SLOTS[1]] = gap_r
     values[:, :, _PM_SLOTS] = linear.r_pm
 
-    f_pm = sources_for(geometry, materials, 0.0).f_pm
-    f_e = np.array([sources_for(geometry, materials, float(i)).f_e for i in currents])
-    sources = np.empty((n_c, n_a, len(SOURCE_ORDER)))
-    sources[:, :, 0] = f_e[:, None]
-    sources[:, :, 1] = f_e[:, None]
-    sources[:, :, 2:] = f_pm
+    # (n_currents, 3, n_sources): total, coil-only and magnet-only MMFs.
+    parts = np.array(
+        [
+            [source_values(part) for part in sources_for(geometry, materials, float(i)).parts]
+            for i in currents
+        ]
+    )
+    sources = np.broadcast_to(parts[:, None, 0], (n_c, n_a, parts.shape[-1]))
 
     n_iron = len(IRON_ELEMENT_IDS)
     if initial_permeabilities is None:
@@ -349,14 +354,14 @@ def solve_nonlinear_grid(
         if not np.all(np.isfinite(mu) & (mu > 0.0)):
             raise ValueError("initial_permeabilities must be positive and finite")
 
-    def solve_at(permeability: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def assemble_at(permeability: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values[:, :, _IRON_SLOTS] = iron_lengths / (permeability * iron_areas)
-        matrix, rhs = TOPOLOGY.assemble(values, sources)
-        # Trailing singleton keeps the batched solve in the matrix
-        # signature on every numpy version.
-        return np.linalg.solve(matrix, rhs[..., None])[..., 0], matrix, rhs
+        return TOPOLOGY.assemble(values, sources)
 
-    fluxes, _, _ = solve_at(mu)
+    matrix, rhs = assemble_at(mu)
+    # Trailing singleton keeps the batched solve in the matrix signature
+    # on every numpy version.
+    fluxes = np.linalg.solve(matrix, rhs[..., None])[..., 0]
     active = np.ones((n_c, n_a), dtype=bool)
     iterations = np.zeros((n_c, n_a), dtype=int)
     # Convergence is judged before stepping, on the flux change a full
@@ -430,20 +435,10 @@ def solve_nonlinear_grid(
         )
 
     # Final solves on the frozen systems: the total again plus the
-    # coil-only and magnet-only parts for the superposition split.
-    _, matrix, _ = solve_at(mu)
-    rhs_coil = np.zeros_like(sources)
-    rhs_coil[:, :, :2] = sources[:, :, :2]
-    rhs_pm = np.zeros_like(sources)
-    rhs_pm[:, :, 2:] = sources[:, :, 2:]
-    stacked = np.stack(
-        [
-            sources @ TOPOLOGY.rhs_pattern,
-            rhs_coil @ TOPOLOGY.rhs_pattern,
-            rhs_pm @ TOPOLOGY.rhs_pattern,
-        ],
-        axis=-1,
-    )
+    # coil-only and magnet-only parts for the superposition split, one
+    # right-hand-side column each.
+    matrix, _ = assemble_at(mu)
+    stacked = (parts @ TOPOLOGY.rhs_pattern).swapaxes(-1, -2)[:, None]
     solved = np.linalg.solve(matrix, stacked)
     total, coil, pm = solved[..., 0], solved[..., 1], solved[..., 2]
 
@@ -458,6 +453,7 @@ def solve_nonlinear_grid(
         pm_mesh_fluxes=pm,
         element_densities=element_densities,
         iron_permeabilities=mu,
+        matrices=matrix,
         iterations=iterations,
         max_residual=float(np.max(residual_num / residual_den)),
     )
@@ -473,18 +469,14 @@ def solve_nonlinear(
 ) -> FluxSolution:
     """Saturating solve at one operating point.
 
-    Runs the fixed point, then re-solves the frozen final system through
-    the refined linear path so the reported residual is measured in
-    exact arithmetic.  initial_permeabilities (chord H/m per element in
+    Runs the fixed point, then re-solves the grid's frozen final matrix
+    through the refined linear path so the reported residual is measured
+    in exact arithmetic.  initial_permeabilities (chord H/m per element in
     IRON_ELEMENT_IDS) warm-starts the iron state, e.g. from a previous
     solution's iron_permeabilities.
     """
     operating_point.validate_for(geometry)
-    warm = None
-    if initial_permeabilities is not None:
-        warm = np.asarray(initial_permeabilities, dtype=float).reshape(
-            1, 1, len(IRON_ELEMENT_IDS)
-        )
+    warm = None if initial_permeabilities is None else np.reshape(initial_permeabilities, (1, 1, -1))
     grid = solve_nonlinear_grid(
         geometry,
         materials,
@@ -494,32 +486,15 @@ def solve_nonlinear(
         config=config,
         initial_permeabilities=warm,
     )
-    values = np.empty(len(ELEMENT_ORDER))
-    linear = reluctances_from_geometry(geometry, materials, operating_point.rotor_angle)
-    values[_GAP_SLOTS] = airgap_reluctance(geometry, operating_point.rotor_angle)
-    values[_PM_SLOTS] = linear.r_pm
-    iron_paths = iron_path_specs(geometry)
-    for k, eid in enumerate(IRON_ELEMENT_IDS):
-        length, area = iron_paths[eid]
-        values[_ELEMENT_INDEX[eid]] = length / (grid.iron_permeabilities[0, 0, k] * area)
-
-    sources = sources_for(geometry, materials, operating_point.phase_current)
-    source_vec = np.array([sources.f_e, sources.f_e, sources.f_pm, sources.f_pm, sources.f_pm])
-    matrix, rhs = TOPOLOGY.assemble(values, source_vec)
-    system = MeshSystem(matrix=matrix, rhs=rhs, label="saturated srm mesh system")
-    total = solve_linear(system)
-    coil_vec = np.array([sources.f_e, sources.f_e, 0.0, 0.0, 0.0])
-    pm_vec = np.array([0.0, 0.0, sources.f_pm, sources.f_pm, sources.f_pm])
-    coil = solve_linear(MeshSystem(matrix, coil_vec @ TOPOLOGY.rhs_pattern, "coil part"))
-    pm = solve_linear(MeshSystem(matrix, pm_vec @ TOPOLOGY.rhs_pattern, "pm part"))
-
+    split = solve_superposition(
+        grid.matrices[0, 0],
+        sources_for(geometry, materials, operating_point.phase_current),
+        label="saturated srm mesh system",
+    )
     areas = _element_areas(geometry, np.array([operating_point.rotor_angle]))[0]
-    densities = TOPOLOGY.element_fluxes(total.values) / areas
-    return FluxSolution(
-        mesh_fluxes=total.values,
-        coil_mesh_fluxes=coil.values,
-        pm_mesh_fluxes=pm.values,
-        residual=kirchhoff_residual(system, total),
+    densities = TOPOLOGY.element_fluxes(split.mesh_fluxes) / areas
+    return replace(
+        split,
         iterations=int(grid.iterations[0, 0]),
         flux_densities={eid: float(densities[_ELEMENT_INDEX[eid]]) for eid in ELEMENT_ORDER},
         iron_permeabilities=tuple(float(v) for v in grid.iron_permeabilities[0, 0]),

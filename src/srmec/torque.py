@@ -325,19 +325,31 @@ def torque_angle_sweep(
 
 @dataclass(frozen=True)
 class TorqueComponents:
-    """Mean-torque split between coil excitation and magnets.
+    """Torque split between coil excitation and magnets.
 
-    Stroke means, N*m.  coil_only reruns the identical sweep with the
-    magnet remanence (and any explicit coercivity) zeroed, so
+    total_curve is the sweep at the given materials; coil_curve reruns
+    the identical sweep with the magnet remanence (and any explicit
+    coercivity) zeroed.  The means are stroke means, N*m, and
     pm_contribution = total - coil_only is exact by construction and
     captures everything the magnets change, including their effect on
     the saturation state.
     """
 
     current: float
-    total: float
-    coil_only: float
-    pm_contribution: float
+    total_curve: TorqueCurve
+    coil_curve: TorqueCurve
+
+    @property
+    def total(self) -> float:
+        return self.total_curve.stroke_mean_torque
+
+    @property
+    def coil_only(self) -> float:
+        return self.coil_curve.stroke_mean_torque
+
+    @property
+    def pm_contribution(self) -> float:
+        return self.total - self.coil_only
 
     @property
     def pm_share(self) -> float:
@@ -357,7 +369,7 @@ def torque_components(
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
     config: NonlinearConfig | None = None,
 ) -> TorqueComponents:
-    """Split the stroke mean torque into coil-only and magnet parts."""
+    """Torque-angle sweeps with and without the magnets at one current."""
     kwargs = dict(
         winding=winding,
         current_points=current_points,
@@ -367,9 +379,4 @@ def torque_components(
     total = torque_angle_sweep(geometry, materials, curve, current, **kwargs)
     no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
     coil = torque_angle_sweep(geometry, no_pm, curve, current, **kwargs)
-    return TorqueComponents(
-        current=current,
-        total=total.stroke_mean_torque,
-        coil_only=coil.stroke_mean_torque,
-        pm_contribution=total.stroke_mean_torque - coil.stroke_mean_torque,
-    )
+    return TorqueComponents(current=current, total_curve=total, coil_curve=coil)

@@ -212,6 +212,15 @@ class TestSolveCommand:
         assert main(["solve", "--angle", "400"]) == 2
         assert "rotor_angle" in capsys.readouterr().err
 
+    def test_ill_conditioned_solve_exits_3(self, tmp_path, capsys):
+        # A near-zero magnet width makes the magnet reluctance dwarf the
+        # rest: condition number about 1e13, over the 1e12 limit.
+        path = write_config(tmp_path, "[geometry]\npm_width = 1e-9\n")
+        assert main(["solve", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "srmec: solve failed:" in err
+        assert "condition number" in err and "exceeds limit" in err
+
     def test_malformed_config_key_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "[geometry]\nbore = 1\n")
         assert main(["solve", "--config", str(path)]) == 2

@@ -27,9 +27,12 @@ from srmec.fidelity import (
     supermesh_limit_fluxes,
 )
 from srmec.motor import (
+    BranchFluxes,
     ReluctanceSet,
     SourceSet,
     build_network,
+    closed_form_branch_fluxes,
+    closed_form_mesh_fluxes,
     composite_reluctances,
     regime_check,
 )
@@ -177,6 +180,24 @@ class TestSupermeshLimit:
         assert limit[1] == limit[2] == limit[4]
 
 
+def hand_typed_rsy_variant(r, s):
+    """The rsy-variant closed forms as the audit once typed them out in
+    full; kept as the reference for the parametrised closed forms."""
+    comp = rsy_variant_composites(r)
+    coil_mesh = -2.0 * (r.r_g + r.r_sy) / comp.r_2 * s.f_e
+    phi1 = -2.0 / comp.r_1 * s.f_e
+    phi2 = coil_mesh - comp.r_3 / (comp.r_2 * r.r_pm) * s.f_pm
+    phi4 = coil_mesh - comp.r_4 / (comp.r_2 * r.r_pm) * s.f_pm
+    mesh = np.array([phi1, phi2, phi2, phi4, phi2])
+    coil_branch = 2.0 * (comp.r_2 - comp.r_1 * (r.r_g + r.r_sy)) / (comp.r_1 * comp.r_2) * s.f_e
+    branches = BranchFluxes(
+        phi_sy=2.0 / comp.r_1 * s.f_e,
+        phi_sp=coil_branch - comp.r_3 / (comp.r_2 * r.r_pm) * s.f_pm,
+        phi_g=coil_branch + comp.r_4 / (comp.r_2 * r.r_pm) * s.f_pm,
+    )
+    return mesh, branches
+
+
 class TestVariantComposites:
     def test_widened_gap_substitution(self):
         r = ReluctanceSet(r_sy=2.0, r_sp=3.0, r_ry=7.0, r_g=5.0, r_pm=1000.0)
@@ -185,6 +206,25 @@ class TestVariantComposites:
         )
         variant = rsy_variant_composites(r)
         assert variant == widened
+
+    @pytest.mark.parametrize("stream, threshold", [(0, BASE_THRESHOLD), (1, STRONG_THRESHOLD)])
+    def test_variant_closed_forms_equal_hand_typed_reference(self, stream, threshold):
+        rng = np.random.default_rng([DEFAULT_SEED, stream])
+        for _ in range(200):
+            r, s = sample_regime_case(rng, threshold)
+            variant = rsy_variant_composites(r)
+            mesh, branches = hand_typed_rsy_variant(r, s)
+            assert closed_form_mesh_fluxes(r, s, variant).tobytes() == mesh.tobytes()
+            got = closed_form_branch_fluxes(r, s, variant)
+            want = (branches.phi_sy, branches.phi_sp, branches.phi_g)
+            assert np.array([got.phi_sy, got.phi_sp, got.phi_g]).tobytes() == np.array(want).tobytes()
+
+    def test_default_composites_are_the_printed_ones(self):
+        r = ReluctanceSet(r_sy=2.0, r_sp=3.0, r_ry=7.0, r_g=5.0, r_pm=1000.0)
+        s = SourceSet(f_e=11.0, f_pm=13.0)
+        printed = composite_reluctances(r)
+        assert closed_form_mesh_fluxes(r, s).tobytes() == closed_form_mesh_fluxes(r, s, printed).tobytes()
+        assert closed_form_branch_fluxes(r, s) == closed_form_branch_fluxes(r, s, printed)
 
 
 class TestAuditReport:

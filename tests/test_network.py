@@ -16,6 +16,7 @@ from srmec.network import (
     SolveError,
     _exact_residual_vector,
     assemble_mesh_system,
+    compile_topology,
     kirchhoff_residual,
     solve_linear,
 )
@@ -106,6 +107,47 @@ class TestAssembly:
             MeshSpec(elements=(("r", 2),))
 
 
+class TestCompileTopology:
+    def test_double_traversal_rejected_like_the_object_assembler(self):
+        twice = [MeshSpec(elements=(("a", +1), ("a", +1)))]
+        with pytest.raises(NetworkDefinitionError, match="traverses element 'a' twice"):
+            assemble_mesh_system([ReluctanceElement("a", 1.0)], [], twice)
+        with pytest.raises(NetworkDefinitionError, match="traverses element 'a' twice"):
+            compile_topology(("a",), (), twice)
+
+    def test_duplicate_ids_named(self):
+        mesh = [MeshSpec(elements=(("a", +1),), sources=(("s", +1),))]
+        with pytest.raises(NetworkDefinitionError, match="duplicate element id 'b'"):
+            compile_topology(("a", "b", "b"), ("s",), mesh)
+        with pytest.raises(NetworkDefinitionError, match="duplicate source id 's'"):
+            compile_topology(("a",), ("s", "t", "s"), mesh)
+
+    def test_stamps_match_object_assembler_on_random_networks(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n_elements, n_sources = int(rng.integers(1, 7)), int(rng.integers(0, 4))
+            eids = tuple(f"e{k}" for k in range(n_elements))
+            sids = tuple(f"s{k}" for k in range(n_sources))
+            meshes = []
+            for _ in range(int(rng.integers(1, 5))):
+                picks = rng.choice(n_elements, size=int(rng.integers(1, n_elements + 1)), replace=False)
+                members = tuple((eids[int(k)], int(rng.choice([-1, 1]))) for k in picks)
+                feeds = tuple((sid, int(rng.choice([-1, 1]))) for sid in sids if rng.random() < 0.5)
+                meshes.append(MeshSpec(elements=members, sources=feeds))
+            # Distinct powers of two sum exactly in any order, so the
+            # matmul stamps and the += assembler must agree bit for bit.
+            values = 2.0 ** rng.permutation(n_elements)
+            mmfs = rng.choice([-1.0, 1.0], n_sources) * 2.0 ** rng.permutation(n_sources)
+            reference = assemble_mesh_system(
+                [ReluctanceElement(e, float(v)) for e, v in zip(eids, values)],
+                [MmfSource(s, float(v)) for s, v in zip(sids, mmfs)],
+                meshes,
+            )
+            matrix, rhs = compile_topology(eids, sids, meshes).assemble(values, mmfs)
+            assert np.array_equal(matrix, reference.matrix)
+            assert np.array_equal(rhs, reference.rhs)
+
+
 class TestSolveLinear:
     def test_zero_rhs_gives_zero_flux(self):
         sys_ = assemble_mesh_system(
@@ -179,6 +221,19 @@ class TestSolveLinear:
         second = solve_linear(sys_).values
         assert np.array_equal(first, second)
 
+    @pytest.mark.parametrize(
+        "matrix, rhs",
+        [
+            # Well conditioned, but the solution 1e600 overflows to inf.
+            (1e-300, 1e300),
+            (1.0, float("nan")),
+        ],
+    )
+    def test_solution_without_exact_residual_is_a_named_solve_error(self, matrix, rhs):
+        sys_ = MeshSystem(matrix=np.array([[matrix]]), rhs=np.array([rhs]), label="odd net")
+        with np.errstate(over="ignore"), pytest.raises(SolveError, match="odd net: exact residual"):
+            solve_linear(sys_)
+
 
 class TestKirchhoffResidual:
     def test_exact_solution_has_tiny_residual(self):
@@ -212,6 +267,12 @@ class TestKirchhoffResidual:
         sys_ = single_mesh_system()
         with pytest.raises(ValueError, match="length"):
             kirchhoff_residual(sys_, MeshFluxes(values=np.zeros(2)))
+
+    def test_residual_beyond_float_range_is_a_named_solve_error(self):
+        sys_ = MeshSystem(matrix=np.array([[1e300]]), rhs=np.array([0.0]), label="huge net")
+        with pytest.raises(SolveError, match="huge net: exact residual"):
+            kirchhoff_residual(sys_, MeshFluxes(values=np.array([1e300])))
+
 
 
 def fraction_residual(system, values):

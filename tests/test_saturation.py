@@ -7,12 +7,18 @@ import pytest
 
 from srmec.motor import (
     ELEMENT_ORDER,
+    IRON_ELEMENT_IDS,
     MU0,
+    TOPOLOGY,
     MaterialSet,
     MotorGeometry,
     OperatingPoint,
+    airgap_reluctance,
+    iron_path_specs,
     reluctances_from_geometry,
     solve_flux,
+    solve_superposition,
+    source_values,
     sources_for,
 )
 from srmec.saturation import (
@@ -418,3 +424,71 @@ class TestNonlinearGrid:
                 np.array([0.0]),
                 initial_permeabilities=np.zeros((1, 1, 9)),
             )
+
+
+def rebuilt_matrix(geometry, materials, angle, permeabilities):
+    """The single-point mesh matrix as solve_nonlinear assembled it from
+    geometry before it took the grid's frozen matrix; kept as the
+    reference the grid's matrices must equal bit for bit."""
+    index = {eid: k for k, eid in enumerate(ELEMENT_ORDER)}
+    values = np.empty(len(ELEMENT_ORDER))
+    values[[index["g1"], index["g2"]]] = airgap_reluctance(geometry, angle)
+    values[[index[eid] for eid in ("pm1", "pm2", "pm3")]] = reluctances_from_geometry(
+        geometry, materials, angle
+    ).r_pm
+    paths = iron_path_specs(geometry)
+    for k, eid in enumerate(IRON_ELEMENT_IDS):
+        length, area = paths[eid]
+        values[index[eid]] = length / (permeabilities[k] * area)
+    return TOPOLOGY.assemble(values, np.zeros(len(TOPOLOGY.source_ids)))[0]
+
+
+# Includes the slow-converging region around alignment at 5.25-8 A.
+FROZEN_POINTS = (
+    (0.0, 0.0),
+    (1.0, 3.0),
+    (3.0, 4.5),
+    (5.5, 8.5),
+    (6.5, 9.25),
+    (8.0, ALIGNED),
+    (7.0, 19.75),
+)
+
+
+class TestFrozenSystems:
+    def test_grid_matrix_equals_rebuild_from_geometry(self, geometry, materials, curve):
+        for current, angle in FROZEN_POINTS:
+            grid = solve_nonlinear_grid(geometry, materials, curve, [current], [angle])
+            rebuilt = rebuilt_matrix(geometry, materials, angle, grid.iron_permeabilities[0, 0])
+            assert grid.matrices[0, 0].tobytes() == rebuilt.tobytes()
+
+    def test_solve_nonlinear_is_the_split_solve_on_the_grid_matrix(
+        self, geometry, materials, curve
+    ):
+        for current, angle in FROZEN_POINTS:
+            sol = solve_nonlinear(geometry, materials, curve, OperatingPoint(current, angle))
+            grid = solve_nonlinear_grid(geometry, materials, curve, [current], [angle])
+            split = solve_superposition(grid.matrices[0, 0], sources_for(geometry, materials, current))
+            for name in ("mesh_fluxes", "coil_mesh_fluxes", "pm_mesh_fluxes"):
+                assert getattr(sol, name).tobytes() == getattr(split, name).tobytes()
+            assert sol.residual == split.residual
+            assert sol.iterations == grid.iterations[0, 0]
+            assert sol.iron_permeabilities == tuple(grid.iron_permeabilities[0, 0])
+
+    def test_returned_matrices_reproduce_the_grid_fluxes(self, geometry, materials, curve):
+        currents = np.array([0.0, 2.0, 5.5, 8.0])
+        angles = np.array([0.0, 4.0, 8.75, 10.0, 15.5])
+        grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
+        assert grid.matrices.shape == (4, 5, 5, 5)
+        parts = np.array(
+            [[source_values(p) for p in sources_for(geometry, materials, i).parts] for i in currents]
+        )
+        rhs = np.broadcast_to(
+            (parts @ TOPOLOGY.rhs_pattern).swapaxes(-1, -2)[:, None], grid.matrices.shape[:-1] + (3,)
+        )
+        # All three parts as one right-hand side, as the grid solves
+        # them: a one-column solve may round the last bit differently.
+        solved = np.linalg.solve(grid.matrices, rhs)
+        assert solved[..., 0].tobytes() == grid.mesh_fluxes.tobytes()
+        assert solved[..., 1].tobytes() == grid.coil_mesh_fluxes.tobytes()
+        assert solved[..., 2].tobytes() == grid.pm_mesh_fluxes.tobytes()

@@ -1,6 +1,7 @@
 """Tests for flux linkage, coenergy integration, and static torque."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -377,6 +378,22 @@ class TestTorqueComponents:
         assert parts.current == 8.0
         assert parts.pm_contribution == parts.total - parts.coil_only
         assert parts.total > 0.0 and parts.coil_only > 0.0
+
+    def test_curves_are_the_two_separate_sweeps(self, geometry, materials, curve):
+        options = dict(current_points=9, angle_step_deg=1.0)
+        parts = torque_components(geometry, materials, curve, 5.0, **options)
+        no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
+        for got, mats in ((parts.total_curve, materials), (parts.coil_curve, no_pm)):
+            want = torque_angle_sweep(geometry, mats, curve, 5.0, **options)
+            assert got.angles.tobytes() == want.angles.tobytes()
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert (got.mean_torque, got.stroke_mean_torque, got.peak_torque) == (
+                want.mean_torque,
+                want.stroke_mean_torque,
+                want.peak_torque,
+            )
+        assert parts.total == parts.total_curve.stroke_mean_torque
+        assert parts.coil_only == parts.coil_curve.stroke_mean_torque
 
     def test_magnets_help_more_at_high_current(self, geometry, materials, curve):
         # The saturation-diversion mechanism: the magnet share of the
