@@ -5,18 +5,22 @@ makes this machine work: at low current the magnet flux short-circuits
 through the unsaturated stator yoke, and rising coil flux saturates the
 yoke segments and diverts magnet flux across the air gap.  Capturing
 that requires each iron element to carry its own reluctance (one yoke
-segment saturates while another idles), so this module iterates on
-per-element permeabilities rather than on the shared per-kind values of
+segment saturates while another idles), so this module solves for
+per-element permeabilities rather than the shared per-kind values of
 the linear path.
 
-Algorithm: chord (secant) permeability fixed point.  From the current
-fluxes, compute each iron element's flux density, look up the chord
-permeability B/H(B) on the magnetization curve, under-relax the update,
-re-solve the linear system, and repeat until the relative flux change
-drops below tolerance.  Air-gap and magnet elements stay linear; iron
-is where saturation lives.
+Algorithm: damped Newton on the mesh equations R(phi) phi = F.  An iron
+element's MMF drop is l*H(B) on the magnetization curve, so its entry
+in the Jacobian is the differential reluctance l/(A*dB/dH); air-gap and
+magnet elements stay linear.  Each pass solves two systems per point in
+one batched call: the undamped chord system (iron at B/H of the current
+densities), whose flux change is the convergence test, and the Newton
+system.  The Newton step is halved until the max-norm of the mesh MMF
+residual falls, since the piecewise-linear table's kinks can make a full
+step overshoot.  A point converged after Newton steps keeps the chord
+permeabilities its test solved with.
 
-The grid engine iterates every (current, angle) operating point of a
+The grid engine solves every (current, angle) operating point of a
 sweep simultaneously through stacked assembly and batched solves;
 converged points freeze while the rest keep iterating.
 """
@@ -48,6 +52,7 @@ from .motor import (
     source_values,
     sources_for,
 )
+from .network import CONDITION_LIMIT, SolveError
 
 DEFAULT_CURVE_RESOURCE = "data/bh_m19.csv"
 
@@ -55,37 +60,6 @@ _ELEMENT_INDEX = {eid: k for k, eid in enumerate(ELEMENT_ORDER)}
 _IRON_SLOTS = np.array([_ELEMENT_INDEX[eid] for eid in IRON_ELEMENT_IDS])
 _GAP_SLOTS = np.array([_ELEMENT_INDEX["g1"], _ELEMENT_INDEX["g2"]])
 _PM_SLOTS = np.array([_ELEMENT_INDEX[eid] for eid in ("pm1", "pm2", "pm3")])
-
-
-def _relaxation_cycle(low: float, high: float, length: int) -> tuple[float, ...]:
-    """Factor cycle contracting error modes with slopes across [low, high].
-
-    For a damped fixed point, an error mode whose map slope s gives
-    lam = 1 - s shrinks by |1 - f*lam| per step.  Factors are the
-    reciprocals of the Chebyshev nodes of [low, high] in lam, the
-    choice minimizing the worst-case product over one full cycle, so
-    every mode in the interval contracts per pass even though no single
-    factor suits them all.  Nodes are visited in the interleaved
-    smallest-factor-first permutation that keeps partial products
-    bounded, so growth inside an unfinished pass stays small.
-    """
-    order = [1]
-    while len(order) < length:
-        n = len(order)
-        order = [k for pair in ((p, 2 * n + 1 - p) for p in order) for k in pair]
-    mid, half = (low + high) / 2.0, (high - low) / 2.0
-    return tuple(
-        1.0 / (mid + half * math.cos(math.pi * (2 * k - 1) / (2 * length))) for k in order
-    )
-
-
-# Saturated yoke elements on the knee of the curve drive chord-map
-# slopes to about -30 while linear-region elements sit near 0; the
-# cycle covers that spread with margin.
-_CYCLE_FACTORS = _relaxation_cycle(1.0, 64.0, 16)
-# A step shrinking the change by less than this marks the plain factor
-# as stalled (oscillating or crawling) and moves the point to the cycle.
-_STALL_RATIO = 0.9
 
 
 @dataclass(frozen=True)
@@ -190,32 +164,46 @@ class BhCurve:
         mu = np.where(b > 0.0, b / np.where(h > 0.0, h, 1.0), self.initial_permeability)
         return float(mu) if np.ndim(density) == 0 else mu
 
+    def differential_permeability(self, density: float | np.ndarray) -> float | np.ndarray:
+        """dB/dH(B) in H/m: the slope of the table segment containing |B|
+        (the segment starting there at a knot, the first at B = 0), and
+        mu0 past the table end."""
+        b_tab = np.concatenate(([0.0], self.density_points))
+        h_tab = np.concatenate(([0.0], self.field_points))
+        slopes = np.append(np.diff(b_tab) / np.diff(h_tab), MU0)
+        b = np.abs(np.asarray(density, dtype=float))
+        mu = slopes[np.searchsorted(b_tab[1:], b, side="right")]
+        return float(mu) if np.ndim(density) == 0 else mu
+
 
 @dataclass(frozen=True)
 class NonlinearConfig:
-    """Fixed-point controls: relative flux tolerance, iteration cap,
-    under-relaxation factor on the permeability update.  The factor is
-    both the plain step size and the ceiling of the adaptive cycle a
-    stalling point falls back to."""
+    """Newton controls: the relative flux tolerance of the convergence
+    test (the change an undamped chord solve would still make) and the
+    cap on Newton passes."""
 
     tolerance: float = 1e-8
     max_iterations: int = 200
-    relaxation: float = 0.5
 
     def __post_init__(self) -> None:
         if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (0.0 < self.relaxation <= 1.0):
-            raise ValueError("relaxation must be in (0, 1]")
+
+
+def _describe_points(points: tuple[tuple[float, float], ...]) -> str:
+    listed = ", ".join(f"({i:g} A, {a:g} deg)" for i, a in points[:5])
+    return listed + (", ..." if len(points) > 5 else "")
 
 
 class NonConvergenceError(ArithmeticError):
-    """Fixed point failed to reach tolerance within the iteration cap.
+    """Newton solve failed to reach tolerance within the iteration cap.
 
     Carries the last iterate and enough of the change history to tell a
-    stall from a period-two oscillation.
+    stall (a step the line search cannot shorten into progress, or a
+    cycle between table segments) from a point still converging or
+    diverging when the cap hit.
     """
 
     def __init__(
@@ -240,9 +228,7 @@ class NonConvergenceError(ArithmeticError):
         behavior = "oscillating or stalled" if self.oscillating else "diverging or slow"
         where = ""
         if failing_points:
-            listed = ", ".join(f"({i:g} A, {a:g} deg)" for i, a in failing_points[:5])
-            more = ", ..." if len(failing_points) > 5 else ""
-            where = f"; failing operating points: {listed}{more}"
+            where = f"; failing operating points: {_describe_points(failing_points)}"
         super().__init__(
             f"no convergence after {iterations} iterations at {unconverged_points} "
             f"operating point(s); last relative flux change {last_change:.3e} "
@@ -261,7 +247,7 @@ class NonlinearGridResult:
     define the converged systems and can warm-start another solve;
     matrices holds those systems' (n_currents, n_angles, 5, 5) mesh
     matrices, on which the flux arrays were solved; iterations counts
-    fixed-point steps per point; max_residual is the worst relative
+    Newton passes per point; max_residual is the worst relative
     Kirchhoff residual of the final systems.
     """
 
@@ -292,6 +278,35 @@ def _element_areas(geometry: MotorGeometry, angles: np.ndarray) -> np.ndarray:
     return areas
 
 
+def _guarded_solve(matrices: np.ndarray, rhs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Batched np.linalg.solve whose last batch axis runs over points
+    ((n, 2) current and angle); raises SolveError naming the points of
+    a singular system or a non-finite solution."""
+    try:
+        solved = np.linalg.solve(matrices, rhs)
+        bad = ~np.all(np.isfinite(solved), axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        sign, logdet = np.linalg.slogdet(matrices)
+        bad = (sign == 0) | ~np.isfinite(logdet)
+        if not bad.any():
+            bad[...] = True
+    bad = bad.reshape(-1, len(points)).any(axis=0)
+    if bad.any():
+        failing = tuple((float(i), float(a)) for i, a in points[bad])
+        raise SolveError(
+            f"singular or non-finite saturated mesh system at {len(failing)} "
+            f"operating point(s): {_describe_points(failing)}"
+        )
+    return solved
+
+
+# Halvings of a Newton step before the line search keeps the shortest
+# try.  On the default design every full step is accepted; a curve with
+# an abrupt knee needs a few halvings, and a system whose residual sits
+# at its rounding floor exhausts them.
+_MAX_HALVINGS = 30
+
+
 def solve_nonlinear_grid(
     geometry: MotorGeometry,
     materials: MaterialSet,
@@ -303,15 +318,17 @@ def solve_nonlinear_grid(
 ) -> NonlinearGridResult:
     """Saturating solve at every point of a (current x angle) grid.
 
-    Points iterate through assembly and solves batched over the
-    still-moving subset; a point that reaches tolerance freezes and
+    Points take Newton passes through assembly and solves batched over
+    the still-moving subset; a point that reaches tolerance freezes and
     drops out of the batch.  initial_permeabilities
-    ((n_currents, n_angles, n_iron), chord H/m) warm-starts the iron
-    state, e.g. from a previous result's iron_permeabilities; a seed at
-    a converged state is recognized on the first iteration.
+    ((n_currents, n_angles, n_iron), chord H/m) sets the iron state the
+    first fluxes are solved at, e.g. a previous result's
+    iron_permeabilities; a seed at a converged state is recognized on
+    the first iteration.
 
     Raises NonConvergenceError if any point is still moving after
-    config.max_iterations.
+    config.max_iterations, and SolveError naming the operating points
+    whose system is singular or solves to non-finite fluxes.
     """
     cfg = config or NonlinearConfig()
     currents = np.atleast_1d(np.asarray(currents, dtype=float))
@@ -319,6 +336,7 @@ def solve_nonlinear_grid(
     if np.any(currents < 0.0):
         raise ValueError("currents must be nonnegative")
     n_c, n_a, n_e = currents.size, angles.size, len(ELEMENT_ORDER)
+    points = np.stack(np.meshgrid(currents, angles, indexing="ij"), axis=-1)
 
     linear = reluctances_from_geometry(geometry, materials, 0.0)
     iron_paths = iron_path_specs(geometry)
@@ -358,78 +376,93 @@ def solve_nonlinear_grid(
         values[:, :, _IRON_SLOTS] = iron_lengths / (permeability * iron_areas)
         return TOPOLOGY.assemble(values, sources)
 
+    def mmf_residual(flux: np.ndarray, vals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """R(phi) phi - F per point: iron drops l*H(B) off the curve."""
+        branch = TOPOLOGY.element_fluxes(flux)
+        drops = vals * branch
+        density = branch[:, _IRON_SLOTS] / iron_areas
+        drops[:, _IRON_SLOTS] = iron_lengths * np.copysign(curve.field_magnitude(density), density)
+        return drops @ TOPOLOGY.incidence - rhs
+
     matrix, rhs = assemble_at(mu)
     # Trailing singleton keeps the batched solve in the matrix signature
     # on every numpy version.
-    fluxes = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+    fluxes = _guarded_solve(matrix, rhs[..., None], points.reshape(-1, 2))[..., 0]
     active = np.ones((n_c, n_a), dtype=bool)
     iterations = np.zeros((n_c, n_a), dtype=int)
     # Convergence is judged before stepping, on the flux change a full
-    # undamped chord update would produce (a trial solve at the chord
-    # target).  That reading is independent of the damping schedule, so
-    # a damped point cannot freeze while far from self-consistency, and
-    # a restart from a frozen state passes the same check it froze on,
-    # immediately.
-    #
-    # Damping: every point starts at the configured factor, which
-    # converges anything mildly nonlinear in a few steps.  Once yoke
-    # elements sit on the knee of the curve the chord map turns
-    # expansive and its error modes spread too far for any single
-    # factor (the stiff mode diverges or the soft mode crawls), so a
-    # point whose change stops shrinking switches to the factor cycle,
-    # which contracts the whole spread once per pass.
-    cycled = np.zeros((n_c, n_a), dtype=bool)
-    cycle_pos = np.zeros((n_c, n_a), dtype=int)
-    prev_change = np.full((n_c, n_a), math.inf)
-    cycle = np.asarray(_CYCLE_FACTORS)
+    # undamped chord update would produce (a trial solve with the iron
+    # at B/H of the current densities).  A point that passes after
+    # Newton steps freezes at exactly those chord values, so a restart
+    # from them passes the same check on its first pass; one that passes
+    # on its first pass keeps the permeabilities its fluxes were solved
+    # at, so a restart reproduces its seed.  The trial and the Newton
+    # step (Jacobian: iron at dB/dH) are one stacked solve.  The line
+    # search halves the step until the max-norm of the MMF residual
+    # falls: across a table knot the slope jumps and a full step can
+    # overshoot.
     recent: list[float] = []
     last_change = math.inf
     for _ in range(cfg.max_iterations):
         ci, ai = np.nonzero(active)
-        mu_a = mu[ci, ai]
         flux_a = fluxes[ci, ai]
-        vals_a = values[ci, ai]
         src_a = sources[ci, ai]
+        fixed_a = values[ci, ai]
         densities = TOPOLOGY.element_fluxes(flux_a)[:, _IRON_SLOTS] / iron_areas
-        target = np.asarray(curve.chord_permeability(densities))
-        vals_a[:, _IRON_SLOTS] = iron_lengths / (target * iron_areas)
-        matrix_t, rhs_t = TOPOLOGY.assemble(vals_a, src_a)
-        trial = np.linalg.solve(matrix_t, rhs_t[..., None])[..., 0]
+        chord = np.asarray(curve.chord_permeability(densities))
+        differential = np.asarray(curve.differential_permeability(densities))
+        vals_a = np.stack([fixed_a, fixed_a])
+        vals_a[0][:, _IRON_SLOTS] = iron_lengths / (chord * iron_areas)
+        vals_a[1][:, _IRON_SLOTS] = iron_lengths / (differential * iron_areas)
+        matrices, rhs_a = TOPOLOGY.assemble(vals_a, src_a)
+        residual = mmf_residual(flux_a, fixed_a, rhs_a)
+        trial, step = _guarded_solve(
+            matrices, np.stack([rhs_a, -residual])[..., None], points[ci, ai]
+        )[..., 0]
         scale = np.maximum(np.max(np.abs(trial), axis=-1), 1e-300)
         change = np.max(np.abs(trial - flux_a), axis=-1) / scale
         iterations[ci, ai] += 1
         last_change = float(np.max(change))
         recent.append(last_change)
         moving = change > cfg.tolerance
+        stepped = ~moving & (iterations[ci, ai] > 1)
+        mu[ci[stepped], ai[stepped]] = chord[stepped]
         active[ci[~moving], ai[~moving]] = False
         if not moving.any():
             break
         ci, ai = ci[moving], ai[moving]
-        mu_a, vals_a, src_a = mu_a[moving], vals_a[moving], src_a[moving]
-        target, change = target[moving], change[moving]
-        stalled = change > _STALL_RATIO * prev_change[ci, ai]
-        cycled[ci, ai] |= stalled
-        prev_change[ci, ai] = change
-        in_cycle = cycled[ci, ai]
-        pos = cycle_pos[ci, ai]
-        factor = np.where(
-            in_cycle, np.minimum(cycle[pos % cycle.size], cfg.relaxation), cfg.relaxation
-        )
-        cycle_pos[ci, ai] = pos + in_cycle
-        mu_a = mu_a + factor[:, None] * (target - mu_a)
-        vals_a[:, _IRON_SLOTS] = iron_lengths / (mu_a * iron_areas)
-        matrix_s, rhs_s = TOPOLOGY.assemble(vals_a, src_a)
-        mu[ci, ai] = mu_a
-        fluxes[ci, ai] = np.linalg.solve(matrix_s, rhs_s[..., None])[..., 0]
+        flux_a, step, fixed_a, rhs_a = flux_a[moving], step[moving], fixed_a[moving], rhs_a[moving]
+        base = np.max(np.abs(residual[moving]), axis=-1)
+        tried = flux_a + step
+        pending = np.arange(ci.size)
+        for halving in range(1, _MAX_HALVINGS + 1):
+            norm = np.max(
+                np.abs(mmf_residual(tried[pending], fixed_a[pending], rhs_a[pending])), axis=-1
+            )
+            pending = pending[~(norm < base[pending])]
+            if pending.size == 0:
+                break
+            tried[pending] = flux_a[pending] + 0.5**halving * step[pending]
+        fluxes[ci, ai] = tried
     if active.any():
-        failing = tuple(
-            (float(currents[ci]), float(angles[ai])) for ci, ai in np.argwhere(active)
-        )
+        failing = tuple((float(i), float(a)) for i, a in points[active])
+        # The loop ran out with exactly these points moving, so the last
+        # pass's chord systems are theirs.  Past the single-point solve's
+        # condition limit, rounding alone keeps the trial change above
+        # tolerance: report the conditioning, not the iteration count.
+        condition = np.linalg.cond(matrices[0][moving])
+        ill = ~(condition <= CONDITION_LIMIT)
+        if ill.any():
+            named = tuple(p for p, bad in zip(failing, ill) if bad)
+            raise SolveError(
+                f"condition number {np.max(condition):.3e} exceeds limit {CONDITION_LIMIT:.3e} "
+                f"at {len(named)} unconverged operating point(s): {_describe_points(named)}"
+            )
         raise NonConvergenceError(
             iterations=cfg.max_iterations,
             last_change=last_change,
             recent_changes=tuple(recent[-8:]),
-            unconverged_points=int(active.sum()),
+            unconverged_points=len(failing),
             last_mesh_fluxes=fluxes,
             failing_points=failing,
         )
@@ -439,7 +472,7 @@ def solve_nonlinear_grid(
     # right-hand-side column each.
     matrix, _ = assemble_at(mu)
     stacked = (parts @ TOPOLOGY.rhs_pattern).swapaxes(-1, -2)[:, None]
-    solved = np.linalg.solve(matrix, stacked)
+    solved = _guarded_solve(matrix, stacked, points.reshape(-1, 2))
     total, coil, pm = solved[..., 0], solved[..., 1], solved[..., 2]
 
     residual_num = np.max(np.abs(np.einsum("...ij,...j->...i", matrix, total) - stacked[..., 0]), axis=-1)
@@ -469,7 +502,7 @@ def solve_nonlinear(
 ) -> FluxSolution:
     """Saturating solve at one operating point.
 
-    Runs the fixed point, then re-solves the grid's frozen final matrix
+    Runs the Newton solve, then re-solves the grid's frozen final matrix
     through the refined linear path so the reported residual is measured
     in exact arithmetic.  initial_permeabilities (chord H/m per element in
     IRON_ELEMENT_IDS) warm-starts the iron state, e.g. from a previous

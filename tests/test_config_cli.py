@@ -16,7 +16,7 @@ from srmec.config import (
 )
 from srmec.metrics import comparison_table, load_motor_records
 from srmec.motor import MaterialSet, MotorGeometry
-from srmec.saturation import NonlinearConfig
+from srmec.saturation import BhCurve, NonlinearConfig
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -56,7 +56,7 @@ turns_per_pole = 120
 pm_remanence = 1.1
 
 [solver]
-relaxation = 0.4
+max_iterations = 150
 
 [sweep]
 currents = 2, 4.5
@@ -69,14 +69,14 @@ angle_step_deg = 0.5
         assert config.geometry.turns_per_pole == 120
         assert config.geometry.stator_outer_diameter == 140.0
         assert config.materials.pm_remanence == 1.1
-        assert config.solver.relaxation == 0.4
+        assert config.solver.max_iterations == 150
         assert config.solver.tolerance == NonlinearConfig().tolerance
         assert config.sweep_currents == (2.0, 4.5)
         assert config.current_points == 9
         assert config.angle_step_deg == 0.5
 
     def test_missing_keys_log_a_notice(self, tmp_path, caplog):
-        path = write_config(tmp_path, "[solver]\nrelaxation = 0.4\n")
+        path = write_config(tmp_path, "[solver]\nmax_iterations = 150\n")
         with caplog.at_level(logging.INFO, logger="srmec.config"):
             load_config(path)
         notices = [r.message for r in caplog.records if "using default" in r.message]
@@ -91,6 +91,13 @@ angle_step_deg = 0.5
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = write_config(tmp_path, "[geometry]\nbore = 12\n")
         with pytest.raises(ConfigError, match="'bore'"):
+            load_config(path)
+
+    def test_removed_relaxation_key_rejected(self, tmp_path):
+        # The Newton solver has no under-relaxation factor; a file still
+        # setting it fails like any other unknown key.
+        path = write_config(tmp_path, "[solver]\nrelaxation = 0.5\n")
+        with pytest.raises(ConfigError, match=r"\[solver\] unknown key 'relaxation'"):
             load_config(path)
 
     def test_key_before_section_rejected(self, tmp_path):
@@ -163,10 +170,10 @@ class TestConfigHash:
         assert config_hash(base) != config_hash(changed)
 
     def test_hash_ignores_file_formatting(self, tmp_path):
-        sparse = write_config(tmp_path, "[solver]\nrelaxation = 0.5\n", name="a.cfg")
+        sparse = write_config(tmp_path, "[solver]\nmax_iterations = 150\n", name="a.cfg")
         noisy = write_config(
             tmp_path,
-            "# a comment\n[solver]\n\nrelaxation =   0.5\n\n[geometry]\n",
+            "# a comment\n[solver]\n\nmax_iterations =   150\n\n[geometry]\n",
             name="b.cfg",
         )
         assert config_hash(load_config(sparse)) == config_hash(load_config(noisy))
@@ -220,6 +227,11 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "srmec: solve failed:" in err
         assert "condition number" in err and "exceeds limit" in err
+
+    def test_removed_relaxation_key_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[solver]\nrelaxation = 0.5\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "unknown key 'relaxation'" in capsys.readouterr().err
 
     def test_malformed_config_key_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "[geometry]\nbore = 1\n")
@@ -286,6 +298,19 @@ class TestSweepCommand:
         first_manifest.pop("timestamp")
         second_manifest.pop("timestamp")
         assert first_manifest == second_manifest
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_non_finite_saturated_system_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Past 0.25 T this curve's permeabilities underflow, so the iron
+        # reluctances overflow at every point of the sweep grid: the
+        # magnets alone drive the yoke past 0.25 T.
+        overflowing = BhCurve(field_points=(50.0, 1.5e308), density_points=(0.25, 0.5))
+        monkeypatch.setattr(BhCurve, "default", classmethod(lambda cls: overflowing))
+        config = write_config(tmp_path, FAST_SWEEP)
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "srmec: solve failed: singular or non-finite saturated mesh system" in err
+        assert "at 40 operating point(s): (0 A, 0 deg), (0 A, 2.5 deg)," in err
 
     def test_empty_current_list_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, "[sweep]\ncurrents =\n")

@@ -1,6 +1,7 @@
 """Tests for B-H curve handling and the saturating flux solver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,13 +22,16 @@ from srmec.motor import (
     source_values,
     sources_for,
 )
+from srmec.network import SolveError
 from srmec.saturation import (
     BhCurve,
     NonConvergenceError,
     NonlinearConfig,
+    _guarded_solve,
     solve_nonlinear,
     solve_nonlinear_grid,
 )
+from srmec.torque import DEFAULT_CURRENT_POINTS, angles_for_period
 
 ALIGNED = 10.0
 
@@ -149,6 +153,45 @@ class TestBhCurveLookup:
             assert lin.chord_permeability(b) == pytest.approx(4000.0 * MU0, rel=1e-12)
         assert lin.initial_permeability == pytest.approx(4000.0 * MU0, rel=1e-12)
 
+    def test_differential_matches_finite_differences_at_segment_midpoints(self, curve):
+        knots = (0.0,) + curve.density_points
+        for low, high in zip(knots[:-1], knots[1:]):
+            mid, half = 0.5 * (low + high), 1e-6 * (high - low)
+            rise = curve.field_magnitude(mid + half) - curve.field_magnitude(mid - half)
+            assert curve.differential_permeability(mid) == pytest.approx(2.0 * half / rise, rel=1e-6)
+
+    def test_differential_at_zero_is_the_first_segment_slope(self, curve):
+        assert curve.differential_permeability(0.0) == curve.initial_permeability
+
+    def test_differential_is_vacuum_past_the_table(self, curve):
+        b_end = curve.density_points[-1]
+        for b in (b_end, b_end + 1e-9, 3.0, 500.0, -2.5):
+            assert curve.differential_permeability(b) == MU0
+
+    def test_differential_at_a_knot_takes_the_segment_above(self, curve):
+        b1, b2, b3 = curve.density_points[4:7]
+        h1, h2, h3 = curve.field_points[4:7]
+        assert curve.differential_permeability(b2) == pytest.approx((b3 - b2) / (h3 - h2), rel=1e-12)
+        assert curve.differential_permeability(-b2) == curve.differential_permeability(b2)
+        assert curve.differential_permeability(np.nextafter(b2, 0.0)) == pytest.approx(
+            (b2 - b1) / (h2 - h1), rel=1e-12
+        )
+
+    def test_differential_array_lookup_matches_scalars(self, curve):
+        b = np.array([0.0, 0.6, 1.7, 2.5, -4.0])
+        mu = curve.differential_permeability(b)
+        assert isinstance(mu, np.ndarray) and mu.shape == b.shape
+        for k, bk in enumerate(b):
+            assert mu[k] == curve.differential_permeability(float(bk))
+        assert isinstance(curve.differential_permeability(1.0), float)
+
+    def test_linear_curve_differential_equals_chord(self):
+        lin = BhCurve.linear(4000.0)
+        for b in (0.0, 1e-3, 0.5, 7.0, 1e4):
+            assert lin.differential_permeability(b) == pytest.approx(
+                lin.chord_permeability(b), rel=1e-12
+            )
+
     def test_linear_rejects_nonpositive_permeability(self):
         with pytest.raises(ValueError, match="positive"):
             BhCurve.linear(0.0)
@@ -192,10 +235,6 @@ class TestNonlinearConfig:
         cfg = NonlinearConfig()
         assert cfg.tolerance == 1e-8
         assert cfg.max_iterations == 200
-        assert cfg.relaxation == 0.5
-
-    def test_accepts_full_relaxation(self):
-        assert NonlinearConfig(relaxation=1.0).relaxation == 1.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -204,10 +243,6 @@ class TestNonlinearConfig:
             NonlinearConfig(tolerance=math.nan)
         with pytest.raises(ValueError):
             NonlinearConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            NonlinearConfig(relaxation=0.0)
-        with pytest.raises(ValueError):
-            NonlinearConfig(relaxation=1.5)
 
 
 class TestSolveNonlinear:
@@ -252,7 +287,7 @@ class TestSolveNonlinear:
         iters = {i: s.iterations for i, s in aligned_solutions.items()}
         assert iters[1.0] == 1
         assert iters[1.0] <= iters[4.0] < iters[8.0]
-        assert 10 < iters[8.0] < 200
+        assert iters[8.0] <= 15
 
     def test_warm_restart_converges_immediately(
         self, geometry, materials, curve, aligned_solutions
@@ -398,6 +433,73 @@ class TestNonlinearGrid:
         )
         assert np.all(warm.iterations <= 2)
         assert warm.mesh_fluxes == pytest.approx(cold.mesh_fluxes, rel=1e-8)
+
+    def test_warm_restart_reproduces_the_result_exactly(self, geometry, materials, curve):
+        # A restart from a result passes its first check at the seed and
+        # keeps it, so it returns that result again bit for bit.
+        currents = np.array([0.0, 4.0, 6.5, 8.0])
+        angles = np.array([0.0, 8.5, 9.25, ALIGNED])
+        cold = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
+        assert cold.iterations.max() > 1
+        warm = solve_nonlinear_grid(
+            geometry, materials, curve, currents, angles, initial_permeabilities=cold.iron_permeabilities
+        )
+        assert np.all(warm.iterations == 1)
+        assert warm.iron_permeabilities.tobytes() == cold.iron_permeabilities.tobytes()
+        assert warm.mesh_fluxes.tobytes() == cold.mesh_fluxes.tobytes()
+
+    def test_newton_tail_on_the_default_grid(self, geometry, materials, curve):
+        # The 8 A sweep grid with and without magnets, as torque_components
+        # solves it; the chord fixed point needed up to 124 passes here.
+        currents = np.linspace(0.0, 8.0, DEFAULT_CURRENT_POINTS)
+        angles = angles_for_period(geometry)
+        no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
+        for mats in (materials, no_pm):
+            grid = solve_nonlinear_grid(geometry, mats, curve, currents, angles)
+            assert grid.iterations.shape == (33, 80)
+            assert grid.iterations.max() <= 15
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_non_finite_system_names_its_points(self, geometry, materials, curve):
+        # Past 0.25 T this curve's chord and slope underflow to about
+        # 1e-309 H/m, so the iron reluctance overflows; unexcited points
+        # without magnets never leave the first segment.
+        overflowing = BhCurve(field_points=(50.0, 1.5e308), density_points=(0.25, 0.5))
+        no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
+        with pytest.raises(SolveError) as info:
+            solve_nonlinear_grid(geometry, no_pm, overflowing, [0.0, 8.0], [0.0, ALIGNED])
+        message = str(info.value)
+        assert "2 operating point(s)" in message
+        assert "(8 A, 0 deg), (8 A, 10 deg)" in message
+        assert "(0 A" not in message
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_non_finite_warm_state_names_its_point(self, geometry, materials, curve):
+        warm = np.full((2, 2, len(IRON_ELEMENT_IDS)), curve.initial_permeability)
+        warm[1, 0, 3] = 5e-324
+        with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(4 A, 0 deg\)$"):
+            solve_nonlinear_grid(
+                geometry, materials, curve, [2.0, 4.0], [0.0, ALIGNED], initial_permeabilities=warm
+            )
+
+    def test_stall_at_an_ill_conditioned_system_reports_its_conditioning(self, materials, curve):
+        # A near-zero magnet width puts the condition number near 1e13,
+        # where rounding alone keeps the trial change above tolerance.
+        thin = MotorGeometry(pm_width=1e-9)
+        with pytest.raises(SolveError, match=r"condition number .* exceeds limit .*\(8 A, 10 deg\)$"):
+            solve_nonlinear_grid(thin, materials, curve, [8.0], [ALIGNED])
+
+    def test_singular_batch_names_its_points(self):
+        matrices = np.stack([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)])
+        points = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 10.0]])
+        rhs = np.ones((3, 2, 1))
+        assert _guarded_solve(matrices[[0, 2]], rhs[:2], points[[0, 2]]).shape == (2, 2, 1)
+        with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(2 A, 5 deg\)$"):
+            _guarded_solve(matrices, rhs, points)
+        # A leading stack axis (trial and Newton systems) folds onto the
+        # points axis.
+        with pytest.raises(SolveError, match=r"\(2 A, 5 deg\)$"):
+            _guarded_solve(np.stack([np.eye(2)[None].repeat(3, 0), matrices]), rhs, points)
 
     def test_grid_rejects_negative_current(self, geometry, materials, curve):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -412,3 +412,26 @@ class TestTorqueComponents:
         assert parts.total == 0.0
         with pytest.raises(ZeroDivisionError):
             parts.pm_share
+
+
+# Stroke-mean and peak torque (N*m) of the default 8-current sweep as the
+# original chord fixed-point solver produced them.  A solver that lands
+# on the same fixed point (flux tolerance 1e-8) reproduces them far more
+# closely than the tolerance below.
+SWEEP_REFERENCE = {
+    1.0: (0.076250879254232934, 0.17922479895818502),
+    2.0: (0.29066297404092717, 0.66933981838633572),
+    3.0: (0.64431469437108624, 1.47832812131379),
+    4.0: (1.1371172797076754, 2.6071763339979643),
+    5.0: (1.7623226854739735, 4.0561944984344187),
+    6.0: (2.4637241411739246, 5.824315197840674),
+    7.0: (3.1817535009389726, 7.9110765842939976),
+    8.0: (3.8916243225194145, 10.316779701328127),
+}
+
+
+def test_default_sweep_matches_reference_torques(geometry, materials, curve):
+    for current, (stroke_mean, peak) in SWEEP_REFERENCE.items():
+        sweep = torque_angle_sweep(geometry, materials, curve, current)
+        assert sweep.stroke_mean_torque == pytest.approx(stroke_mean, rel=1e-6, abs=0.0)
+        assert sweep.peak_torque == pytest.approx(peak, rel=1e-6, abs=0.0)
