@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -309,9 +310,80 @@ class MeshStamps:
         rhs = np.asarray(source_values) @ self.rhs_pattern
         return matrix, rhs
 
+    def solve(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve stacked systems stamped from positive element values by
+        Gaussian elimination without pivoting.
+
+        When every mesh owns an element that no other mesh traverses and
+        no element borders more than two meshes, a matrix stamped from
+        positive values is symmetric and strictly diagonally dominant:
+        row i's margin a_ii - sum_{j != i} |a_ij| is at least the sum of
+        the elements mesh i owns.  Elimination without pivoting is then
+        stable with a growth factor of at most 2, and its pivots are the
+        ones partial pivoting would choose.  The batch axes are kept
+        last, so each elimination step is one numpy operation over all
+        systems, and every right-hand-side column goes through the same
+        operations: a column solves to the same bits alone or with
+        others.
+
+        Args:
+            matrices: (..., n, n) mesh matrices stamped by this topology.
+            rhs: (..., n, k) right-hand sides; batch axes broadcast.
+
+        Returns:
+            (..., n, k) solutions.  A system with a zero or non-finite
+            pivot solves to NaN; the other systems are unaffected.
+
+        Raises:
+            NetworkDefinitionError: the topology does not make stamped
+                matrices strictly diagonally dominant.
+        """
+        if self._dominance_defect:
+            raise NetworkDefinitionError(
+                f"elimination without pivoting needs a diagonally dominant topology: "
+                f"{self._dominance_defect}"
+            )
+        n, k = rhs.shape[-2:]
+        batch = np.broadcast_shapes(matrices.shape[:-2], rhs.shape[:-2])
+        # Augmented [A | b] with the system axes first, batch axes last.
+        aug = np.empty((n, n + k) + batch)
+        aug[:, :n] = _systems_first(matrices)
+        aug[:, n:] = _systems_first(rhs)
+        solution = aug[:, n:]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for p in range(n - 1):
+                factors = aug[p + 1 :, p, None] / aug[p, p]
+                aug[p + 1 :, p + 1 :] -= factors * aug[p, None, p + 1 :]
+            for p in range(n - 1, -1, -1):
+                solution[p] /= aug[p, p]
+                solution[:p] -= aug[:p, p, None] * solution[p]
+        pivots = aug[:, :n].diagonal()
+        solution[..., ~(np.isfinite(pivots) & (pivots != 0.0)).all(axis=-1)] = np.nan
+        nd = solution.ndim
+        return solution.transpose(*range(2, nd), 0, 1).copy()
+
+    @cached_property
+    def _dominance_defect(self) -> str:
+        """Why stamped matrices may lack strict diagonal dominance; empty
+        when every mesh owns an element and none borders three meshes."""
+        borders = np.count_nonzero(self.incidence, axis=1)
+        for eid, count in zip(self.element_ids, borders):
+            if count > 2:
+                return f"element {eid!r} borders {count} meshes"
+        owned = np.any(self.incidence[borders == 1] != 0, axis=0)
+        if not owned.all():
+            return f"mesh {int(np.argmin(owned))} owns no element of its own"
+        return ""
+
     def element_fluxes(self, mesh_fluxes: np.ndarray) -> np.ndarray:
         """Signed per-element branch fluxes from (..., n) mesh fluxes."""
         return np.asarray(mesh_fluxes) @ self.incidence.T
+
+
+def _systems_first(stack: np.ndarray) -> np.ndarray:
+    """View of a (..., r, c) stack as (r, c, ...)."""
+    nd = stack.ndim
+    return stack.transpose(nd - 2, nd - 1, *range(nd - 2))
 
 
 def compile_topology(

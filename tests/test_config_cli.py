@@ -312,6 +312,19 @@ class TestSweepCommand:
         assert "srmec: solve failed: singular or non-finite saturated mesh system" in err
         assert "at 40 operating point(s): (0 A, 0 deg), (0 A, 2.5 deg)," in err
 
+    def test_ill_conditioned_converged_sweep_exits_3(self, tmp_path, capsys):
+        # With 1e-8 mm magnets every 1 A point converges on a system of
+        # condition number 1.12e12; `solve` refuses the same design.
+        config = write_config(
+            tmp_path,
+            "[geometry]\npm_width = 1e-8\n\n[sweep]\ncurrents = 1\ncurrent_points = 5\nangle_step_deg = 2.5\n",
+        )
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "srmec: solve failed: condition number 1.122e+12 exceeds limit 1.000e+12" in err
+        assert "at 40 operating point(s): (0 A, 0 deg), (0 A, 2.5 deg)," in err
+        assert not (tmp_path / "o" / "torque_summary.csv").exists()
+
     def test_empty_current_list_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, "[sweep]\ncurrents =\n")
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

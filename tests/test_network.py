@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from srmec.exact import solve_exact
+from srmec.motor import TOPOLOGY
 from srmec.network import (
     MeshFluxes,
     MeshSpec,
@@ -146,6 +147,94 @@ class TestCompileTopology:
             matrix, rhs = compile_topology(eids, sids, meshes).assemble(values, mmfs)
             assert np.array_equal(matrix, reference.matrix)
             assert np.array_equal(rhs, reference.rhs)
+
+
+def random_stamps(rng, count, decades):
+    """Mesh matrices of the motor topology from positive element values
+    spread over the given number of decades around 1e6 A/Wb."""
+    values = 1e6 * 10.0 ** rng.uniform(-decades / 2, decades / 2, (count, len(TOPOLOGY.element_ids)))
+    return TOPOLOGY.assemble(values, np.zeros((count, len(TOPOLOGY.source_ids))))[0]
+
+
+def normwise_difference(x, reference):
+    """Per-column max-norm difference relative to the reference."""
+    return np.max(np.abs(x - reference), axis=-2) / np.max(np.abs(reference), axis=-2)
+
+
+class TestStampedElimination:
+    def test_agrees_with_lapack_on_random_stamps(self):
+        rng = np.random.default_rng(5)
+        for decades in (2, 6, 12):
+            matrices = random_stamps(rng, 2000, decades)
+            rhs = rng.normal(size=(2000, 5, 3))
+            difference = normwise_difference(TOPOLOGY.solve(matrices, rhs), np.linalg.solve(matrices, rhs))
+            # Both solves are backward stable, so they differ by rounding
+            # amplified at most by the condition number.
+            assert np.all(difference <= 1e-15 * np.linalg.cond(matrices)[:, None])
+            if decades == 2:
+                assert difference.max() <= 1e-14
+
+    def test_broadcast_right_hand_side(self):
+        # The grid's final solve: one right-hand side per current,
+        # shared by every angle.
+        rng = np.random.default_rng(6)
+        matrices = random_stamps(rng, 4 * 60, 4).reshape(4, 60, 5, 5)
+        rhs = rng.normal(size=(4, 1, 5, 3))
+        solved = TOPOLOGY.solve(matrices, rhs)
+        assert solved.shape == (4, 60, 5, 3)
+        full = np.broadcast_to(rhs, solved.shape)
+        assert solved.tobytes() == TOPOLOGY.solve(matrices, full).tobytes()
+        assert normwise_difference(solved, np.linalg.solve(matrices, full)).max() <= 1e-13
+
+    def test_each_column_solves_to_the_same_bits_alone(self):
+        rng = np.random.default_rng(7)
+        matrices = random_stamps(rng, 500, 8)
+        rhs = rng.normal(size=(500, 5, 3))
+        solved = TOPOLOGY.solve(matrices, rhs)
+        for column in range(3):
+            alone = TOPOLOGY.solve(matrices, rhs[..., column : column + 1])
+            assert alone[..., 0].tobytes() == solved[..., column].tobytes()
+
+    def test_single_system_without_batch_axes(self):
+        matrix = random_stamps(np.random.default_rng(8), 1, 3)[0]
+        rhs = np.arange(1.0, 6.0)[:, None]
+        solved = TOPOLOGY.solve(matrix, rhs)
+        assert solved.shape == (5, 1)
+        assert normwise_difference(solved, np.linalg.solve(matrix, rhs)).max() <= 1e-14
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_zero_or_non_finite_pivot_spoils_only_its_system(self):
+        rng = np.random.default_rng(9)
+        matrices = random_stamps(rng, 300, 4)
+        rhs = rng.normal(size=(300, 5, 1))
+        reference = TOPOLOGY.solve(matrices, rhs)
+        broken = matrices.copy()
+        broken[7] = 0.0
+        # An overflowed element that only mesh 2 traverses: the infinite
+        # pivot alone would leave the solution finite.
+        broken[100, 2, 2] = np.inf
+        broken[200, 1, 1] = np.nan
+        solved = TOPOLOGY.solve(broken, rhs)
+        spoiled = np.isnan(solved).all(axis=(-2, -1))
+        assert np.flatnonzero(spoiled).tolist() == [7, 100, 200]
+        assert solved[~spoiled].tobytes() == reference[~spoiled].tobytes()
+
+    def test_refuses_a_topology_with_a_mesh_that_owns_no_element(self):
+        # Mesh 1 traverses only the element it shares with mesh 0, so its
+        # row has no diagonal margin.
+        stamps = compile_topology(
+            ("a", "b"), (), [MeshSpec(elements=(("a", +1), ("b", +1))), MeshSpec(elements=(("b", -1),))]
+        )
+        matrix, _ = stamps.assemble(np.array([1.0, 2.0]), np.zeros(0))
+        with pytest.raises(NetworkDefinitionError, match="mesh 1 owns no element of its own"):
+            stamps.solve(matrix, np.ones((2, 1)))
+
+    def test_refuses_an_element_bordering_three_meshes(self):
+        meshes = [MeshSpec(elements=((own, +1), ("shared", +1))) for own in ("a", "b", "c")]
+        stamps = compile_topology(("a", "b", "c", "shared"), (), meshes)
+        matrix, _ = stamps.assemble(np.ones(4), np.zeros(0))
+        with pytest.raises(NetworkDefinitionError, match="element 'shared' borders 3 meshes"):
+            stamps.solve(matrix, np.ones((3, 1)))
 
 
 class TestSolveLinear:

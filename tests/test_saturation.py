@@ -22,11 +22,13 @@ from srmec.motor import (
     source_values,
     sources_for,
 )
-from srmec.network import SolveError
+from srmec.network import CONDITION_LIMIT, MeshStamps, SolveError
 from srmec.saturation import (
+    ELIMINATION_MIN_SYSTEMS,
     BhCurve,
     NonConvergenceError,
     NonlinearConfig,
+    _condition_bound,
     _guarded_solve,
     solve_nonlinear,
     solve_nonlinear_grid,
@@ -489,6 +491,24 @@ class TestNonlinearGrid:
         with pytest.raises(SolveError, match=r"condition number .* exceeds limit .*\(8 A, 10 deg\)$"):
             solve_nonlinear_grid(thin, materials, curve, [8.0], [ALIGNED])
 
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_non_finite_points_named_in_a_batch_above_the_elimination_threshold(
+        self, geometry, materials, curve
+    ):
+        # The overflowing curve of test_non_finite_system_names_its_points
+        # at 2 x 80 points: the first Newton pass
+        # (320 systems) goes to the elimination, which spoils only the
+        # 8 A systems.
+        overflowing = BhCurve(field_points=(50.0, 1.5e308), density_points=(0.25, 0.5))
+        no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
+        angles = angles_for_period(geometry)
+        assert 2 * 2 * angles.size >= ELIMINATION_MIN_SYSTEMS
+        with pytest.raises(SolveError) as info:
+            solve_nonlinear_grid(geometry, no_pm, overflowing, [0.0, 8.0], angles)
+        message = str(info.value)
+        assert "at 80 operating point(s): (8 A, 0 deg), (8 A, 0.25 deg)," in message
+        assert "(0 A" not in message
+
     def test_singular_batch_names_its_points(self):
         matrices = np.stack([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)])
         points = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 10.0]])
@@ -500,6 +520,17 @@ class TestNonlinearGrid:
         # points axis.
         with pytest.raises(SolveError, match=r"\(2 A, 5 deg\)$"):
             _guarded_solve(np.stack([np.eye(2)[None].repeat(3, 0), matrices]), rhs, points)
+
+    def test_line_search_keeps_newton_from_cycling_on_an_abrupt_knee(self, geometry, materials):
+        # Past 1 T this curve's slope halves, past 1.5 T it drops 10,000x.
+        # Full Newton steps cycle between segments at these points and
+        # never converge; halving the step lands in 5 passes.
+        knee = BhCurve(field_points=(50.0, 100.0, 1e5), density_points=(1.0, 1.5, 1.6))
+        grid = solve_nonlinear_grid(
+            geometry, materials, knee, [5.0, 6.0, 7.0, 8.0], [8.0, 9.0, ALIGNED, 11.0, 12.0]
+        )
+        assert grid.iterations.max() <= 8
+        assert grid.max_residual <= 1e-10
 
     def test_grid_rejects_negative_current(self, geometry, materials, curve):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -578,19 +609,91 @@ class TestFrozenSystems:
             assert sol.iron_permeabilities == tuple(grid.iron_permeabilities[0, 0])
 
     def test_returned_matrices_reproduce_the_grid_fluxes(self, geometry, materials, curve):
+        # 4 x 80 points: the final solve is above the elimination
+        # threshold, so TOPOLOGY.solve gives back the grid's bits.
         currents = np.array([0.0, 2.0, 5.5, 8.0])
-        angles = np.array([0.0, 4.0, 8.75, 10.0, 15.5])
+        angles = angles_for_period(geometry)
         grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
-        assert grid.matrices.shape == (4, 5, 5, 5)
+        assert grid.matrices.shape == (4, 80, 5, 5)
+        assert currents.size * angles.size >= ELIMINATION_MIN_SYSTEMS
         parts = np.array(
             [[source_values(p) for p in sources_for(geometry, materials, i).parts] for i in currents]
         )
-        rhs = np.broadcast_to(
-            (parts @ TOPOLOGY.rhs_pattern).swapaxes(-1, -2)[:, None], grid.matrices.shape[:-1] + (3,)
-        )
-        # All three parts as one right-hand side, as the grid solves
-        # them: a one-column solve may round the last bit differently.
-        solved = np.linalg.solve(grid.matrices, rhs)
-        assert solved[..., 0].tobytes() == grid.mesh_fluxes.tobytes()
-        assert solved[..., 1].tobytes() == grid.coil_mesh_fluxes.tobytes()
-        assert solved[..., 2].tobytes() == grid.pm_mesh_fluxes.tobytes()
+        # One right-hand side per current, shared by every angle.
+        rhs = (parts @ TOPOLOGY.rhs_pattern).swapaxes(-1, -2)[:, None]
+        solved = TOPOLOGY.solve(grid.matrices, rhs)
+        fluxes = (grid.mesh_fluxes, grid.coil_mesh_fluxes, grid.pm_mesh_fluxes)
+        for column, flux in enumerate(fluxes):
+            assert solved[..., column].tobytes() == flux.tobytes()
+            # Each column goes through the same operations alone.
+            alone = TOPOLOGY.solve(grid.matrices, rhs[..., column : column + 1])
+            assert alone[..., 0].tobytes() == flux.tobytes()
+
+
+class CountingSolves:
+    """Records the batch shape of every elimination and LAPACK call."""
+
+    def __init__(self, monkeypatch):
+        self.elimination: list[tuple[int, ...]] = []
+        self.lapack: list[tuple[int, ...]] = []
+        eliminate, lapack = MeshStamps.solve, np.linalg.solve
+
+        def counted_elimination(stamps, matrices, rhs):
+            self.elimination.append(np.broadcast_shapes(matrices.shape[:-2], rhs.shape[:-2]))
+            return eliminate(stamps, matrices, rhs)
+
+        def counted_lapack(matrices, rhs):
+            self.lapack.append(np.broadcast_shapes(matrices.shape[:-2], rhs.shape[:-2]))
+            return lapack(matrices, rhs)
+
+        monkeypatch.setattr(MeshStamps, "solve", counted_elimination)
+        monkeypatch.setattr(np.linalg, "solve", counted_lapack)
+
+
+class TestSolveSelection:
+    def test_one_point_grid_never_eliminates(self, geometry, materials, curve, monkeypatch):
+        calls = CountingSolves(monkeypatch)
+        grid = solve_nonlinear_grid(geometry, materials, curve, [8.0], [ALIGNED])
+        assert grid.iterations[0, 0] > 1
+        assert calls.elimination == []
+        assert len(calls.lapack) == grid.iterations[0, 0] + 2
+
+    def test_default_grid_eliminates_its_large_batches(self, geometry, materials, curve, monkeypatch):
+        calls = CountingSolves(monkeypatch)
+        currents = np.linspace(0.0, 8.0, DEFAULT_CURRENT_POINTS)
+        solve_nonlinear_grid(geometry, materials, curve, currents, angles_for_period(geometry))
+        # The initial solve, then the first pass's stacked trial and
+        # Newton systems at all 33 x 80 points.
+        assert calls.elimination[:2] == [(33, 80), (2, 33 * 80)]
+        assert calls.elimination[-1] == (33, 80)
+        assert all(math.prod(shape) >= ELIMINATION_MIN_SYSTEMS for shape in calls.elimination)
+        assert all(math.prod(shape) < ELIMINATION_MIN_SYSTEMS for shape in calls.lapack)
+
+
+class TestConditionGuard:
+    def test_bound_is_at_least_the_condition_number(self):
+        rng = np.random.default_rng(12)
+        for decades in (0.01, 2, 6, 12):
+            values = 1e6 * 10.0 ** rng.uniform(-decades / 2, decades / 2, (5000, len(ELEMENT_ORDER)))
+            matrices = TOPOLOGY.assemble(values, np.zeros((5000, len(TOPOLOGY.source_ids))))[0]
+            assert np.all(_condition_bound(matrices) >= np.linalg.cond(matrices))
+
+    def test_bound_screens_the_default_grid_without_exact_condition_numbers(
+        self, geometry, materials, curve
+    ):
+        currents = np.linspace(0.0, 8.0, DEFAULT_CURRENT_POINTS)
+        grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles_for_period(geometry))
+        assert _condition_bound(grid.matrices).max() < 1e4 < CONDITION_LIMIT
+
+    def test_converged_ill_conditioned_points_are_refused(self, materials, curve):
+        # With 1e-8 mm magnets the 1 A points converge, but their systems'
+        # condition number is 1.12e12, over the single-point limit.
+        thin = MotorGeometry(pm_width=1e-8)
+        with pytest.raises(
+            SolveError, match=r"condition number 1\.12\de\+12 exceeds limit .* 2 operating point\(s\)"
+        ):
+            solve_nonlinear_grid(thin, materials, curve, [1.0], [0.0, 5.0])
+
+    def test_non_dominant_matrix_gets_an_infinite_bound(self):
+        matrix = np.array([[1.0, -2.0], [-2.0, 5.0]])
+        assert _condition_bound(matrix) == np.inf
