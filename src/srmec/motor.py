@@ -36,9 +36,6 @@ from .network import (
     MeshFluxes,
     MeshSpec,
     MeshSystem,
-    MmfSource,
-    ReluctanceElement,
-    assemble_mesh_system,
     compile_topology,
     kirchhoff_residual,
     solve_linear,
@@ -547,12 +544,15 @@ def sources_for(geometry: MotorGeometry, materials: MaterialSet, current: float)
 
 
 def build_network(r: ReluctanceSet, s: SourceSet, label: str = "srm mesh system") -> MeshSystem:
-    """Assemble the five-mesh system for one reluctance/source state."""
-    values = element_values(r)
-    mmfs = source_values(s)
-    elements = [ReluctanceElement(eid, float(values[k])) for k, eid in enumerate(ELEMENT_ORDER)]
-    sources = [MmfSource(sid, float(mmfs[k])) for k, sid in enumerate(SOURCE_ORDER)]
-    return assemble_mesh_system(elements, sources, MESH_SPECS, label=label)
+    """Stamp the five-mesh system for one reluctance/source state through
+    TOPOLOGY, the assembly every solve path shares."""
+    return MeshSystem(TOPOLOGY.stamp(element_values(r)), source_values(s) @ TOPOLOGY.rhs_pattern, label)
+
+
+def pole_flux(mesh_fluxes: np.ndarray) -> np.ndarray:
+    """Excited-pole flux phi2 - phi1 over the last axis of (..., 5) mesh
+    fluxes, Wb."""
+    return mesh_fluxes[..., 1] - mesh_fluxes[..., 0]
 
 
 def branch_fluxes(mesh: MeshFluxes) -> BranchFluxes:
@@ -567,7 +567,7 @@ def branch_fluxes(mesh: MeshFluxes) -> BranchFluxes:
         raise ValueError("expected 5 mesh fluxes")
     return BranchFluxes(
         phi_sy=float(-phi[0]),
-        phi_sp=float(phi[1] - phi[0]),
+        phi_sp=float(pole_flux(phi)),
         phi_g=float(phi[3] - phi[0]),
     )
 

@@ -146,7 +146,8 @@ def assemble_mesh_system(
     meshes: Sequence[MeshSpec],
     label: str = "mesh system",
 ) -> MeshSystem:
-    """Assemble the symmetric mesh system from a network description.
+    """Assemble the symmetric mesh system from a network description by
+    compiling its topology and stamping it once.
 
     Args:
         elements: reluctance elements, ids unique.
@@ -164,36 +165,8 @@ def assemble_mesh_system(
     """
     if len(meshes) == 0:
         raise ValueError("at least one mesh is required")
-
-    _index_ids([el.id for el in elements], "element")
-    _index_ids([src.id for src in sources], "source")
-    element_values = {el.id: el.value for el in elements}
-    source_values = {src.id: src.value for src in sources}
-
-    n = len(meshes)
-    # Signed incidence per element: element id -> {mesh index: sign}.
-    incidence: dict[str, dict[int, int]] = {eid: {} for eid in element_values}
-    rhs = np.zeros(n)
-    for i, mesh in enumerate(meshes):
-        for eid, sign in mesh.elements:
-            if eid not in element_values:
-                raise NetworkDefinitionError(f"mesh {i} references unknown element {eid!r}")
-            if i in incidence[eid]:
-                raise NetworkDefinitionError(f"mesh {i} traverses element {eid!r} twice")
-            incidence[eid][i] = sign
-        for sid, sign in mesh.sources:
-            if sid not in source_values:
-                raise NetworkDefinitionError(f"mesh {i} references unknown source {sid!r}")
-            rhs[i] += sign * source_values[sid]
-
-    matrix = np.zeros((n, n))
-    for eid, meshes_of in incidence.items():
-        value = element_values[eid]
-        members = list(meshes_of.items())
-        for i, si in members:
-            for j, sj in members:
-                matrix[i, j] += si * sj * value
-
+    stamps = compile_topology([el.id for el in elements], [src.id for src in sources], meshes)
+    matrix, rhs = stamps.assemble([el.value for el in elements], [src.value for src in sources])
     return MeshSystem(matrix=matrix, rhs=rhs, label=label)
 
 
@@ -276,39 +249,50 @@ def solve_linear(system: MeshSystem, condition_limit: float = CONDITION_LIMIT) -
 
 @dataclass(frozen=True)
 class MeshStamps:
-    """Precompiled assembly pattern for repeated solves on one topology.
-
-    Assembly reduces to two constant matmuls, so batches of systems that
-    differ only in element values and source values (saturation
-    iterations, parameter sweeps) assemble without touching Python-level
-    network objects.  Built by :func:`compile_topology`.
-    """
+    """Precompiled assembly of one topology, built by :func:`compile_topology`:
+    systems that differ only in element and source values (saturation
+    iterations, sweeps, audit samples) stamp without network objects."""
 
     element_ids: tuple[str, ...]
     source_ids: tuple[str, ...]
     n_meshes: int
-    # (n_elements, n_meshes^2): element values @ matrix_pattern = flat A.
-    matrix_pattern: np.ndarray
+    # Stamping plan.  Each stamped entry of A sums its terms s_i*s_j*v_e
+    # from zero in element order.  Entries are numbered longest sum first,
+    # so rank k (the k-th terms) is an (entries, terms) slice pair.
+    term_elements: np.ndarray  # (n_terms,) element index per term
+    term_signs: np.ndarray  # (n_terms, 1) s_i*s_j per term
+    term_ranks: tuple[tuple[slice, slice], ...]
+    n_entries: int
+    # (n_meshes^2,) entry of each position of A; n_entries (zero) if unstamped.
+    entry_of_position: np.ndarray
     # (n_sources, n_meshes): source values @ rhs_pattern = b.
     rhs_pattern: np.ndarray
     # (n_elements, n_meshes) signed incidence: mesh fluxes -> element fluxes.
     incidence: np.ndarray
 
-    def assemble(self, element_values: np.ndarray, source_values: np.ndarray):
-        """Assemble stacked systems.
+    def stamp(self, element_values) -> np.ndarray:
+        """(..., n, n) mesh matrices from (..., n_elements) reluctances, A/Wb.
 
-        Args:
-            element_values: (..., n_elements) reluctances in A/Wb.
-            source_values: (..., n_sources) MMFs in At.
+        Every term is exactly +-v and each entry adds its terms in element
+        order, so it rounds as the object-by-object sum does, to the same
+        bits alone or in any batch.  Batch axes stay last until the
+        returned view, so each term rank is one addition over all systems."""
+        values = np.asarray(element_values, dtype=float)
+        batch = values.shape[:-1]
+        flat = values.reshape(math.prod(batch), values.shape[-1])
+        terms = np.take(flat.T, self.term_elements, axis=0)
+        terms *= self.term_signs
+        sums = np.zeros((self.n_entries + 1, terms.shape[1]))
+        for entries, rank in self.term_ranks:
+            head = sums[entries]
+            head += terms[rank]
+        del terms  # frees memory the result can reuse
+        return sums[self.entry_of_position].T.reshape(*batch, self.n_meshes, self.n_meshes)
 
-        Returns:
-            (A, b) with shapes (..., n, n) and (..., n).
-        """
-        n = self.n_meshes
-        flat = np.asarray(element_values) @ self.matrix_pattern
-        matrix = flat.reshape(*flat.shape[:-1], n, n)
-        rhs = np.asarray(source_values) @ self.rhs_pattern
-        return matrix, rhs
+    def assemble(self, element_values, source_values):
+        """Stacked systems (A, b), shaped (..., n, n) and (..., n), from
+        (..., n_elements) reluctances in A/Wb and (..., n_sources) MMFs in At."""
+        return self.stamp(element_values), np.asarray(source_values, dtype=float) @ self.rhs_pattern
 
     def solve(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve stacked systems stamped from positive element values by
@@ -391,13 +375,9 @@ def compile_topology(
     source_ids: Sequence[str],
     meshes: Sequence[MeshSpec],
 ) -> MeshStamps:
-    """Compile a mesh topology into constant assembly patterns.
-
-    The patterns reproduce assemble_mesh_system exactly: stamping an
-    element with unit value through the pattern equals stamping it
-    through the object-level assembler, and the same definition errors
-    are raised.
-    """
+    """Compile a mesh topology into its stamping plan; raises
+    NetworkDefinitionError for a duplicate or unknown id or an element
+    traversed twice by one mesh."""
     n = len(meshes)
     e_index = _index_ids(element_ids, "element")
     s_index = _index_ids(source_ids, "source")
@@ -414,13 +394,28 @@ def compile_topology(
             if sid not in s_index:
                 raise NetworkDefinitionError(f"mesh {i} references unknown source {sid!r}")
             rhs_pattern[s_index[sid], i] += sign
-    # Each element stamps the outer product of its signed incidence.
-    matrix_pattern = np.einsum("ei,ej->eij", incidence, incidence).reshape(len(element_ids), n * n)
+    # Each stamped upper-triangle entry (i, j) sums the elements both
+    # meshes traverse, in element order.  Longest sums first, so rank k
+    # (the k-th terms) covers a prefix of the entries.
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    shared = [(i, j, np.flatnonzero(incidence[:, i] * incidence[:, j])) for i, j in pairs]
+    entries = sorted((entry for entry in shared if entry[2].size), key=lambda entry: -entry[2].size)
+    depth = entries[0][2].size if entries else 0
+    ranks = [[(i, j, common[k]) for i, j, common in entries if common.size > k] for k in range(depth)]
+    terms = [term for rank in ranks for term in rank]
+    starts = [sum(len(rank) for rank in ranks[:k]) for k in range(depth + 1)]
+    entry_of_position = np.full(n * n, len(entries))
+    for slot, (i, j, _) in enumerate(entries):
+        entry_of_position[[i * n + j, j * n + i]] = slot
     return MeshStamps(
         element_ids=tuple(element_ids),
         source_ids=tuple(source_ids),
         n_meshes=n,
-        matrix_pattern=matrix_pattern,
+        term_elements=np.array([e for _, _, e in terms], dtype=np.intp),
+        term_signs=np.array([incidence[e, i] * incidence[e, j] for i, j, e in terms]).reshape(-1, 1),
+        term_ranks=tuple((slice(0, b - a), slice(a, b)) for a, b in zip(starts, starts[1:])),
+        n_entries=len(entries),
+        entry_of_position=entry_of_position,
         rhs_pattern=rhs_pattern,
         incidence=incidence,
     )

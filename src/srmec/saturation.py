@@ -295,11 +295,12 @@ ELIMINATION_MIN_SYSTEMS = 192
 def _guarded_solve(matrices: np.ndarray, rhs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Batched solve whose last batch axis runs over points ((n, 2)
     current and angle); raises SolveError naming the points of a
-    singular system or a non-finite solution.
-
-    Large batches are solved by elimination without pivoting, which the
-    grid's strictly diagonally dominant mesh matrices allow; small ones
-    by LAPACK, which is cheaper per call."""
+    singular system, a non-finite solution or a non-finite diagonal.
+    Each element adds its positive value to the diagonal of every mesh
+    it borders, so the last catches an overflowed element whose solve
+    stays finite.  Large batches are solved by elimination without
+    pivoting, which the grid's strictly diagonally dominant mesh
+    matrices allow; small ones by LAPACK, which is cheaper per call."""
     systems = math.prod(np.broadcast_shapes(matrices.shape[:-2], rhs.shape[:-2]))
     try:
         if systems >= ELIMINATION_MIN_SYSTEMS:
@@ -312,6 +313,7 @@ def _guarded_solve(matrices: np.ndarray, rhs: np.ndarray, points: np.ndarray) ->
         bad = (sign == 0) | ~np.isfinite(logdet)
         if not bad.any():
             bad[...] = True
+    bad = bad | ~np.all(np.isfinite(np.diagonal(matrices, axis1=-2, axis2=-1)), axis=-1)
     bad = bad.reshape(-1, len(points)).any(axis=0)
     if bad.any():
         failing = tuple((float(i), float(a)) for i, a in points[bad])
@@ -425,10 +427,6 @@ def solve_nonlinear_grid(
         if not np.all(np.isfinite(mu) & (mu > 0.0)):
             raise ValueError("initial_permeabilities must be positive and finite")
 
-    def assemble_at(permeability: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values[:, :, _IRON_SLOTS] = iron_lengths / (permeability * iron_areas)
-        return TOPOLOGY.assemble(values, sources)
-
     def mmf_residual(flux: np.ndarray, vals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """R(phi) phi - F per point: iron drops l*H(B) off the curve."""
         branch = TOPOLOGY.element_fluxes(flux)
@@ -437,7 +435,8 @@ def solve_nonlinear_grid(
         drops[:, _IRON_SLOTS] = iron_lengths * np.copysign(curve.field_magnitude(density), density)
         return drops @ TOPOLOGY.incidence - rhs
 
-    matrix, rhs = assemble_at(mu)
+    values[:, :, _IRON_SLOTS] = iron_lengths / (mu * iron_areas)
+    matrix, rhs = TOPOLOGY.assemble(values, sources)
     # Trailing singleton keeps the batched solve in the matrix signature
     # on every numpy version.
     fluxes = _guarded_solve(matrix, rhs[..., None], points.reshape(-1, 2))[..., 0]
@@ -449,11 +448,13 @@ def solve_nonlinear_grid(
     # Newton steps freezes at exactly those chord values, so a restart
     # from them passes the same check on its first pass; one that passes
     # on its first pass keeps the permeabilities its fluxes were solved
-    # at, so a restart reproduces its seed.  The trial and the Newton
-    # step (Jacobian: iron at dB/dH) are one stacked solve.  The line
-    # search halves the step until the max-norm of the MMF residual
-    # falls: across a table knot the slope jumps and a full step can
-    # overshoot.
+    # at, so a restart reproduces its seed.  Either way it keeps the
+    # matrix of that solve: a stamp does not depend on the batch, so
+    # this is the matrix its frozen permeabilities stamp to.  The trial
+    # and the Newton step (Jacobian: iron at dB/dH) are one stacked
+    # solve.  The line search halves the step until the max-norm of the
+    # MMF residual falls: across a table knot the slope jumps and a full
+    # step can overshoot.
     recent: list[float] = []
     last_change = math.inf
     for _ in range(cfg.max_iterations):
@@ -480,6 +481,7 @@ def solve_nonlinear_grid(
         moving = change > cfg.tolerance
         stepped = ~moving & (iterations[ci, ai] > 1)
         mu[ci[stepped], ai[stepped]] = chord[stepped]
+        matrix[ci[stepped], ai[stepped]] = matrices[0][stepped]
         active[ci[~moving], ai[~moving]] = False
         if not moving.any():
             break
@@ -516,7 +518,6 @@ def solve_nonlinear_grid(
     # Final solves on the frozen systems: the total again plus the
     # coil-only and magnet-only parts for the superposition split, one
     # right-hand-side column each.
-    matrix, _ = assemble_at(mu)
     stacked = (parts @ TOPOLOGY.rhs_pattern).swapaxes(-1, -2)[:, None]
     solved = _guarded_solve(matrix, stacked, points.reshape(-1, 2))
     total, coil, pm = solved[..., 0], solved[..., 1], solved[..., 2]

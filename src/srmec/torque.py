@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .motor import FluxSolution, MaterialSet, MotorGeometry
+from .motor import FluxSolution, MaterialSet, MotorGeometry, pole_flux
 from .saturation import BhCurve, NonlinearConfig, solve_nonlinear_grid
 
 DEFAULT_CURRENT_POINTS = 33
@@ -161,11 +161,10 @@ def build_flux_linkage_grid(
     currents = np.linspace(0.0, peak_current, current_points)
     angles = angles_for_period(geometry, angle_step_deg)
     result = solve_nonlinear_grid(geometry, materials, curve, currents, angles, config=config)
-    pole_flux = result.mesh_fluxes[:, :, 1] - result.mesh_fluxes[:, :, 0]
     return FluxLinkageGrid(
         currents=currents,
         angles=angles,
-        linkages=winding.effective_turns * pole_flux,
+        linkages=winding.effective_turns * pole_flux(result.mesh_fluxes),
         period_deg=period,
     )
 

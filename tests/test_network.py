@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from srmec.exact import solve_exact
-from srmec.motor import TOPOLOGY
+from srmec.fidelity import BASE_THRESHOLD, DEFAULT_SEED, STRONG_THRESHOLD, sample_regime_case
+from srmec.motor import (
+    ELEMENT_ORDER,
+    MESH_SPECS,
+    SOURCE_ORDER,
+    TOPOLOGY,
+    SourceSet,
+    build_network,
+    element_values,
+    source_values,
+)
 from srmec.network import (
     MeshFluxes,
     MeshSpec,
@@ -21,6 +31,23 @@ from srmec.network import (
     kirchhoff_residual,
     solve_linear,
 )
+
+
+def object_loop_assembly(element_ids, values, source_ids, mmfs, meshes):
+    """Reference assembler: every element adds s_i*s_j*v into each pair
+    of meshes it borders, element by element from zero; every mesh
+    adds its signed sources in traversal order."""
+    n = len(meshes)
+    matrix, rhs = np.zeros((n, n)), np.zeros(n)
+    for eid, value in zip(element_ids, values):
+        members = [(i, sign) for i, mesh in enumerate(meshes) for e, sign in mesh.elements if e == eid]
+        for i, si in members:
+            for j, sj in members:
+                matrix[i, j] += si * sj * value
+    for i, mesh in enumerate(meshes):
+        for sid, sign in mesh.sources:
+            rhs[i] += sign * mmfs[list(source_ids).index(sid)]
+    return matrix, rhs
 
 
 def single_mesh_system(r=2.0, f=3.0):
@@ -123,30 +150,70 @@ class TestCompileTopology:
         with pytest.raises(NetworkDefinitionError, match="duplicate source id 's'"):
             compile_topology(("a",), ("s", "t", "s"), mesh)
 
-    def test_stamps_match_object_assembler_on_random_networks(self):
+    def test_stamps_match_the_object_loop_on_random_networks(self):
         rng = np.random.default_rng(11)
-        for _ in range(30):
-            n_elements, n_sources = int(rng.integers(1, 7)), int(rng.integers(0, 4))
+        for _ in range(200):
+            n_elements, n_sources = int(rng.integers(1, 10)), int(rng.integers(0, 4))
             eids = tuple(f"e{k}" for k in range(n_elements))
             sids = tuple(f"s{k}" for k in range(n_sources))
             meshes = []
-            for _ in range(int(rng.integers(1, 5))):
+            for _ in range(int(rng.integers(1, 6))):
                 picks = rng.choice(n_elements, size=int(rng.integers(1, n_elements + 1)), replace=False)
                 members = tuple((eids[int(k)], int(rng.choice([-1, 1]))) for k in picks)
                 feeds = tuple((sid, int(rng.choice([-1, 1]))) for sid in sids if rng.random() < 0.5)
                 meshes.append(MeshSpec(elements=members, sources=feeds))
-            # Distinct powers of two sum exactly in any order, so the
-            # matmul stamps and the += assembler must agree bit for bit.
-            values = 2.0 ** rng.permutation(n_elements)
+            values = 10.0 ** rng.uniform(-5.0, 5.0, n_elements)
+            # Distinct powers of two sum exactly in any order: the
+            # right-hand side is a matmul, not an element-order sum.
             mmfs = rng.choice([-1.0, 1.0], n_sources) * 2.0 ** rng.permutation(n_sources)
-            reference = assemble_mesh_system(
+            matrix, rhs = object_loop_assembly(eids, values, sids, mmfs, meshes)
+            stamped, stamped_rhs = compile_topology(eids, sids, meshes).assemble(values, mmfs)
+            assert stamped.tobytes() == matrix.tobytes()
+            assert stamped_rhs.tobytes() == rhs.tobytes()
+            system = assemble_mesh_system(
                 [ReluctanceElement(e, float(v)) for e, v in zip(eids, values)],
                 [MmfSource(s, float(v)) for s, v in zip(sids, mmfs)],
                 meshes,
             )
-            matrix, rhs = compile_topology(eids, sids, meshes).assemble(values, mmfs)
-            assert np.array_equal(matrix, reference.matrix)
-            assert np.array_equal(rhs, reference.rhs)
+            assert system.matrix.tobytes() == matrix.tobytes()
+            assert system.rhs.tobytes() == rhs.tobytes()
+
+    @pytest.mark.parametrize("stream, threshold", [(0, BASE_THRESHOLD), (1, STRONG_THRESHOLD)])
+    def test_motor_stamps_match_the_object_loop_on_audit_samples(self, stream, threshold):
+        # The audit's bytes depend on its matrices rounding as the object
+        # loop rounds them; a matmul pattern differs on about half.
+        rng = np.random.default_rng([DEFAULT_SEED, stream])
+        for _ in range(200):
+            r, s = sample_regime_case(rng, threshold)
+            matrix, rhs = object_loop_assembly(
+                ELEMENT_ORDER, element_values(r), SOURCE_ORDER, source_values(s), MESH_SPECS
+            )
+            stamped, stamped_rhs = TOPOLOGY.assemble(element_values(r), source_values(s))
+            assert stamped.tobytes() == matrix.tobytes()
+            assert stamped_rhs.tobytes() == rhs.tobytes()
+            system = build_network(r, s)
+            assert system.matrix.tobytes() == matrix.tobytes()
+            assert system.rhs.tobytes() == rhs.tobytes()
+
+    def test_stamping_does_not_depend_on_batch_shape(self):
+        # The grid stamps (2, m, n_elements) batches; the audit stamps
+        # single systems and a point solve (1, 1) batches.
+        rng = np.random.default_rng(12)
+        values = 1e6 * 10.0 ** rng.uniform(-5.0, 5.0, (2, 7, len(TOPOLOGY.element_ids)))
+        sources = np.array(
+            [source_values(SourceSet(f_e=f_e, f_pm=f_pm)) for f_e, f_pm in rng.uniform(0.0, 5e3, (7, 2))]
+        )
+        matrices, rhs = TOPOLOGY.assemble(values, sources)
+        assert matrices.shape == (2, 7, 5, 5) and rhs.shape == (7, 5)
+        for k, m in np.ndindex(2, 7):
+            alone, alone_rhs = TOPOLOGY.assemble(values[k, m], sources[m])
+            assert alone.shape == (5, 5) and alone_rhs.shape == (5,)
+            assert alone.tobytes() == matrices[k, m].tobytes()
+            assert alone_rhs.tobytes() == rhs[m].tobytes()
+            single, single_rhs = TOPOLOGY.assemble(values[None, None, k, m], sources[None, None, m])
+            assert single.shape == (1, 1, 5, 5)
+            assert single.tobytes() == alone.tobytes()
+            assert single_rhs.tobytes() == alone_rhs.tobytes()
 
 
 def random_stamps(rng, count, decades):

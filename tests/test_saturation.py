@@ -594,6 +594,13 @@ class TestFrozenSystems:
             grid = solve_nonlinear_grid(geometry, materials, curve, [current], [angle])
             rebuilt = rebuilt_matrix(geometry, materials, angle, grid.iron_permeabilities[0, 0])
             assert grid.matrices[0, 0].tobytes() == rebuilt.tobytes()
+        # In one 7 x 7 grid the points freeze at different passes.
+        currents, angles = zip(*FROZEN_POINTS)
+        grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
+        assert len(set(grid.iterations.ravel())) > 1
+        for k, m in np.ndindex(grid.iterations.shape):
+            rebuilt = rebuilt_matrix(geometry, materials, angles[m], grid.iron_permeabilities[k, m])
+            assert grid.matrices[k, m].tobytes() == rebuilt.tobytes()
 
     def test_solve_nonlinear_is_the_split_solve_on_the_grid_matrix(
         self, geometry, materials, curve
