@@ -169,17 +169,26 @@ def torque_curve_csv_text(total: TorqueCurve, coil: TorqueCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _curve_file_name(current: float) -> str:
-    return f"torque_curve_{current:g}A.csv"
+def _curve_file_names(currents: tuple[float, ...]) -> tuple[str, ...]:
+    """One curve file per current; refuses currents whose names collide."""
+    owners: dict[str, float] = {}
+    for current in currents:
+        name = f"torque_curve_{current:g}A.csv"
+        if name in owners:
+            raise ConfigError(
+                f"[sweep] currents {owners[name]!r} and {current!r} A would both write {name}"
+            )
+        owners[name] = current
+    return tuple(owners)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     curve = BhCurve.default()
-    outputs = tuple(_curve_file_name(i) for i in config.sweep_currents) + (SUMMARY_CSV,)
-    write_manifest(args.out, "sweep", config_hash(config), outputs)
+    names = _curve_file_names(config.sweep_currents)
+    write_manifest(args.out, "sweep", config_hash(config), names + (SUMMARY_CSV,))
     summary = ["current_a,mean_torque_nm,peak_torque_nm"]
-    for current in config.sweep_currents:
+    for current, name in zip(config.sweep_currents, names):
         split = torque_components(
             config.geometry,
             config.materials,
@@ -190,7 +199,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             config=config.solver,
         )
         total, coil = split.total_curve, split.coil_curve
-        _write_text(args.out, _curve_file_name(current), torque_curve_csv_text(total, coil))
+        _write_text(args.out, name, torque_curve_csv_text(total, coil))
         summary.append(
             f"{_fmt(current)},{_fmt(total.stroke_mean_torque)},{_fmt(total.peak_torque)}"
         )

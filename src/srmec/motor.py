@@ -183,7 +183,6 @@ class MaterialSet:
     """Material constants for the linear circuit.
 
     Args:
-        vacuum_permeability: H/m.
         iron_relative_permeability: linear-mode core permeability.
         pm_remanence: magnet remanent flux density, T.
         pm_relative_permeability: magnet recoil permeability.
@@ -191,30 +190,27 @@ class MaterialSet:
             not given explicitly.
     """
 
-    vacuum_permeability: float = MU0
     iron_relative_permeability: float = 4000.0
     pm_remanence: float = 1.2
     pm_relative_permeability: float = 1.05
     pm_coercivity: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.vacuum_permeability > 0:
-            raise ValueError("vacuum_permeability must be positive")
-        if self.iron_relative_permeability < 1.0:
-            raise ValueError("iron_relative_permeability must be >= 1")
-        if self.pm_relative_permeability < 1.0:
-            raise ValueError("pm_relative_permeability must be >= 1")
-        if not self.pm_remanence >= 0:
-            raise ValueError("pm_remanence must be nonnegative")
-        if self.pm_coercivity is not None and self.pm_coercivity < 0:
-            raise ValueError("pm_coercivity must be nonnegative")
+        for name, value, low, bound in (
+            ("iron_relative_permeability", self.iron_relative_permeability, 1.0, ">= 1"),
+            ("pm_relative_permeability", self.pm_relative_permeability, 1.0, ">= 1"),
+            ("pm_remanence", self.pm_remanence, 0.0, "nonnegative"),
+            ("pm_coercivity", self.pm_coercivity, 0.0, "nonnegative"),
+        ):
+            if value is not None and not (math.isfinite(value) and value >= low):
+                raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
     @property
     def coercivity(self) -> float:
         """Magnet coercive field, A/m."""
         if self.pm_coercivity is not None:
             return self.pm_coercivity
-        return self.pm_remanence / (self.vacuum_permeability * self.pm_relative_permeability)
+        return self.pm_remanence / (MU0 * self.pm_relative_permeability)
 
 
 @dataclass(frozen=True)
@@ -513,8 +509,8 @@ def reluctances_from_geometry(
     Iron paths use the linear iron permeability; the magnet uses its
     recoil permeability; the gap uses the overlap model.
     """
-    mu_iron = materials.vacuum_permeability * materials.iron_relative_permeability
-    mu_pm = materials.vacuum_permeability * materials.pm_relative_permeability
+    mu_iron = MU0 * materials.iron_relative_permeability
+    mu_pm = MU0 * materials.pm_relative_permeability
     paths = iron_path_specs(geometry)
 
     def iron(eid: str) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .motor import FluxSolution, MaterialSet, MotorGeometry, pole_flux
+from .motor import MaterialSet, MotorGeometry, pole_flux
 from .saturation import BhCurve, NonlinearConfig, solve_nonlinear_grid
 
 DEFAULT_CURRENT_POINTS = 33
@@ -29,46 +29,9 @@ DEFAULT_ANGLE_STEP_DEG = 0.25
 # Slack for the nondecreasing-linkage check: solver-noise scale, far
 # below any physical inductance change across one grid step.
 _MONOTONE_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class WindingSpec:
-    """Phase winding seen by the flux-linkage computation.
-
-    Args:
-        turns_per_pole: coil turns on each pole tooth.
-        series_coils: pole coils connected in series per phase.
-        orientation: +1 counts pole flux positive in the mesh
-            convention (toward the yoke); -1 flips for a winding wound
-            the other way.  The default machine links its own coil flux
-            positively at +1.
-    """
-
-    turns_per_pole: int
-    series_coils: int = 4
-    orientation: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.turns_per_pole < 1:
-            raise ValueError("turns_per_pole must be >= 1")
-        if self.series_coils < 1:
-            raise ValueError("series_coils must be >= 1")
-        if self.orientation not in (1.0, -1.0):
-            raise ValueError("orientation must be +1 or -1")
-
-    @classmethod
-    def for_geometry(cls, geometry: MotorGeometry, series_coils: int = 4) -> "WindingSpec":
-        return cls(turns_per_pole=geometry.turns_per_pole, series_coils=series_coils)
-
-    @property
-    def effective_turns(self) -> float:
-        """Signed linkage coefficient: orientation * turns * series coils."""
-        return self.orientation * self.turns_per_pole * self.series_coils
-
-
-def flux_linkage(solution: FluxSolution, winding: WindingSpec) -> float:
-    """Wb-turns linked by the phase winding: effective turns x pole flux."""
-    return winding.effective_turns * solution.branches.phi_sp
+# Pole coils in series per phase of the catalog machine; each has the
+# geometry's turns_per_pole, the same turns that set the coil MMF.
+SERIES_COILS = 4
 
 
 @dataclass(frozen=True)
@@ -138,7 +101,6 @@ def build_flux_linkage_grid(
     materials: MaterialSet,
     curve: BhCurve,
     peak_current: float,
-    winding: WindingSpec | None = None,
     current_points: int = DEFAULT_CURRENT_POINTS,
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
     config: NonlinearConfig | None = None,
@@ -146,8 +108,8 @@ def build_flux_linkage_grid(
     """Sample lambda over (0..peak_current) x one angle period.
 
     All operating points are solved by the saturating grid engine in
-    one batched run; the winding defaults to the geometry's own turns
-    with four series coils.
+    one batched run.  The phase links SERIES_COILS coils of the
+    geometry's turns_per_pole, the same turns that set the coil MMF.
     """
     if not (math.isfinite(peak_current) and peak_current > 0.0):
         raise ValueError("peak_current must be positive")
@@ -157,14 +119,13 @@ def build_flux_linkage_grid(
     cells = period / angle_step_deg
     if not (angle_step_deg > 0.0 and abs(cells - round(cells)) < 1e-9):
         raise ValueError("angle_step_deg must divide the period evenly")
-    winding = winding or WindingSpec.for_geometry(geometry)
     currents = np.linspace(0.0, peak_current, current_points)
     angles = angles_for_period(geometry, angle_step_deg)
     result = solve_nonlinear_grid(geometry, materials, curve, currents, angles, config=config)
     return FluxLinkageGrid(
         currents=currents,
         angles=angles,
-        linkages=winding.effective_turns * pole_flux(result.mesh_fluxes),
+        linkages=geometry.turns_per_pole * SERIES_COILS * pole_flux(result.mesh_fluxes),
         period_deg=period,
     )
 
@@ -175,10 +136,11 @@ def angles_for_period(geometry: MotorGeometry, step_deg: float = DEFAULT_ANGLE_S
     return np.arange(count) * step_deg
 
 
-def _coenergy_columns(grid: FluxLinkageGrid) -> np.ndarray:
-    """W'(i_max, theta) per angle: full trapezoid over the current axis."""
-    widths = np.diff(grid.currents)[:, None]
-    return np.sum(0.5 * (grid.linkages[1:] + grid.linkages[:-1]) * widths, axis=0)
+def _trapezoid(currents: np.ndarray, linkages: np.ndarray) -> np.ndarray:
+    """W'(currents[-1]) per column of (n_currents, n) linkages: the
+    trapezoid over the current axis."""
+    widths = np.diff(currents)[:, None]
+    return np.sum(0.5 * (linkages[1:] + linkages[:-1]) * widths, axis=0)
 
 
 def coenergy(grid: FluxLinkageGrid, current: float, angle_deg: float) -> float:
@@ -193,15 +155,10 @@ def coenergy(grid: FluxLinkageGrid, current: float, angle_deg: float) -> float:
             f"current {current!r} A outside the grid range [0, {grid.currents[-1]:g}]"
         )
     column = grid.linkages[:, grid.angle_index(angle_deg)]
-    full = np.searchsorted(grid.currents, current, side="right") - 1
-    widths = np.diff(grid.currents[: full + 1])
-    total = float(np.sum(0.5 * (column[1 : full + 1] + column[:full]) * widths))
-    if current > grid.currents[full]:
-        span = grid.currents[full + 1] - grid.currents[full]
-        frac = (current - grid.currents[full]) / span
-        lam_end = column[full] + frac * (column[full + 1] - column[full])
-        total += 0.5 * (column[full] + lam_end) * (current - grid.currents[full])
-    return total
+    below = grid.currents < current
+    currents = np.append(grid.currents[below], current)
+    linkages = np.append(column[below], np.interp(current, grid.currents, column))
+    return float(_trapezoid(currents, linkages[:, None])[0])
 
 
 @dataclass(frozen=True)
@@ -270,7 +227,6 @@ def torque_angle_sweep(
     materials: MaterialSet,
     curve: BhCurve,
     current: float,
-    winding: WindingSpec | None = None,
     current_points: int = DEFAULT_CURRENT_POINTS,
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
     config: NonlinearConfig | None = None,
@@ -303,12 +259,11 @@ def torque_angle_sweep(
         materials,
         curve,
         peak_current=current,
-        winding=winding,
         current_points=current_points,
         angle_step_deg=angle_step_deg,
         config=config,
     )
-    coenergy_row = _coenergy_columns(grid)
+    coenergy_row = _trapezoid(grid.currents, grid.linkages)
     step_rad = math.radians(grid.angle_step_deg)
     samples = (np.roll(coenergy_row, -1) - np.roll(coenergy_row, 1)) / (2.0 * step_rad)
     stroke = angles <= 0.5 * geometry.period_deg + 1e-9
@@ -363,14 +318,12 @@ def torque_components(
     materials: MaterialSet,
     curve: BhCurve,
     current: float,
-    winding: WindingSpec | None = None,
     current_points: int = DEFAULT_CURRENT_POINTS,
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
     config: NonlinearConfig | None = None,
 ) -> TorqueComponents:
     """Torque-angle sweeps with and without the magnets at one current."""
     kwargs = dict(
-        winding=winding,
         current_points=current_points,
         angle_step_deg=angle_step_deg,
         config=config,

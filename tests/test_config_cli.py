@@ -330,6 +330,34 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "currents" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                "vacuum_permeability = 1.2566370614359173e-06",
+                "[materials] unknown key 'vacuum_permeability'",
+            ),
+            ("pm_remanence = inf", "[materials] pm_remanence must be finite"),
+            ("iron_relative_permeability = nan", "[materials] iron_relative_permeability must be finite"),
+        ],
+    )
+    def test_bad_materials_key_exits_2_before_the_manifest(self, tmp_path, capsys, line, message):
+        config = write_config(tmp_path, f"[materials]\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_currents_sharing_a_file_name_exit_2(self, tmp_path, capsys):
+        # Both currents print as 1 under {:g}, so the second curve would
+        # overwrite torque_curve_1A.csv.
+        config = write_config(tmp_path, "[sweep]\ncurrents = 1, 1.0000001\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "1.0 and 1.0000001" in err and "torque_curve_1A.csv" in err
+        assert not (out / "manifest.json").exists()
+
 
 class TestCompareCommand:
     def test_matches_library_table(self, tmp_path, capsys):

@@ -82,6 +82,24 @@ class TestGeometryAndMaterials:
         override = MaterialSet(pm_coercivity=9.0e5)
         assert override.coercivity == 9.0e5
 
+    @pytest.mark.parametrize(
+        "field",
+        ["iron_relative_permeability", "pm_relative_permeability", "pm_remanence", "pm_coercivity"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+    def test_material_rejects_non_finite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            MaterialSet(**{field: value})
+
+    def test_material_accepts_its_bounds(self):
+        mats = MaterialSet(
+            iron_relative_permeability=1.0,
+            pm_relative_permeability=1.0,
+            pm_remanence=0.0,
+            pm_coercivity=0.0,
+        )
+        assert mats.coercivity == 0.0
+
     def test_operating_point_validation(self):
         geom = MotorGeometry()
         with pytest.raises(ValueError, match="nonnegative"):

@@ -6,18 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srmec.motor import FluxSolution, MaterialSet, MotorGeometry
-from srmec.saturation import BhCurve
+from srmec.motor import MaterialSet, MotorGeometry, pole_flux
+from srmec.saturation import BhCurve, solve_nonlinear_grid
 from srmec.torque import (
     DEFAULT_ANGLE_STEP_DEG,
     DEFAULT_CURRENT_POINTS,
+    SERIES_COILS,
     FluxLinkageGrid,
     TorqueCurve,
-    WindingSpec,
     angles_for_period,
     build_flux_linkage_grid,
     coenergy,
-    flux_linkage,
     static_torque,
     torque_angle_sweep,
     torque_components,
@@ -73,45 +72,6 @@ def inductance_grid(l0, l1, peak_current, period_deg=20.0, step_deg=0.25, points
         linkages=currents[:, None] * inductance[None, :],
         period_deg=period_deg,
     )
-
-
-class TestWindingSpec:
-    def test_defaults_and_effective_turns(self):
-        winding = WindingSpec(turns_per_pole=140)
-        assert winding.series_coils == 4
-        assert winding.effective_turns == 560.0
-
-    def test_for_geometry_reads_turns(self, geometry):
-        winding = WindingSpec.for_geometry(geometry)
-        assert winding.turns_per_pole == geometry.turns_per_pole == 140
-
-    def test_reversed_orientation_flips_sign(self):
-        winding = WindingSpec(turns_per_pole=140, orientation=-1.0)
-        assert winding.effective_turns == -560.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(turns_per_pole=0),
-            dict(turns_per_pole=140, series_coils=0),
-            dict(turns_per_pole=140, orientation=0.5),
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            WindingSpec(**kwargs)
-
-    def test_flux_linkage_worked_value(self):
-        # 140 turns x 4 series coils x 1e-4 Wb of pole flux = 0.056 Wb.
-        mesh = np.array([0.0, 1e-4, 1e-4, 0.0, 1e-4])
-        solution = FluxSolution(
-            mesh_fluxes=mesh,
-            coil_mesh_fluxes=np.zeros(5),
-            pm_mesh_fluxes=np.zeros(5),
-            residual=0.0,
-        )
-        winding = WindingSpec(turns_per_pole=140)
-        assert flux_linkage(solution, winding) == pytest.approx(0.056, rel=1e-12)
 
 
 class TestFluxLinkageGridValidation:
@@ -274,6 +234,14 @@ class TestBuildFluxLinkageGrid:
         assert grid.period_deg == pytest.approx(geometry.period_deg)
         assert grid.linkages.shape == (33, 80)
 
+    def test_linkage_counts_the_geometry_turns(self, geometry, materials, curve):
+        grid = build_flux_linkage_grid(
+            geometry, materials, curve, peak_current=4.0, current_points=5, angle_step_deg=2.5
+        )
+        result = solve_nonlinear_grid(geometry, materials, curve, grid.currents, grid.angles)
+        want = geometry.turns_per_pole * SERIES_COILS * pole_flux(result.mesh_fluxes)
+        assert np.array_equal(grid.linkages, want)
+
     def test_linkage_grows_with_current(self, geometry, materials, curve):
         grid = build_flux_linkage_grid(geometry, materials, curve, peak_current=4.0)
         aligned = grid.linkages[:, grid.angle_index(ALIGNED)]
@@ -359,6 +327,15 @@ class TestTorqueAngleSweep:
     def test_rejects_negative_current(self, geometry, materials, curve):
         with pytest.raises(ValueError, match="nonnegative"):
             torque_angle_sweep(geometry, materials, curve, -1.0)
+
+    def test_linkage_and_mmf_count_the_same_turns(self, geometry, materials, curve, sweeps):
+        # Doubling the turns and halving the current keeps every MMF and
+        # doubles every linkage over half-width current cells, all
+        # exactly, so the torque is unchanged to the bit; a linkage that
+        # counted other turns than the MMF would scale it.
+        doubled = replace(geometry, turns_per_pole=2 * geometry.turns_per_pole)
+        again = torque_angle_sweep(doubled, materials, curve, 2.0)
+        assert np.array_equal(again.samples, sweeps[4.0].samples)
 
     def test_curve_shape_validation(self):
         with pytest.raises(ValueError, match="matching shapes"):
