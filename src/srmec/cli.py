@@ -27,7 +27,7 @@ from .metrics import MotorDataError, comparison_table, load_motor_records
 from .motor import OperatingPoint, regime_check, reluctances_from_geometry
 from .network import SolveError
 from .saturation import BhCurve, NonConvergenceError, solve_nonlinear
-from .torque import TorqueCurve, torque_components
+from .torque import TorqueCurve, torque_component_sweeps
 
 logger = logging.getLogger("srmec.cli")
 
@@ -87,10 +87,10 @@ def _write_text(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
 
 
-def solve_record_text(config: RunConfig, current: float, angle_deg: float) -> str:
+def solve_record_text(config: RunConfig, point: OperatingPoint) -> str:
     """Flat key = value record of one saturating solve."""
+    current, angle_deg = point.phase_current, point.rotor_angle
     curve = BhCurve.default()
-    point = OperatingPoint(phase_current=current, rotor_angle=angle_deg)
     solution = solve_nonlinear(
         config.geometry, config.materials, curve, point, config=config.solver
     )
@@ -126,9 +126,12 @@ def solve_record_text(config: RunConfig, current: float, angle_deg: float) -> st
 def cmd_solve(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     angle = args.angle if args.angle is not None else config.geometry.aligned_angle_deg
+    # Refused before the manifest, which would list a record never written.
+    point = OperatingPoint(phase_current=args.current, rotor_angle=angle)
+    point.validate_for(config.geometry)
     if args.out is not None:
         write_manifest(args.out, "solve", config_hash(config), (SOLVE_RECORD,))
-    record = solve_record_text(config, args.current, angle)
+    record = solve_record_text(config, point)
     if args.out is not None:
         _write_text(args.out, SOLVE_RECORD, record)
     sys.stdout.write(record)
@@ -148,6 +151,8 @@ def fidelity_csv_text(rows) -> str:
 def cmd_fidelity(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     config = load_config(args.config)
     write_manifest(args.out, "fidelity", config_hash(config), (FIDELITY_CSV, FIDELITY_NOTES))
     rows = run_fidelity_audit(n_samples=args.samples, seed=args.seed)
@@ -187,25 +192,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curve = BhCurve.default()
     names = _curve_file_names(config.sweep_currents)
     write_manifest(args.out, "sweep", config_hash(config), names + (SUMMARY_CSV,))
+    splits = torque_component_sweeps(
+        config.geometry,
+        config.materials,
+        curve,
+        config.sweep_currents,
+        current_points=config.current_points,
+        angle_step_deg=config.angle_step_deg,
+        config=config.solver,
+    )
     summary = ["current_a,mean_torque_nm,peak_torque_nm"]
-    for current, name in zip(config.sweep_currents, names):
-        split = torque_components(
-            config.geometry,
-            config.materials,
-            curve,
-            current,
-            current_points=config.current_points,
-            angle_step_deg=config.angle_step_deg,
-            config=config.solver,
-        )
+    for split, name in zip(splits, names):
         total, coil = split.total_curve, split.coil_curve
         _write_text(args.out, name, torque_curve_csv_text(total, coil))
         summary.append(
-            f"{_fmt(current)},{_fmt(total.stroke_mean_torque)},{_fmt(total.peak_torque)}"
+            f"{_fmt(split.current)},{_fmt(total.stroke_mean_torque)},{_fmt(total.peak_torque)}"
         )
         logger.info(
             "current %g A: stroke mean %.4f N*m, peak %.4f N*m",
-            current,
+            split.current,
             total.stroke_mean_torque,
             total.peak_torque,
         )

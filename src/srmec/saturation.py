@@ -12,30 +12,38 @@ the linear path.
 Algorithm: damped Newton on the mesh equations R(phi) phi = F.  An iron
 element's MMF drop is l*H(B) on the magnetization curve, so its entry
 in the Jacobian is the differential reluctance l/(A*dB/dH); air-gap and
-magnet elements stay linear.  Each pass solves two systems per point in
-one batched call: the undamped chord system (iron at B/H of the current
-densities), whose flux change is the convergence test, and the Newton
-system.  The Newton step is halved until the max-norm of the mesh MMF
+magnet elements stay linear.  Each pass solves the undamped chord
+system (iron at B/H of the current densities), whose flux change is the
+convergence test, and then the Newton system of each point still
+moving.  The Newton step is halved until the max-norm of the mesh MMF
 residual falls, since the piecewise-linear table's kinks can make a full
 step overshoot.  A point converged after Newton steps keeps the chord
 permeabilities its test solved with.
 
-The grid engine solves every (current, angle) operating point of a
-sweep simultaneously through stacked assembly and batched solves;
-converged points freeze while the rest keep iterating.  Every mesh
-matrix it builds is symmetric and strictly diagonally dominant, so
-batches of ELIMINATION_MIN_SYSTEMS systems or more are solved by
-TOPOLOGY.solve (elimination without pivoting, one numpy operation per
-step over the batch) and smaller ones by LAPACK.  The same dominance
-bounds the condition number cheaply: a system whose bound passes the
-single-point limit gets an exact condition number, and one over the
-limit is refused, converged or not, naming its (current, angle).
+The grid engine solves a sweep's (current, angle) operating points
+simultaneously through stacked assembly and batched solves.  The air
+gap is the only element whose value depends on angle, so a point's
+mesh system is fixed by its current, its gap reluctance and its seed
+permeabilities: points that share all three share one solve, and the
+result maps every requested point to its system.  On the default
+`srmec sweep` this solves 5,480 systems for 42,240 points (mirrored
+angles and the fringing floor leave 20 gap values of 80, and the
+current rows share currents).  Converged systems freeze while the rest
+keep iterating.  Every mesh matrix the engine builds is symmetric and
+strictly diagonally dominant, so batches of ELIMINATION_MIN_SYSTEMS
+systems or more are solved by TOPOLOGY.solve (elimination without
+pivoting, one numpy operation per step over the batch) and smaller
+ones by LAPACK.  The same dominance bounds the condition number
+cheaply: a system whose bound passes the single-point limit gets an
+exact condition number, and one over the limit is refused, converged
+or not, naming each (current, angle) that maps to it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -246,40 +254,79 @@ class NonConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class NonlinearGridResult:
-    """Converged sweep over a (current x angle) grid.
+    """Converged sweep over a (current x angle) grid, one solve per
+    distinct mesh system.
 
-    Flux arrays are (n_currents, n_angles, 5); element_densities is
-    signed T per element in ELEMENT_ORDER; iron_permeabilities holds the
+    system_index ((n_currents, n_angles), ints) maps every requested
+    point to its system, and the system_* arrays hold one row per
+    distinct system: flux arrays (n_systems, 5); element_densities,
+    signed T per element in ELEMENT_ORDER; iron_permeabilities, the
     frozen chord values (H/m, per element in IRON_ELEMENT_IDS) that
-    define the converged systems and can warm-start another solve;
-    matrices holds those systems' (n_currents, n_angles, 5, 5) mesh
-    matrices, on which the flux arrays were solved; iterations counts
-    Newton passes per point; max_residual is the worst relative
-    Kirchhoff residual of the final systems.
+    define the converged systems; matrices, those systems'
+    (n_systems, 5, 5) mesh matrices, on which the flux arrays were
+    solved; iterations, the Newton passes per system.  The properties
+    of the same names without the prefix gather a field over the
+    requested grid when read, e.g. mesh_fluxes (n_currents, n_angles, 5)
+    or iron_permeabilities to warm-start another solve.  max_residual
+    is the worst relative Kirchhoff residual of the final systems.
     """
 
     currents: np.ndarray
     angles: np.ndarray
-    mesh_fluxes: np.ndarray
-    coil_mesh_fluxes: np.ndarray
-    pm_mesh_fluxes: np.ndarray
-    element_densities: np.ndarray
-    iron_permeabilities: np.ndarray
-    matrices: np.ndarray
-    iterations: np.ndarray
+    system_index: np.ndarray
+    system_mesh_fluxes: np.ndarray
+    system_coil_mesh_fluxes: np.ndarray
+    system_pm_mesh_fluxes: np.ndarray
+    system_element_densities: np.ndarray
+    system_iron_permeabilities: np.ndarray
+    system_matrices: np.ndarray
+    system_iterations: np.ndarray
     max_residual: float
 
+    @property
+    def distinct_systems(self) -> int:
+        """Mesh systems the solve ran, at most one per requested point."""
+        return self.system_iterations.size
 
-def _element_areas(geometry: MotorGeometry, angles: np.ndarray) -> np.ndarray:
-    """(n_angles, n_elements) cross-section areas; gap area tracks angle."""
+    @property
+    def mesh_fluxes(self) -> np.ndarray:
+        return self.system_mesh_fluxes[self.system_index]
+
+    @property
+    def coil_mesh_fluxes(self) -> np.ndarray:
+        return self.system_coil_mesh_fluxes[self.system_index]
+
+    @property
+    def pm_mesh_fluxes(self) -> np.ndarray:
+        return self.system_pm_mesh_fluxes[self.system_index]
+
+    @property
+    def element_densities(self) -> np.ndarray:
+        return self.system_element_densities[self.system_index]
+
+    @property
+    def iron_permeabilities(self) -> np.ndarray:
+        return self.system_iron_permeabilities[self.system_index]
+
+    @property
+    def matrices(self) -> np.ndarray:
+        return self.system_matrices[self.system_index]
+
+    @property
+    def iterations(self) -> np.ndarray:
+        return self.system_iterations[self.system_index]
+
+
+def _element_areas(geometry: MotorGeometry, gap_reluctances: np.ndarray) -> np.ndarray:
+    """(n, n_elements) cross-section areas at n gap reluctances; the gap
+    area follows the reluctance."""
     paths = iron_path_specs(geometry)
-    areas = np.empty((angles.size, len(ELEMENT_ORDER)))
+    areas = np.empty((gap_reluctances.size, len(ELEMENT_ORDER)))
     for eid, (_, area) in paths.items():
         areas[:, _ELEMENT_INDEX[eid]] = area
     # The fringing floor keeps gap reluctance finite at unalignment; the
     # same effective area keeps densities consistent with it.
-    gap_r = np.asarray(airgap_reluctance(geometry, angles), dtype=float).reshape(angles.size)
-    areas[:, _GAP_SLOTS[0]] = geometry.airgap_length * 1e-3 / (MU0 * gap_r)
+    areas[:, _GAP_SLOTS[0]] = geometry.airgap_length * 1e-3 / (MU0 * gap_reluctances)
     areas[:, _GAP_SLOTS[1]] = areas[:, _GAP_SLOTS[0]]
     areas[:, _PM_SLOTS] = pm_area_m2(geometry)
     return areas
@@ -291,19 +338,25 @@ def _element_areas(geometry: MotorGeometry, angles: np.ndarray) -> np.ndarray:
 # elimination about 80 us per call plus 0.17 us per system.
 ELIMINATION_MIN_SYSTEMS = 192
 
+# Names the requested (current, angle) points, in request order, whose
+# system is among the given system indices.
+_PointNamer = Callable[[np.ndarray], tuple[tuple[float, float], ...]]
 
-def _guarded_solve(matrices: np.ndarray, rhs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Batched solve whose last batch axis runs over points ((n, 2)
-    current and angle); raises SolveError naming the points of a
-    singular system, a non-finite solution or a non-finite diagonal.
-    Each element adds its positive value to the diagonal of every mesh
-    it borders, so the last catches an overflowed element whose solve
-    stays finite.  Large batches are solved by elimination without
-    pivoting, which the grid's strictly diagonally dominant mesh
-    matrices allow; small ones by LAPACK, which is cheaper per call."""
-    systems = math.prod(np.broadcast_shapes(matrices.shape[:-2], rhs.shape[:-2]))
+
+def _guarded_solve(
+    matrices: np.ndarray, rhs: np.ndarray, systems: np.ndarray, named: _PointNamer
+) -> np.ndarray:
+    """Batched solve whose last batch axis runs over the given systems;
+    raises SolveError naming the points of a singular system, a
+    non-finite solution or a non-finite diagonal.  Each element adds its
+    positive value to the diagonal of every mesh it borders, so the last
+    catches an overflowed element whose solve stays finite.  Large
+    batches are solved by elimination without pivoting, which the grid's
+    strictly diagonally dominant mesh matrices allow; small ones by
+    LAPACK, which is cheaper per call."""
+    count = math.prod(np.broadcast_shapes(matrices.shape[:-2], rhs.shape[:-2]))
     try:
-        if systems >= ELIMINATION_MIN_SYSTEMS:
+        if count >= ELIMINATION_MIN_SYSTEMS:
             solved = TOPOLOGY.solve(matrices, rhs)
         else:
             solved = np.linalg.solve(matrices, rhs)
@@ -314,9 +367,9 @@ def _guarded_solve(matrices: np.ndarray, rhs: np.ndarray, points: np.ndarray) ->
         if not bad.any():
             bad[...] = True
     bad = bad | ~np.all(np.isfinite(np.diagonal(matrices, axis1=-2, axis2=-1)), axis=-1)
-    bad = bad.reshape(-1, len(points)).any(axis=0)
+    bad = bad.reshape(-1, len(systems)).any(axis=0)
     if bad.any():
-        failing = tuple((float(i), float(a)) for i, a in points[bad])
+        failing = named(systems[bad])
         raise SolveError(
             f"singular or non-finite saturated mesh system at {len(failing)} "
             f"operating point(s): {_describe_points(failing)}"
@@ -336,21 +389,24 @@ def _condition_bound(matrices: np.ndarray) -> np.ndarray:
         return np.where(margin > 0.0, rows.max(axis=-1) / margin, np.inf)
 
 
-def _refuse_ill_conditioned(matrices: np.ndarray, points: np.ndarray, qualifier: str = "") -> None:
-    """Raise SolveError naming the points ((m, 2) current and angle)
-    whose (m, n, n) mesh matrix has a condition number above
-    CONDITION_LIMIT, the single-point solve's limit.  np.linalg.cond runs
-    only where the cheap bound exceeds the limit."""
+def _refuse_ill_conditioned(
+    matrices: np.ndarray, systems: np.ndarray, named: _PointNamer, qualifier: str = ""
+) -> None:
+    """Raise SolveError naming the points of the systems whose (m, n, n)
+    mesh matrix has a condition number above CONDITION_LIMIT, the
+    single-point solve's limit.  np.linalg.cond runs only where the
+    cheap bound exceeds the limit."""
     screened = ~(_condition_bound(matrices) <= CONDITION_LIMIT)
     if not screened.any():
         return
     condition = np.linalg.cond(matrices[screened])
     ill = ~(condition <= CONDITION_LIMIT)
     if ill.any():
-        named = tuple((float(i), float(a)) for i, a in points[screened][ill])
+        named_points = named(systems[screened][ill])
         raise SolveError(
             f"condition number {np.max(condition):.3e} exceeds limit {CONDITION_LIMIT:.3e} "
-            f"at {len(named)} {qualifier}operating point(s): {_describe_points(named)}"
+            f"at {len(named_points)} {qualifier}operating point(s): "
+            f"{_describe_points(named_points)}"
         )
 
 
@@ -372,124 +428,157 @@ def solve_nonlinear_grid(
 ) -> NonlinearGridResult:
     """Saturating solve at every point of a (current x angle) grid.
 
-    Points take Newton passes through assembly and solves batched over
-    the still-moving subset; a point that reaches tolerance freezes and
-    drops out of the batch.  initial_permeabilities
-    ((n_currents, n_angles, n_iron), chord H/m) sets the iron state the
-    first fluxes are solved at, e.g. a previous result's
-    iron_permeabilities; a seed at a converged state is recognized on
-    the first iteration.
+    A point's mesh system is fixed by its current, its gap reluctance
+    (the one element that depends on angle) and its seed, so the solve
+    runs once per distinct (current, gap reluctance, seed) and the
+    result maps each requested point to its system.  Repeated currents,
+    angles mirrored about alignment and angles on the fringing floor
+    cost nothing.  Systems take Newton passes through assembly and
+    solves batched over the still-moving subset; a system that reaches
+    tolerance freezes and drops out of the batch.
+    initial_permeabilities ((n_currents, n_angles, n_iron), chord H/m)
+    sets the iron state the first fluxes are solved at, e.g. a previous
+    result's iron_permeabilities; a seed at a converged state is
+    recognized on the first iteration.
 
-    Raises NonConvergenceError if any point is still moving after
-    config.max_iterations, and SolveError naming the operating points
-    whose system is singular, solves to non-finite fluxes, or has a
-    condition number above network.CONDITION_LIMIT.
+    Raises NonConvergenceError if any system is still moving after
+    config.max_iterations, and SolveError if a system is singular,
+    solves to non-finite fluxes, or has a condition number above
+    network.CONDITION_LIMIT.  Both name every requested operating point
+    of the failing systems, in request order.
     """
     cfg = config or NonlinearConfig()
     currents = np.atleast_1d(np.asarray(currents, dtype=float))
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if np.any(currents < 0.0):
         raise ValueError("currents must be nonnegative")
-    n_c, n_a, n_e = currents.size, angles.size, len(ELEMENT_ORDER)
-    points = np.stack(np.meshgrid(currents, angles, indexing="ij"), axis=-1)
+    n_c, n_a, n_e, n_iron = currents.size, angles.size, len(ELEMENT_ORDER), len(IRON_ELEMENT_IDS)
+
+    # Every current meets every gap reluctance, so the distinct
+    # (current, gap) pairs are the product of the distinct values, in
+    # the order np.unique(axis=0) would give them; that call on the
+    # (points, 2) key takes about 17 ms for the default sweep's 21,120
+    # points.  Keying on the reluctance itself, not on angle arithmetic,
+    # finds every symmetry of any design's gap model.  index maps each
+    # requested point to its system; current_of and gap_of map each
+    # system to its entries of unique_currents and unique_gaps.
+    gap_r = np.asarray(airgap_reluctance(geometry, angles), dtype=float).reshape(n_a)
+    unique_currents, current_index = np.unique(currents, return_inverse=True)
+    unique_gaps, gap_index = np.unique(gap_r, return_inverse=True)
+    index = (current_index.reshape(n_c, 1) * unique_gaps.size + gap_index.reshape(n_a)).ravel()
+    current_of = np.repeat(np.arange(unique_currents.size), unique_gaps.size)
+    gap_of = np.tile(np.arange(unique_gaps.size), unique_currents.size)
+    if initial_permeabilities is None:
+        mu = np.full((current_of.size, n_iron), curve.initial_permeability)
+    else:
+        seeds = np.array(initial_permeabilities, dtype=float)
+        if seeds.shape != (n_c, n_a, n_iron):
+            raise ValueError(
+                "initial_permeabilities shape must be (n_currents, n_angles, n_iron)"
+            )
+        if not np.all(np.isfinite(seeds) & (seeds > 0.0)):
+            raise ValueError("initial_permeabilities must be positive and finite")
+        # A pair's points split into one system per distinct seed.
+        distinct, index = np.unique(
+            np.column_stack([index, seeds.reshape(-1, n_iron)]), axis=0, return_inverse=True
+        )
+        pair = distinct[:, 0].astype(int)
+        current_of, gap_of = current_of[pair], gap_of[pair]
+        mu = np.ascontiguousarray(distinct[:, 1:])
+    index = index.reshape(-1)
+    n_s = mu.shape[0]
+
+    def named(systems: np.ndarray) -> tuple[tuple[float, float], ...]:
+        requested = np.stack(np.meshgrid(currents, angles, indexing="ij"), axis=-1).reshape(-1, 2)
+        return tuple((float(i), float(a)) for i, a in requested[np.isin(index, systems)])
 
     linear = reluctances_from_geometry(geometry, materials, 0.0)
     iron_paths = iron_path_specs(geometry)
     iron_lengths = np.array([iron_paths[eid][0] for eid in IRON_ELEMENT_IDS])
     iron_areas = np.array([iron_paths[eid][1] for eid in IRON_ELEMENT_IDS])
-    areas = _element_areas(geometry, angles)
 
-    # Fixed (non-iron) element values: gap per angle, magnets constant.
-    values = np.empty((n_c, n_a, n_e))
-    gap_r = np.asarray(airgap_reluctance(geometry, angles), dtype=float).reshape(n_a)
-    values[:, :, _GAP_SLOTS[0]] = gap_r
-    values[:, :, _GAP_SLOTS[1]] = gap_r
-    values[:, :, _PM_SLOTS] = linear.r_pm
+    # Fixed (non-iron) element values: gap per system, magnets constant.
+    values = np.empty((n_s, n_e))
+    values[:, _GAP_SLOTS[0]] = unique_gaps[gap_of]
+    values[:, _GAP_SLOTS[1]] = unique_gaps[gap_of]
+    values[:, _PM_SLOTS] = linear.r_pm
 
-    # (n_currents, 3, n_sources): total, coil-only and magnet-only MMFs.
+    # (n_unique_currents, 3, n_sources): total, coil-only and magnet-only MMFs.
     parts = np.array(
         [
             [source_values(part) for part in sources_for(geometry, materials, float(i)).parts]
-            for i in currents
+            for i in unique_currents
         ]
     )
-    sources = np.broadcast_to(parts[:, None, 0], (n_c, n_a, parts.shape[-1]))
+    sources = parts[current_of, 0]
 
-    n_iron = len(IRON_ELEMENT_IDS)
-    if initial_permeabilities is None:
-        mu = np.full((n_c, n_a, n_iron), curve.initial_permeability)
-    else:
-        mu = np.array(initial_permeabilities, dtype=float)
-        if mu.shape != (n_c, n_a, n_iron):
-            raise ValueError(
-                "initial_permeabilities shape must be (n_currents, n_angles, n_iron)"
-            )
-        if not np.all(np.isfinite(mu) & (mu > 0.0)):
-            raise ValueError("initial_permeabilities must be positive and finite")
+    def iron_densities(flux: np.ndarray) -> np.ndarray:
+        return TOPOLOGY.element_fluxes(flux)[:, _IRON_SLOTS] / iron_areas
 
     def mmf_residual(flux: np.ndarray, vals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """R(phi) phi - F per point: iron drops l*H(B) off the curve."""
+        """R(phi) phi - F per system: iron drops l*H(B) off the curve."""
         branch = TOPOLOGY.element_fluxes(flux)
         drops = vals * branch
         density = branch[:, _IRON_SLOTS] / iron_areas
         drops[:, _IRON_SLOTS] = iron_lengths * np.copysign(curve.field_magnitude(density), density)
         return drops @ TOPOLOGY.incidence - rhs
 
-    values[:, :, _IRON_SLOTS] = iron_lengths / (mu * iron_areas)
+    values[:, _IRON_SLOTS] = iron_lengths / (mu * iron_areas)
     matrix, rhs = TOPOLOGY.assemble(values, sources)
+    all_systems = np.arange(n_s)
     # Trailing singleton keeps the batched solve in the matrix signature
     # on every numpy version.
-    fluxes = _guarded_solve(matrix, rhs[..., None], points.reshape(-1, 2))[..., 0]
-    active = np.ones((n_c, n_a), dtype=bool)
-    iterations = np.zeros((n_c, n_a), dtype=int)
+    fluxes = _guarded_solve(matrix, rhs[..., None], all_systems, named)[..., 0]
+    active = np.ones(n_s, dtype=bool)
+    iterations = np.zeros(n_s, dtype=int)
     # Convergence is judged before stepping, on the flux change a full
     # undamped chord update would produce (a trial solve with the iron
-    # at B/H of the current densities).  A point that passes after
+    # at B/H of the current densities).  A system that passes after
     # Newton steps freezes at exactly those chord values, so a restart
     # from them passes the same check on its first pass; one that passes
     # on its first pass keeps the permeabilities its fluxes were solved
     # at, so a restart reproduces its seed.  Either way it keeps the
     # matrix of that solve: a stamp does not depend on the batch, so
-    # this is the matrix its frozen permeabilities stamp to.  The trial
-    # and the Newton step (Jacobian: iron at dB/dH) are one stacked
-    # solve.  The line search halves the step until the max-norm of the
-    # MMF residual falls: across a table knot the slope jumps and a full
+    # this is the matrix its frozen permeabilities stamp to.  Only the
+    # systems still moving then take a Newton step (Jacobian: iron at
+    # dB/dH); a converged system's step would be thrown away.  The line
+    # search halves the step until the max-norm of the MMF
+    # residual falls: across a table knot the slope jumps and a full
     # step can overshoot.
     recent: list[float] = []
     last_change = math.inf
     for _ in range(cfg.max_iterations):
-        ci, ai = np.nonzero(active)
-        flux_a = fluxes[ci, ai]
-        src_a = sources[ci, ai]
-        fixed_a = values[ci, ai]
-        densities = TOPOLOGY.element_fluxes(flux_a)[:, _IRON_SLOTS] / iron_areas
-        chord = np.asarray(curve.chord_permeability(densities))
-        differential = np.asarray(curve.differential_permeability(densities))
-        vals_a = np.stack([fixed_a, fixed_a])
-        vals_a[0][:, _IRON_SLOTS] = iron_lengths / (chord * iron_areas)
-        vals_a[1][:, _IRON_SLOTS] = iron_lengths / (differential * iron_areas)
-        matrices, rhs_a = TOPOLOGY.assemble(vals_a, src_a)
-        residual = mmf_residual(flux_a, fixed_a, rhs_a)
-        trial, step = _guarded_solve(
-            matrices, np.stack([rhs_a, -residual])[..., None], points[ci, ai]
-        )[..., 0]
+        idx = np.flatnonzero(active)
+        flux_a = fluxes[idx]
+        chord = np.asarray(curve.chord_permeability(iron_densities(flux_a)))
+        vals_a = values[idx]
+        vals_a[:, _IRON_SLOTS] = iron_lengths / (chord * iron_areas)
+        chords, rhs_a = TOPOLOGY.assemble(vals_a, sources[idx])
+        trial = _guarded_solve(chords, rhs_a[..., None], idx, named)[..., 0]
         scale = np.maximum(np.max(np.abs(trial), axis=-1), 1e-300)
         change = np.max(np.abs(trial - flux_a), axis=-1) / scale
-        iterations[ci, ai] += 1
+        iterations[idx] += 1
         last_change = float(np.max(change))
         recent.append(last_change)
         moving = change > cfg.tolerance
-        stepped = ~moving & (iterations[ci, ai] > 1)
-        mu[ci[stepped], ai[stepped]] = chord[stepped]
-        matrix[ci[stepped], ai[stepped]] = matrices[0][stepped]
-        active[ci[~moving], ai[~moving]] = False
+        stepped = ~moving & (iterations[idx] > 1)
+        mu[idx[stepped]] = chord[stepped]
+        matrix[idx[stepped]] = chords[stepped]
+        active[idx[~moving]] = False
         if not moving.any():
             break
-        ci, ai = ci[moving], ai[moving]
-        flux_a, step, fixed_a, rhs_a = flux_a[moving], step[moving], fixed_a[moving], rhs_a[moving]
-        base = np.max(np.abs(residual[moving]), axis=-1)
+        # Only the moving systems' arrays are kept or rebuilt from here,
+        # which bounds the pass's peak memory by the trial solve's.
+        idx, chords, flux_a, rhs_a = idx[moving], chords[moving], flux_a[moving], rhs_a[moving]
+        fixed_a = values[idx]
+        differential = np.asarray(curve.differential_permeability(iron_densities(flux_a)))
+        vals_a = fixed_a.copy()
+        vals_a[:, _IRON_SLOTS] = iron_lengths / (differential * iron_areas)
+        residual = mmf_residual(flux_a, fixed_a, rhs_a)
+        step = _guarded_solve(TOPOLOGY.stamp(vals_a), -residual[..., None], idx, named)[..., 0]
+        base = np.max(np.abs(residual), axis=-1)
         tried = flux_a + step
-        pending = np.arange(ci.size)
+        pending = np.arange(idx.size)
         for halving in range(1, _MAX_HALVINGS + 1):
             norm = np.max(
                 np.abs(mmf_residual(tried[pending], fixed_a[pending], rhs_a[pending])), axis=-1
@@ -498,45 +587,47 @@ def solve_nonlinear_grid(
             if pending.size == 0:
                 break
             tried[pending] = flux_a[pending] + 0.5**halving * step[pending]
-        fluxes[ci, ai] = tried
+        fluxes[idx] = tried
     if active.any():
-        # The loop ran out with exactly these points moving, so the last
+        # The loop ran out with exactly these systems moving, so the last
         # pass's chord systems are theirs.  Past the single-point solve's
         # condition limit, rounding alone keeps the trial change above
         # tolerance: report the conditioning, not the iteration count.
-        _refuse_ill_conditioned(matrices[0][moving], points[active], "unconverged ")
-        failing = tuple((float(i), float(a)) for i, a in points[active])
+        unconverged = np.flatnonzero(active)
+        _refuse_ill_conditioned(chords, unconverged, named, "unconverged ")
+        failing = named(unconverged)
         raise NonConvergenceError(
             iterations=cfg.max_iterations,
             last_change=last_change,
             recent_changes=tuple(recent[-8:]),
             unconverged_points=len(failing),
-            last_mesh_fluxes=fluxes,
+            last_mesh_fluxes=fluxes[index].reshape(n_c, n_a, -1),
             failing_points=failing,
         )
 
     # Final solves on the frozen systems: the total again plus the
     # coil-only and magnet-only parts for the superposition split, one
     # right-hand-side column each.
-    stacked = (parts @ TOPOLOGY.rhs_pattern).swapaxes(-1, -2)[:, None]
-    solved = _guarded_solve(matrix, stacked, points.reshape(-1, 2))
+    stacked = (parts @ TOPOLOGY.rhs_pattern).swapaxes(-1, -2)[current_of]
+    solved = _guarded_solve(matrix, stacked, all_systems, named)
     total, coil, pm = solved[..., 0], solved[..., 1], solved[..., 2]
     # Converged systems are held to the single-point solve's limit too.
-    _refuse_ill_conditioned(matrix.reshape(-1, *matrix.shape[-2:]), points.reshape(-1, 2))
+    _refuse_ill_conditioned(matrix, all_systems, named)
 
     residual_num = np.max(np.abs(np.einsum("...ij,...j->...i", matrix, total) - stacked[..., 0]), axis=-1)
     residual_den = np.maximum(np.max(np.abs(stacked[..., 0]), axis=-1), 1e-300)
-    element_densities = TOPOLOGY.element_fluxes(total) / areas[None, :, :]
+    areas = _element_areas(geometry, unique_gaps)[gap_of]
     return NonlinearGridResult(
         currents=currents,
         angles=angles,
-        mesh_fluxes=total,
-        coil_mesh_fluxes=coil,
-        pm_mesh_fluxes=pm,
-        element_densities=element_densities,
-        iron_permeabilities=mu,
-        matrices=matrix,
-        iterations=iterations,
+        system_index=index.reshape(n_c, n_a),
+        system_mesh_fluxes=total,
+        system_coil_mesh_fluxes=coil,
+        system_pm_mesh_fluxes=pm,
+        system_element_densities=TOPOLOGY.element_fluxes(total) / areas,
+        system_iron_permeabilities=mu,
+        system_matrices=matrix,
+        system_iterations=iterations,
         max_residual=float(np.max(residual_num / residual_den)),
     )
 
@@ -573,7 +664,8 @@ def solve_nonlinear(
         sources_for(geometry, materials, operating_point.phase_current),
         label="saturated srm mesh system",
     )
-    areas = _element_areas(geometry, np.array([operating_point.rotor_angle]))[0]
+    gap = airgap_reluctance(geometry, np.array([operating_point.rotor_angle]))
+    areas = _element_areas(geometry, gap)[0]
     densities = TOPOLOGY.element_fluxes(split.mesh_fluxes) / areas
     return replace(
         split,

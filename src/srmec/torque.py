@@ -15,13 +15,17 @@ convention.  See audit_notes in the fidelity module.
 
 from __future__ import annotations
 
+import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .motor import MaterialSet, MotorGeometry, pole_flux
 from .saturation import BhCurve, NonlinearConfig, solve_nonlinear_grid
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_CURRENT_POINTS = 33
 DEFAULT_ANGLE_STEP_DEG = 0.25
@@ -111,22 +115,55 @@ def build_flux_linkage_grid(
     one batched run.  The phase links SERIES_COILS coils of the
     geometry's turns_per_pole, the same turns that set the coil MMF.
     """
-    if not (math.isfinite(peak_current) and peak_current > 0.0):
-        raise ValueError("peak_current must be positive")
+    return _flux_linkage_grids(
+        geometry, materials, curve, (peak_current,), current_points, angle_step_deg, config
+    )[0]
+
+
+def _flux_linkage_grids(
+    geometry: MotorGeometry,
+    materials: MaterialSet,
+    curve: BhCurve,
+    peak_currents: Sequence[float],
+    current_points: int,
+    angle_step_deg: float,
+    config: NonlinearConfig | None,
+) -> tuple[FluxLinkageGrid, ...]:
+    """One lambda grid per peak current, from a single grid solve over
+    the concatenated current rows; each peak's rows are sliced back
+    out.  Logs the solve's point, system and iteration counts."""
+    if not peak_currents:
+        return ()
+    for peak_current in peak_currents:
+        if not (math.isfinite(peak_current) and peak_current > 0.0):
+            raise ValueError("peak_current must be positive")
     if current_points < 2:
         raise ValueError("current_points must be >= 2")
     period = geometry.period_deg
     cells = period / angle_step_deg
     if not (angle_step_deg > 0.0 and abs(cells - round(cells)) < 1e-9):
         raise ValueError("angle_step_deg must divide the period evenly")
-    currents = np.linspace(0.0, peak_current, current_points)
+    rows = [np.linspace(0.0, peak, current_points) for peak in peak_currents]
     angles = angles_for_period(geometry, angle_step_deg)
-    result = solve_nonlinear_grid(geometry, materials, curve, currents, angles, config=config)
-    return FluxLinkageGrid(
-        currents=currents,
-        angles=angles,
-        linkages=geometry.turns_per_pole * SERIES_COILS * pole_flux(result.mesh_fluxes),
-        period_deg=period,
+    result = solve_nonlinear_grid(
+        geometry, materials, curve, np.concatenate(rows), angles, config=config
+    )
+    logger.info(
+        "pm_remanence %g T: %d grid points on %d distinct systems, at most %d iterations",
+        materials.pm_remanence,
+        result.system_index.size,
+        result.distinct_systems,
+        result.system_iterations.max(),
+    )
+    linkages = geometry.turns_per_pole * SERIES_COILS * pole_flux(result.mesh_fluxes)
+    return tuple(
+        FluxLinkageGrid(
+            currents=row,
+            angles=angles,
+            linkages=linkages[k * current_points : (k + 1) * current_points],
+            period_deg=period,
+        )
+        for k, row in enumerate(rows)
     )
 
 
@@ -231,50 +268,64 @@ def torque_angle_sweep(
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
     config: NonlinearConfig | None = None,
 ) -> TorqueCurve:
-    """Torque-angle curve at one phase current over one period.
+    """Torque-angle curve at one phase current over one period; see
+    torque_angle_sweeps."""
+    return torque_angle_sweeps(
+        geometry, materials, curve, (current,), current_points, angle_step_deg, config
+    )[0]
 
-    Builds the flux-linkage grid (one batched saturating solve),
-    integrates coenergy per angle, and differences it periodically.  A
-    zero current returns the identically zero curve that follows from
-    the W'(0, theta) = 0 convention (magnet cogging is outside this
-    energy account; see the module docstring).  A non-convergent
-    operating point aborts the sweep with the failing (current, angle)
-    points identified in the error.
+
+def torque_angle_sweeps(
+    geometry: MotorGeometry,
+    materials: MaterialSet,
+    curve: BhCurve,
+    currents: Sequence[float],
+    current_points: int = DEFAULT_CURRENT_POINTS,
+    angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
+    config: NonlinearConfig | None = None,
+) -> tuple[TorqueCurve, ...]:
+    """Torque-angle curves at several phase currents over one period.
+
+    Builds every nonzero current's flux-linkage grid from one batched
+    saturating solve, then integrates coenergy per angle and
+    differences it periodically, current by current.  A zero current
+    returns the identically zero curve that follows from the
+    W'(0, theta) = 0 convention (magnet cogging is outside this energy
+    account; see the module docstring).  A non-convergent operating
+    point aborts every curve with the failing (current, angle) points
+    identified in the error.
     """
-    if not (math.isfinite(current) and current >= 0.0):
-        raise ValueError("current must be nonnegative")
+    for current in currents:
+        if not (math.isfinite(current) and current >= 0.0):
+            raise ValueError("current must be nonnegative")
     angles = angles_for_period(geometry, angle_step_deg)
-    if current == 0.0:
-        samples = np.zeros_like(angles)
-        return TorqueCurve(
-            current=0.0,
-            angles=angles,
-            samples=samples,
-            mean_torque=0.0,
-            stroke_mean_torque=0.0,
-            peak_torque=0.0,
+    excited = [current for current in currents if current != 0.0]
+    grids = iter(
+        _flux_linkage_grids(
+            geometry, materials, curve, excited, current_points, angle_step_deg, config
         )
-    grid = build_flux_linkage_grid(
-        geometry,
-        materials,
-        curve,
-        peak_current=current,
-        current_points=current_points,
-        angle_step_deg=angle_step_deg,
-        config=config,
     )
-    coenergy_row = _trapezoid(grid.currents, grid.linkages)
-    step_rad = math.radians(grid.angle_step_deg)
-    samples = (np.roll(coenergy_row, -1) - np.roll(coenergy_row, 1)) / (2.0 * step_rad)
     stroke = angles <= 0.5 * geometry.period_deg + 1e-9
-    return TorqueCurve(
-        current=current,
-        angles=angles,
-        samples=samples,
-        mean_torque=float(np.mean(samples)),
-        stroke_mean_torque=float(np.mean(samples[stroke])),
-        peak_torque=float(np.max(np.abs(samples))),
-    )
+    curves = []
+    for current in currents:
+        if current == 0.0:
+            samples = np.zeros_like(angles)
+        else:
+            grid = next(grids)
+            coenergy_row = _trapezoid(grid.currents, grid.linkages)
+            step_rad = math.radians(grid.angle_step_deg)
+            samples = (np.roll(coenergy_row, -1) - np.roll(coenergy_row, 1)) / (2.0 * step_rad)
+        curves.append(
+            TorqueCurve(
+                current=float(current),
+                angles=angles,
+                samples=samples,
+                mean_torque=float(np.mean(samples)),
+                stroke_mean_torque=float(np.mean(samples[stroke])),
+                peak_torque=float(np.max(np.abs(samples))),
+            )
+        )
+    return tuple(curves)
 
 
 @dataclass(frozen=True)
@@ -323,12 +374,27 @@ def torque_components(
     config: NonlinearConfig | None = None,
 ) -> TorqueComponents:
     """Torque-angle sweeps with and without the magnets at one current."""
-    kwargs = dict(
-        current_points=current_points,
-        angle_step_deg=angle_step_deg,
-        config=config,
-    )
-    total = torque_angle_sweep(geometry, materials, curve, current, **kwargs)
+    return torque_component_sweeps(
+        geometry, materials, curve, (current,), current_points, angle_step_deg, config
+    )[0]
+
+
+def torque_component_sweeps(
+    geometry: MotorGeometry,
+    materials: MaterialSet,
+    curve: BhCurve,
+    currents: Sequence[float],
+    current_points: int = DEFAULT_CURRENT_POINTS,
+    angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
+    config: NonlinearConfig | None = None,
+) -> tuple[TorqueComponents, ...]:
+    """Torque-angle sweeps with and without the magnets at each current:
+    one grid solve per magnet state over all of the currents."""
+    options = (current_points, angle_step_deg, config)
+    total = torque_angle_sweeps(geometry, materials, curve, currents, *options)
     no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
-    coil = torque_angle_sweep(geometry, no_pm, curve, current, **kwargs)
-    return TorqueComponents(current=current, total_curve=total, coil_curve=coil)
+    coil = torque_angle_sweeps(geometry, no_pm, curve, currents, *options)
+    return tuple(
+        TorqueComponents(current=current, total_curve=t, coil_curve=c)
+        for current, t, c in zip(currents, total, coil)
+    )

@@ -219,6 +219,17 @@ class TestSolveCommand:
         assert main(["solve", "--angle", "400"]) == 2
         assert "rotor_angle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--current", "nan"], "phase_current"), (["--angle", "25"], "rotor_angle")],
+    )
+    def test_bad_operating_point_exits_2_before_the_manifest(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "D"
+        out.mkdir()
+        assert main(["solve", *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_ill_conditioned_solve_exits_3(self, tmp_path, capsys):
         # A near-zero magnet width makes the magnet reluctance dwarf the
         # rest: condition number about 1e13, over the 1e12 limit.
@@ -267,6 +278,11 @@ class TestFidelityCommand:
         assert main(["fidelity", "--samples", "0", "--out", str(tmp_path)]) == 2
         assert "--samples" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_before_the_manifest(self, tmp_path, capsys):
+        assert main(["fidelity", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestSweepCommand:
     def test_writes_curves_and_summary(self, tmp_path, capsys):
@@ -298,6 +314,18 @@ class TestSweepCommand:
         first_manifest.pop("timestamp")
         second_manifest.pop("timestamp")
         assert first_manifest == second_manifest
+
+    def test_logs_one_grid_line_per_magnet_state(self, tmp_path, capsys, caplog):
+        config = write_config(tmp_path, FAST_SWEEP)
+        with caplog.at_level(logging.INFO, logger="srmec"):
+            assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "srmec.torque"]
+        assert len(lines) == 2
+        # 5 currents x 8 angles, which have 3 distinct gap reluctances:
+        # the fringing floor, 7.5 and 12.5 deg, and alignment.
+        assert lines[0].startswith("pm_remanence 1.2 T: 40 grid points on 15 distinct systems")
+        assert lines[1].startswith("pm_remanence 0 T: 40 grid points on 15 distinct systems")
+        assert all(", at most " in line and line.endswith(" iterations") for line in lines)
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_non_finite_saturated_system_exits_3(self, tmp_path, capsys, monkeypatch):

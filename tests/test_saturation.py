@@ -513,13 +513,18 @@ class TestNonlinearGrid:
         matrices = np.stack([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)])
         points = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 10.0]])
         rhs = np.ones((3, 2, 1))
-        assert _guarded_solve(matrices[[0, 2]], rhs[:2], points[[0, 2]]).shape == (2, 2, 1)
+        systems = np.arange(3)
+
+        def named(failing):
+            return tuple(map(tuple, points[failing]))
+
+        assert _guarded_solve(matrices[[0, 2]], rhs[:2], systems[[0, 2]], named).shape == (2, 2, 1)
         with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(2 A, 5 deg\)$"):
-            _guarded_solve(matrices, rhs, points)
+            _guarded_solve(matrices, rhs, systems, named)
         # A leading stack axis (trial and Newton systems) folds onto the
-        # points axis.
+        # systems axis.
         with pytest.raises(SolveError, match=r"\(2 A, 5 deg\)$"):
-            _guarded_solve(np.stack([np.eye(2)[None].repeat(3, 0), matrices]), rhs, points)
+            _guarded_solve(np.stack([np.eye(2)[None].repeat(3, 0), matrices]), rhs, systems, named)
 
     def test_line_search_keeps_newton_from_cycling_on_an_abrupt_knee(self, geometry, materials):
         # Past 1 T this curve's slope halves, past 1.5 T it drops 10,000x.
@@ -616,13 +621,14 @@ class TestFrozenSystems:
             assert sol.iron_permeabilities == tuple(grid.iron_permeabilities[0, 0])
 
     def test_returned_matrices_reproduce_the_grid_fluxes(self, geometry, materials, curve):
-        # 4 x 80 points: the final solve is above the elimination
-        # threshold, so TOPOLOGY.solve gives back the grid's bits.
-        currents = np.array([0.0, 2.0, 5.5, 8.0])
+        # 10 x 80 points on 10 x 20 distinct systems: the final solve is
+        # above the elimination threshold, so TOPOLOGY.solve gives back
+        # the grid's bits.
+        currents = np.linspace(0.0, 8.0, 10)
         angles = angles_for_period(geometry)
         grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
-        assert grid.matrices.shape == (4, 80, 5, 5)
-        assert currents.size * angles.size >= ELIMINATION_MIN_SYSTEMS
+        assert grid.matrices.shape == (10, 80, 5, 5)
+        assert grid.distinct_systems >= ELIMINATION_MIN_SYSTEMS
         parts = np.array(
             [[source_values(p) for p in sources_for(geometry, materials, i).parts] for i in currents]
         )
@@ -663,16 +669,21 @@ class TestSolveSelection:
         grid = solve_nonlinear_grid(geometry, materials, curve, [8.0], [ALIGNED])
         assert grid.iterations[0, 0] > 1
         assert calls.elimination == []
-        assert len(calls.lapack) == grid.iterations[0, 0] + 2
+        # The initial solve, a trial solve per pass, a Newton step on
+        # every pass but the converging one, and the final solve.
+        assert len(calls.lapack) == 2 * grid.iterations[0, 0] + 1
 
     def test_default_grid_eliminates_its_large_batches(self, geometry, materials, curve, monkeypatch):
         calls = CountingSolves(monkeypatch)
         currents = np.linspace(0.0, 8.0, DEFAULT_CURRENT_POINTS)
-        solve_nonlinear_grid(geometry, materials, curve, currents, angles_for_period(geometry))
-        # The initial solve, then the first pass's stacked trial and
-        # Newton systems at all 33 x 80 points.
-        assert calls.elimination[:2] == [(33, 80), (2, 33 * 80)]
-        assert calls.elimination[-1] == (33, 80)
+        grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles_for_period(geometry))
+        # The 80 angles have 20 distinct gap reluctances.  The initial
+        # solve and the first pass's trial solve run over all 33 x 20
+        # distinct systems, and so does the final solve.
+        systems = grid.distinct_systems
+        assert systems == 33 * 20
+        assert calls.elimination[:2] == [(systems,), (systems,)]
+        assert calls.elimination[-1] == (systems,)
         assert all(math.prod(shape) >= ELIMINATION_MIN_SYSTEMS for shape in calls.elimination)
         assert all(math.prod(shape) < ELIMINATION_MIN_SYSTEMS for shape in calls.lapack)
 
@@ -704,3 +715,95 @@ class TestConditionGuard:
     def test_non_dominant_matrix_gets_an_infinite_bound(self):
         matrix = np.array([[1.0, -2.0], [-2.0, 5.0]])
         assert _condition_bound(matrix) == np.inf
+
+
+GRID_FIELDS = (
+    "mesh_fluxes",
+    "coil_mesh_fluxes",
+    "pm_mesh_fluxes",
+    "element_densities",
+    "iron_permeabilities",
+    "matrices",
+    "iterations",
+)
+
+
+class TestDistinctSystems:
+    def test_gap_reluctance_is_symmetric_about_alignment(self, geometry):
+        angles = angles_for_period(geometry)
+        gap = airgap_reluctance(geometry, angles)
+        mirrored = airgap_reluctance(geometry, 2.0 * ALIGNED - angles)
+        assert gap.tobytes() == mirrored.tobytes()
+        assert np.unique(gap).size == 20
+
+    def test_repeated_permuted_and_mirrored_points_equal_the_distinct_grid(
+        self, geometry, materials, curve
+    ):
+        currents = np.array([2.0, 6.5, 8.0])
+        angles = np.array([0.0, 8.5, 9.25, ALIGNED])
+        distinct = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
+        # Requested angles by the distinct angle they equal: 11.5 and
+        # 10.75 mirror 8.5 and 9.25 about alignment, 1.0 and 19.0 sit on
+        # the fringing floor with 0.
+        requested_currents = np.array([8.0, 2.0, 8.0, 6.5, 2.0])
+        requested_angles = np.array([ALIGNED, 10.75, 0.0, 8.5, 11.5, 9.25, 19.0, 1.0, ALIGNED])
+        current_of = np.array([2, 0, 2, 1, 0])
+        angle_of = np.array([3, 2, 0, 1, 1, 2, 0, 0, 3])
+        grid = solve_nonlinear_grid(
+            geometry, materials, curve, requested_currents, requested_angles
+        )
+        assert grid.distinct_systems == distinct.distinct_systems == 3 * 4
+        for name in GRID_FIELDS:
+            expanded = getattr(distinct, name)[np.ix_(current_of, angle_of)]
+            assert getattr(grid, name).tobytes() == expanded.tobytes(), name
+        assert grid.max_residual == distinct.max_residual
+
+    def test_duplicated_points_keep_their_own_seeds(self, geometry, materials, curve):
+        cold = solve_nonlinear_grid(geometry, materials, curve, [8.0], [ALIGNED])
+        assert cold.iterations[0, 0] > 1
+        # Three copies of one point: two seeded at its converged state,
+        # one at the cold-start permeability.
+        seeds = np.full((1, 3, len(IRON_ELEMENT_IDS)), curve.initial_permeability)
+        seeds[0, [0, 2]] = cold.iron_permeabilities[0, 0]
+        warm = solve_nonlinear_grid(
+            geometry, materials, curve, [8.0], [ALIGNED] * 3, initial_permeabilities=seeds
+        )
+        assert warm.distinct_systems == 2
+        assert warm.system_index[0, 0] == warm.system_index[0, 2] != warm.system_index[0, 1]
+        assert list(warm.iterations[0]) == [1, cold.iterations[0, 0], 1]
+        # The warm copies restart from the converged state and return it
+        # bit for bit.  The cold copy repeats the cold solve, but in a
+        # batch of two, where the residual's matrix product rounds
+        # differently.
+        for name in GRID_FIELDS[:-1]:
+            field, want = getattr(warm, name)[0], getattr(cold, name)[0, 0]
+            assert field[0].tobytes() == field[2].tobytes() == want.tobytes(), name
+            assert np.max(np.abs(field[1] - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_ill_conditioned_system_names_every_mirrored_point(self, materials, curve):
+        # 5 and 15 deg share one gap reluctance, so one refused system
+        # stands for both points.
+        thin = MotorGeometry(pm_width=1e-8)
+        assert airgap_reluctance(thin, 5.0) == airgap_reluctance(thin, 15.0)
+        with pytest.raises(
+            SolveError,
+            match=r"exceeds limit .* at 2 operating point\(s\): \(1 A, 5 deg\), \(1 A, 15 deg\)$",
+        ):
+            solve_nonlinear_grid(thin, materials, curve, [1.0], [5.0, 15.0])
+
+    def test_non_convergence_names_duplicated_points_in_request_order(
+        self, geometry, materials, curve
+    ):
+        # At 8 A the points near alignment need 7-8 passes; 5 deg needs 1.
+        angles = [ALIGNED, 5.0, 9.0, ALIGNED, 11.0]
+        with pytest.raises(NonConvergenceError) as info:
+            solve_nonlinear_grid(
+                geometry, materials, curve, [8.0], angles, config=NonlinearConfig(max_iterations=3)
+            )
+        err = info.value
+        assert err.unconverged_points == 4
+        assert err.failing_points == ((8.0, ALIGNED), (8.0, 9.0), (8.0, ALIGNED), (8.0, 11.0))
+        assert err.last_mesh_fluxes.shape == (1, 5, 5)
+        fluxes = err.last_mesh_fluxes[0]
+        assert fluxes[0].tobytes() == fluxes[3].tobytes()
+        assert fluxes[2].tobytes() == fluxes[4].tobytes()

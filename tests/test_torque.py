@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from srmec.config import DEFAULT_SWEEP_CURRENTS
 from srmec.motor import MaterialSet, MotorGeometry, pole_flux
 from srmec.saturation import BhCurve, solve_nonlinear_grid
 from srmec.torque import (
@@ -19,6 +20,7 @@ from srmec.torque import (
     coenergy,
     static_torque,
     torque_angle_sweep,
+    torque_component_sweeps,
     torque_components,
 )
 
@@ -383,6 +385,31 @@ class TestTorqueComponents:
         no_pm = MaterialSet(pm_remanence=0.0, pm_coercivity=0.0)
         parts = torque_components(geometry, no_pm, curve, 4.0)
         assert parts.pm_contribution == 0.0
+
+    def test_many_currents_match_per_current_calls(self, geometry, materials, curve):
+        # One grid solve per magnet state covers all eight current rows.
+        # Its batches differ from the per-current solves', so the curves
+        # agree to rounding rather than bit for bit.
+        splits = torque_component_sweeps(geometry, materials, curve, DEFAULT_SWEEP_CURRENTS)
+        assert [split.current for split in splits] == list(DEFAULT_SWEEP_CURRENTS)
+        for split in splits:
+            want = torque_components(geometry, materials, curve, split.current)
+            for got, expected in (
+                (split.total_curve, want.total_curve),
+                (split.coil_curve, want.coil_curve),
+            ):
+                assert got.angles.tobytes() == expected.angles.tobytes()
+                error = np.max(np.abs(got.samples - expected.samples))
+                assert error <= 1e-12 * np.max(np.abs(expected.samples))
+
+    def test_zero_current_beside_others_solves_nothing_for_it(self, geometry, materials, curve):
+        options = dict(current_points=9, angle_step_deg=1.0)
+        zero, four = torque_component_sweeps(geometry, materials, curve, (0.0, 4.0), **options)
+        assert zero.total == zero.coil_only == 0.0
+        assert not np.any(zero.total_curve.samples)
+        alone = torque_components(geometry, materials, curve, 4.0, **options)
+        assert four.total_curve.samples.tobytes() == alone.total_curve.samples.tobytes()
+        assert four.coil_curve.samples.tobytes() == alone.coil_curve.samples.tobytes()
 
     def test_share_undefined_at_zero_torque(self, geometry, materials, curve):
         parts = torque_components(geometry, materials, curve, 0.0)
