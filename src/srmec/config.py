@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .motor import MaterialSet, MotorGeometry
 from .saturation import NonlinearConfig
-from .torque import DEFAULT_ANGLE_STEP_DEG, DEFAULT_CURRENT_POINTS
+from .torque import DEFAULT_ANGLE_STEP_DEG, DEFAULT_CURRENT_POINTS, angles_for_period
 
 logger = logging.getLogger("srmec.config")
 
@@ -67,12 +67,10 @@ class RunConfig:
             raise ConfigError("[sweep] currents must not repeat")
         if self.current_points < 2:
             raise ConfigError("[sweep] current_points must be >= 2")
-        cells = self.geometry.period_deg / self.angle_step_deg if self.angle_step_deg > 0 else -1.0
-        if not (self.angle_step_deg > 0.0 and abs(cells - round(cells)) < 1e-9):
-            raise ConfigError(
-                f"[sweep] angle_step_deg must divide the rotor period "
-                f"({self.geometry.period_deg:g} deg) evenly"
-            )
+        try:
+            angles_for_period(self.geometry, self.angle_step_deg)
+        except ValueError as error:
+            raise ConfigError(f"[sweep] {error}") from None
 
 
 def default_config() -> RunConfig:

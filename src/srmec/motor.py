@@ -331,10 +331,9 @@ class FluxSolution:
     MMF, pm_mesh_fluxes zeroes the coil MMF, each on the same matrix.
     The two parts sum to the total up to solver rounding.
 
-    flux_densities (T, signed, keyed by element id), iterations, and
-    iron_permeabilities (converged chord values in H/m, ordered as
-    IRON_ELEMENT_IDS, reusable as a warm start) are populated by the
-    saturating solver; a linear solve reports zero iterations.
+    flux_densities (T, signed, keyed by element id) and iterations are
+    populated by the saturating solver; a linear solve reports zero
+    iterations.
     """
 
     mesh_fluxes: np.ndarray
@@ -343,7 +342,6 @@ class FluxSolution:
     residual: float
     iterations: int = 0
     flux_densities: Mapping[str, float] | None = None
-    iron_permeabilities: tuple[float, ...] | None = None
 
     @property
     def branches(self) -> BranchFluxes:

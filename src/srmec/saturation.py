@@ -18,14 +18,14 @@ convergence test, and then the Newton system of each point still
 moving.  The Newton step is halved until the max-norm of the mesh MMF
 residual falls, since the piecewise-linear table's kinks can make a full
 step overshoot.  A point converged after Newton steps keeps the chord
-permeabilities its test solved with.
+system its test solved.
 
 The grid engine solves a sweep's (current, angle) operating points
 simultaneously through stacked assembly and batched solves.  The air
 gap is the only element whose value depends on angle, so a point's
-mesh system is fixed by its current, its gap reluctance and its seed
-permeabilities: points that share all three share one solve, and the
-result maps every requested point to its system.  On the default
+mesh system is fixed by its current and its gap reluctance: points
+that share both share one solve, and the result maps every requested
+point to its system.  On the default
 `srmec sweep` this solves 5,480 systems for 42,240 points (mirrored
 angles and the fringing floor leave 20 gap values of 80, and the
 current rows share currents).  Converged systems freeze while the rest
@@ -259,26 +259,20 @@ class NonlinearGridResult:
 
     system_index ((n_currents, n_angles), ints) maps every requested
     point to its system, and the system_* arrays hold one row per
-    distinct system: flux arrays (n_systems, 5); element_densities,
-    signed T per element in ELEMENT_ORDER; iron_permeabilities, the
-    frozen chord values (H/m, per element in IRON_ELEMENT_IDS) that
-    define the converged systems; matrices, those systems'
-    (n_systems, 5, 5) mesh matrices, on which the flux arrays were
-    solved; iterations, the Newton passes per system.  The properties
-    of the same names without the prefix gather a field over the
-    requested grid when read, e.g. mesh_fluxes (n_currents, n_angles, 5)
-    or iron_permeabilities to warm-start another solve.  max_residual
-    is the worst relative Kirchhoff residual of the final systems.
+    distinct system: mesh_fluxes (n_systems, 5), the total fluxes
+    solved on matrices, the converged (n_systems, 5, 5) mesh matrices;
+    iterations, the Newton passes per system.  The properties of the
+    same names without the prefix gather a field over the requested
+    grid when read, e.g. mesh_fluxes (n_currents, n_angles, 5).
+    max_residual is the worst relative Kirchhoff residual of the final
+    systems.  solve_superposition on a matrix gives its coil/magnet
+    split.
     """
 
     currents: np.ndarray
     angles: np.ndarray
     system_index: np.ndarray
     system_mesh_fluxes: np.ndarray
-    system_coil_mesh_fluxes: np.ndarray
-    system_pm_mesh_fluxes: np.ndarray
-    system_element_densities: np.ndarray
-    system_iron_permeabilities: np.ndarray
     system_matrices: np.ndarray
     system_iterations: np.ndarray
     max_residual: float
@@ -293,22 +287,6 @@ class NonlinearGridResult:
         return self.system_mesh_fluxes[self.system_index]
 
     @property
-    def coil_mesh_fluxes(self) -> np.ndarray:
-        return self.system_coil_mesh_fluxes[self.system_index]
-
-    @property
-    def pm_mesh_fluxes(self) -> np.ndarray:
-        return self.system_pm_mesh_fluxes[self.system_index]
-
-    @property
-    def element_densities(self) -> np.ndarray:
-        return self.system_element_densities[self.system_index]
-
-    @property
-    def iron_permeabilities(self) -> np.ndarray:
-        return self.system_iron_permeabilities[self.system_index]
-
-    @property
     def matrices(self) -> np.ndarray:
         return self.system_matrices[self.system_index]
 
@@ -317,18 +295,16 @@ class NonlinearGridResult:
         return self.system_iterations[self.system_index]
 
 
-def _element_areas(geometry: MotorGeometry, gap_reluctances: np.ndarray) -> np.ndarray:
-    """(n, n_elements) cross-section areas at n gap reluctances; the gap
-    area follows the reluctance."""
-    paths = iron_path_specs(geometry)
-    areas = np.empty((gap_reluctances.size, len(ELEMENT_ORDER)))
-    for eid, (_, area) in paths.items():
-        areas[:, _ELEMENT_INDEX[eid]] = area
+def _element_areas(geometry: MotorGeometry, gap_reluctance: float) -> np.ndarray:
+    """Cross-section areas per element in ELEMENT_ORDER; the gap area
+    follows the gap reluctance."""
+    areas = np.empty(len(ELEMENT_ORDER))
+    for eid, (_, area) in iron_path_specs(geometry).items():
+        areas[_ELEMENT_INDEX[eid]] = area
     # The fringing floor keeps gap reluctance finite at unalignment; the
     # same effective area keeps densities consistent with it.
-    areas[:, _GAP_SLOTS[0]] = geometry.airgap_length * 1e-3 / (MU0 * gap_reluctances)
-    areas[:, _GAP_SLOTS[1]] = areas[:, _GAP_SLOTS[0]]
-    areas[:, _PM_SLOTS] = pm_area_m2(geometry)
+    areas[_GAP_SLOTS] = geometry.airgap_length * 1e-3 / (MU0 * gap_reluctance)
+    areas[_PM_SLOTS] = pm_area_m2(geometry)
     return areas
 
 
@@ -424,35 +400,36 @@ def solve_nonlinear_grid(
     currents: np.ndarray,
     angles: np.ndarray,
     config: NonlinearConfig | None = None,
-    initial_permeabilities: np.ndarray | None = None,
 ) -> NonlinearGridResult:
     """Saturating solve at every point of a (current x angle) grid.
 
-    A point's mesh system is fixed by its current, its gap reluctance
-    (the one element that depends on angle) and its seed, so the solve
-    runs once per distinct (current, gap reluctance, seed) and the
-    result maps each requested point to its system.  Repeated currents,
-    angles mirrored about alignment and angles on the fringing floor
-    cost nothing.  Systems take Newton passes through assembly and
-    solves batched over the still-moving subset; a system that reaches
+    A point's mesh system is fixed by its current and its gap
+    reluctance (the one element that depends on angle), so the solve
+    runs once per distinct (current, gap reluctance) and the result
+    maps each requested point to its system.  Repeated currents, angles
+    mirrored about alignment and angles on the fringing floor cost
+    nothing.  Every system starts with its iron at the curve's initial
+    permeability and takes Newton passes through assembly and solves
+    batched over the still-moving subset; a system that reaches
     tolerance freezes and drops out of the batch.
-    initial_permeabilities ((n_currents, n_angles, n_iron), chord H/m)
-    sets the iron state the first fluxes are solved at, e.g. a previous
-    result's iron_permeabilities; a seed at a converged state is
-    recognized on the first iteration.
 
-    Raises NonConvergenceError if any system is still moving after
-    config.max_iterations, and SolveError if a system is singular,
-    solves to non-finite fluxes, or has a condition number above
-    network.CONDITION_LIMIT.  Both name every requested operating point
-    of the failing systems, in request order.
+    Raises ValueError if currents or angles is empty or a current is
+    negative.  Raises NonConvergenceError if any system is still moving
+    after config.max_iterations, and SolveError if a system is
+    singular, solves to non-finite fluxes, or has a condition number
+    above network.CONDITION_LIMIT; both name every requested operating
+    point of the failing systems, in request order.
     """
     cfg = config or NonlinearConfig()
     currents = np.atleast_1d(np.asarray(currents, dtype=float))
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    if currents.size == 0:
+        raise ValueError("currents must hold at least one value")
+    if angles.size == 0:
+        raise ValueError("angles must hold at least one value")
     if np.any(currents < 0.0):
         raise ValueError("currents must be nonnegative")
-    n_c, n_a, n_e, n_iron = currents.size, angles.size, len(ELEMENT_ORDER), len(IRON_ELEMENT_IDS)
+    n_c, n_a = currents.size, angles.size
 
     # Every current meets every gap reluctance, so the distinct
     # (current, gap) pairs are the product of the distinct values, in
@@ -468,25 +445,7 @@ def solve_nonlinear_grid(
     index = (current_index.reshape(n_c, 1) * unique_gaps.size + gap_index.reshape(n_a)).ravel()
     current_of = np.repeat(np.arange(unique_currents.size), unique_gaps.size)
     gap_of = np.tile(np.arange(unique_gaps.size), unique_currents.size)
-    if initial_permeabilities is None:
-        mu = np.full((current_of.size, n_iron), curve.initial_permeability)
-    else:
-        seeds = np.array(initial_permeabilities, dtype=float)
-        if seeds.shape != (n_c, n_a, n_iron):
-            raise ValueError(
-                "initial_permeabilities shape must be (n_currents, n_angles, n_iron)"
-            )
-        if not np.all(np.isfinite(seeds) & (seeds > 0.0)):
-            raise ValueError("initial_permeabilities must be positive and finite")
-        # A pair's points split into one system per distinct seed.
-        distinct, index = np.unique(
-            np.column_stack([index, seeds.reshape(-1, n_iron)]), axis=0, return_inverse=True
-        )
-        pair = distinct[:, 0].astype(int)
-        current_of, gap_of = current_of[pair], gap_of[pair]
-        mu = np.ascontiguousarray(distinct[:, 1:])
-    index = index.reshape(-1)
-    n_s = mu.shape[0]
+    n_s = current_of.size
 
     def named(systems: np.ndarray) -> tuple[tuple[float, float], ...]:
         requested = np.stack(np.meshgrid(currents, angles, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -498,19 +457,13 @@ def solve_nonlinear_grid(
     iron_areas = np.array([iron_paths[eid][1] for eid in IRON_ELEMENT_IDS])
 
     # Fixed (non-iron) element values: gap per system, magnets constant.
-    values = np.empty((n_s, n_e))
+    values = np.empty((n_s, len(ELEMENT_ORDER)))
     values[:, _GAP_SLOTS[0]] = unique_gaps[gap_of]
     values[:, _GAP_SLOTS[1]] = unique_gaps[gap_of]
     values[:, _PM_SLOTS] = linear.r_pm
-
-    # (n_unique_currents, 3, n_sources): total, coil-only and magnet-only MMFs.
-    parts = np.array(
-        [
-            [source_values(part) for part in sources_for(geometry, materials, float(i)).parts]
-            for i in unique_currents
-        ]
-    )
-    sources = parts[current_of, 0]
+    sources = np.array(
+        [source_values(sources_for(geometry, materials, float(i))) for i in unique_currents]
+    )[current_of]
 
     def iron_densities(flux: np.ndarray) -> np.ndarray:
         return TOPOLOGY.element_fluxes(flux)[:, _IRON_SLOTS] / iron_areas
@@ -523,7 +476,7 @@ def solve_nonlinear_grid(
         drops[:, _IRON_SLOTS] = iron_lengths * np.copysign(curve.field_magnitude(density), density)
         return drops @ TOPOLOGY.incidence - rhs
 
-    values[:, _IRON_SLOTS] = iron_lengths / (mu * iron_areas)
+    values[:, _IRON_SLOTS] = iron_lengths / (curve.initial_permeability * iron_areas)
     matrix, rhs = TOPOLOGY.assemble(values, sources)
     all_systems = np.arange(n_s)
     # Trailing singleton keeps the batched solve in the matrix signature
@@ -534,17 +487,15 @@ def solve_nonlinear_grid(
     # Convergence is judged before stepping, on the flux change a full
     # undamped chord update would produce (a trial solve with the iron
     # at B/H of the current densities).  A system that passes after
-    # Newton steps freezes at exactly those chord values, so a restart
-    # from them passes the same check on its first pass; one that passes
-    # on its first pass keeps the permeabilities its fluxes were solved
-    # at, so a restart reproduces its seed.  Either way it keeps the
-    # matrix of that solve: a stamp does not depend on the batch, so
-    # this is the matrix its frozen permeabilities stamp to.  Only the
+    # Newton steps freezes at that chord matrix.  One that passes on
+    # its first pass keeps its initial matrix instead: its trial matrix
+    # agrees with it to within the tolerance, and keeping the initial
+    # one keeps every sweep and solve output byte-identical.  Only the
     # systems still moving then take a Newton step (Jacobian: iron at
     # dB/dH); a converged system's step would be thrown away.  The line
-    # search halves the step until the max-norm of the MMF
-    # residual falls: across a table knot the slope jumps and a full
-    # step can overshoot.
+    # search halves the step until the max-norm of the MMF residual
+    # falls: across a table knot the slope jumps and a full step can
+    # overshoot.
     recent: list[float] = []
     last_change = math.inf
     for _ in range(cfg.max_iterations):
@@ -562,7 +513,6 @@ def solve_nonlinear_grid(
         recent.append(last_change)
         moving = change > cfg.tolerance
         stepped = ~moving & (iterations[idx] > 1)
-        mu[idx[stepped]] = chord[stepped]
         matrix[idx[stepped]] = chords[stepped]
         active[idx[~moving]] = False
         if not moving.any():
@@ -605,27 +555,18 @@ def solve_nonlinear_grid(
             failing_points=failing,
         )
 
-    # Final solves on the frozen systems: the total again plus the
-    # coil-only and magnet-only parts for the superposition split, one
-    # right-hand-side column each.
-    stacked = (parts @ TOPOLOGY.rhs_pattern).swapaxes(-1, -2)[current_of]
-    solved = _guarded_solve(matrix, stacked, all_systems, named)
-    total, coil, pm = solved[..., 0], solved[..., 1], solved[..., 2]
+    # The final solve on the frozen systems.
+    total = _guarded_solve(matrix, rhs[..., None], all_systems, named)[..., 0]
     # Converged systems are held to the single-point solve's limit too.
     _refuse_ill_conditioned(matrix, all_systems, named)
 
-    residual_num = np.max(np.abs(np.einsum("...ij,...j->...i", matrix, total) - stacked[..., 0]), axis=-1)
-    residual_den = np.maximum(np.max(np.abs(stacked[..., 0]), axis=-1), 1e-300)
-    areas = _element_areas(geometry, unique_gaps)[gap_of]
+    residual_num = np.max(np.abs(np.einsum("...ij,...j->...i", matrix, total) - rhs), axis=-1)
+    residual_den = np.maximum(np.max(np.abs(rhs), axis=-1), 1e-300)
     return NonlinearGridResult(
         currents=currents,
         angles=angles,
         system_index=index.reshape(n_c, n_a),
         system_mesh_fluxes=total,
-        system_coil_mesh_fluxes=coil,
-        system_pm_mesh_fluxes=pm,
-        system_element_densities=TOPOLOGY.element_fluxes(total) / areas,
-        system_iron_permeabilities=mu,
         system_matrices=matrix,
         system_iterations=iterations,
         max_residual=float(np.max(residual_num / residual_den)),
@@ -638,38 +579,27 @@ def solve_nonlinear(
     curve: BhCurve,
     operating_point: OperatingPoint,
     config: NonlinearConfig | None = None,
-    initial_permeabilities: np.ndarray | None = None,
 ) -> FluxSolution:
     """Saturating solve at one operating point.
 
-    Runs the Newton solve, then re-solves the grid's frozen final matrix
-    through the refined linear path so the reported residual is measured
-    in exact arithmetic.  initial_permeabilities (chord H/m per element in
-    IRON_ELEMENT_IDS) warm-starts the iron state, e.g. from a previous
-    solution's iron_permeabilities.
+    Runs the Newton solve, then solve_superposition on the grid's
+    frozen final matrix: the refined linear path gives the coil/magnet
+    split and measures the reported residual in exact arithmetic.
+    flux_densities are the total solution's element fluxes over their
+    cross-sections.
     """
     operating_point.validate_for(geometry)
-    warm = None if initial_permeabilities is None else np.reshape(initial_permeabilities, (1, 1, -1))
-    grid = solve_nonlinear_grid(
-        geometry,
-        materials,
-        curve,
-        np.array([operating_point.phase_current]),
-        np.array([operating_point.rotor_angle]),
-        config=config,
-        initial_permeabilities=warm,
-    )
+    current, angle = operating_point.phase_current, operating_point.rotor_angle
+    grid = solve_nonlinear_grid(geometry, materials, curve, [current], [angle], config=config)
     split = solve_superposition(
         grid.matrices[0, 0],
-        sources_for(geometry, materials, operating_point.phase_current),
+        sources_for(geometry, materials, current),
         label="saturated srm mesh system",
     )
-    gap = airgap_reluctance(geometry, np.array([operating_point.rotor_angle]))
-    areas = _element_areas(geometry, gap)[0]
+    areas = _element_areas(geometry, airgap_reluctance(geometry, angle))
     densities = TOPOLOGY.element_fluxes(split.mesh_fluxes) / areas
     return replace(
         split,
         iterations=int(grid.iterations[0, 0]),
         flux_densities={eid: float(densities[_ELEMENT_INDEX[eid]]) for eid in ELEMENT_ORDER},
-        iron_permeabilities=tuple(float(v) for v in grid.iron_permeabilities[0, 0]),
     )

@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_CURRENT_POINTS = 33
 DEFAULT_ANGLE_STEP_DEG = 0.25
+MIN_ANGLE_STEPS = 4
 
 # Slack for the nondecreasing-linkage check: solver-noise scale, far
 # below any physical inductance change across one grid step.
@@ -64,7 +65,7 @@ class FluxLinkageGrid:
             raise ValueError("currents must be finite and start at exactly 0 A")
         if np.any(np.diff(currents) <= 0.0):
             raise ValueError("currents must be strictly ascending")
-        if angles.ndim != 1 or angles.size < 4:
+        if angles.ndim != 1 or angles.size < MIN_ANGLE_STEPS:
             raise ValueError("angles must be a 1-D grid with at least four points")
         steps = np.diff(angles)
         if not np.all(np.isfinite(angles)) or np.any(steps <= 0.0):
@@ -139,12 +140,8 @@ def _flux_linkage_grids(
             raise ValueError("peak_current must be positive")
     if current_points < 2:
         raise ValueError("current_points must be >= 2")
-    period = geometry.period_deg
-    cells = period / angle_step_deg
-    if not (angle_step_deg > 0.0 and abs(cells - round(cells)) < 1e-9):
-        raise ValueError("angle_step_deg must divide the period evenly")
-    rows = [np.linspace(0.0, peak, current_points) for peak in peak_currents]
     angles = angles_for_period(geometry, angle_step_deg)
+    rows = [np.linspace(0.0, peak, current_points) for peak in peak_currents]
     result = solve_nonlinear_grid(
         geometry, materials, curve, np.concatenate(rows), angles, config=config
     )
@@ -161,16 +158,27 @@ def _flux_linkage_grids(
             currents=row,
             angles=angles,
             linkages=linkages[k * current_points : (k + 1) * current_points],
-            period_deg=period,
+            period_deg=geometry.period_deg,
         )
         for k, row in enumerate(rows)
     )
 
 
 def angles_for_period(geometry: MotorGeometry, step_deg: float = DEFAULT_ANGLE_STEP_DEG) -> np.ndarray:
-    """Uniform half-open angle grid [0, period) at the given step."""
-    count = round(geometry.period_deg / step_deg)
-    return np.arange(count) * step_deg
+    """Uniform half-open angle grid [0, period) at the given step.
+
+    Raises ValueError unless the step is finite and divides the rotor
+    period evenly into at least MIN_ANGLE_STEPS steps, the fewest a
+    FluxLinkageGrid accepts.
+    """
+    period = geometry.period_deg
+    cells = period / step_deg if math.isfinite(step_deg) and step_deg > 0.0 else 0.0
+    if not (abs(cells - round(cells)) < 1e-9 and round(cells) >= MIN_ANGLE_STEPS):
+        raise ValueError(
+            f"angle_step_deg must be finite and divide the rotor period ({period:g} deg) "
+            f"evenly into at least {MIN_ANGLE_STEPS} steps, got {step_deg!r}"
+        )
+    return np.arange(round(cells)) * step_deg
 
 
 def _trapezoid(currents: np.ndarray, linkages: np.ndarray) -> np.ndarray:

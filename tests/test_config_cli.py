@@ -376,6 +376,18 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    # inf and 1e300 give an empty grid, 10 and 20 too few angles to difference.
+    @pytest.mark.parametrize("step", ["inf", "1e300", "10", "20"])
+    def test_coarse_or_infinite_angle_step_exits_2_before_any_output(self, tmp_path, capsys, step):
+        config = write_config(tmp_path, f"[sweep]\ncurrents = 1\nangle_step_deg = {step}\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "srmec: error: [sweep] angle_step_deg must be finite" in err
+        assert f"at least 4 steps, got {float(step)!r}" in err
+        assert list(out.iterdir()) == []
+
     def test_currents_sharing_a_file_name_exit_2(self, tmp_path, capsys):
         # Both currents print as 1 under {:g}, so the second curve would
         # overwrite torque_curve_1A.csv.

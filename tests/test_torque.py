@@ -264,10 +264,23 @@ class TestBuildFluxLinkageGrid:
             )
 
     def test_rejects_step_not_dividing_period(self, geometry, materials, curve):
-        with pytest.raises(ValueError, match="divide the period"):
+        with pytest.raises(ValueError, match="divide the rotor period"):
             build_flux_linkage_grid(
                 geometry, materials, curve, peak_current=4.0, angle_step_deg=0.3
             )
+
+    @pytest.mark.parametrize("step", [math.inf, 1e300, 10.0, 20.0, 0.0, -0.25, math.nan])
+    def test_rejects_a_step_giving_fewer_than_four_angles(self, geometry, step):
+        with pytest.raises(ValueError, match=r"^angle_step_deg must be finite .* at least 4 steps"):
+            angles_for_period(geometry, step)
+
+    def test_sweep_refuses_a_coarse_step_before_solving(self, geometry, materials, curve, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("grid solved before the step was checked")
+
+        monkeypatch.setattr("srmec.torque.solve_nonlinear_grid", never)
+        with pytest.raises(ValueError, match="angle_step_deg"):
+            torque_angle_sweep(geometry, materials, curve, 4.0, angle_step_deg=10.0)
 
     def test_angles_for_period_is_half_open(self, geometry):
         angles = angles_for_period(geometry)
