@@ -26,28 +26,41 @@ component crosses zero inside the sampled region and would measure
 nothing but the crossing; the scale-relative form keeps every row a
 bounded, comparable number.  Rows whose candidates are exact identities
 report zero.
+
+Each sampling stream is drawn sample by sample (sample_regime_case,
+which tests its candidates in vectorised blocks) and then audited as
+one batch: every system is stamped at once and every row is an array
+expression over all samples.  Only the exact oracle and the production
+solve behind branch_map_production_vs_exact also run sample by sample.
+Every per-sample value has the bits the one-sample-at-a-time audit
+gave it.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from .exact import solve_exact
 from .motor import (
-    BranchFluxes,
-    MeshFluxes,
+    TOPOLOGY,
     ReluctanceSet,
     SourceSet,
-    branch_fluxes,
+    branch_flux_values,
     closed_form_branch_fluxes,
     closed_form_mesh_fluxes,
     composite_reluctances,
-    build_network,
     dominance_ratios,
+    element_values,
+    source_values,
 )
-from .network import solve_linear
+from .network import MeshSystem, solve_linear
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 108
@@ -74,36 +87,65 @@ class FidelityRow:
     seed: int
 
 
-def sample_regime_case(rng: np.random.Generator, threshold: float) -> tuple[ReluctanceSet, SourceSet]:
+class RegimeSamples(NamedTuple):
+    """Regime-valid samples as (n,) arrays, one entry per sample.
+
+    The fields are named as those of ReluctanceSet and SourceSet, so the
+    closed forms and element_values/source_values take a whole batch.
+    """
+
+    r_sy: np.ndarray
+    r_sp: np.ndarray
+    r_ry: np.ndarray
+    r_g: np.ndarray
+    r_pm: np.ndarray
+    f_e: np.ndarray
+    f_pm: np.ndarray
+
+
+def sample_regime_case(
+    rng: np.random.Generator, threshold: float, tested: list[int] | None = None
+) -> tuple[ReluctanceSet, SourceSet]:
     """Draw one regime-valid reluctance/source sample.
 
-    Reluctances are redrawn until the magnet-dominance ratios pass the
-    threshold; rejection keeps the marginal distribution log-uniform on
-    the accepted region and stays deterministic for a given generator
-    state.
+    Five reluctances are drawn log-uniform on RELUCTANCE_DECADES (in
+    ReluctanceSet field order) and redrawn until every magnet-dominance
+    ratio passes the threshold; then two MMFs are drawn log-uniform on
+    MMF_DECADES.  Rejection keeps the marginal distribution log-uniform
+    on the accepted region and stays deterministic for a given generator
+    state.  If tested is a list, the number of candidates tested is
+    appended to it.
 
-    Candidates are drawn and tested in blocks of SAMPLE_BLOCK.  Once a
-    block holds a passing candidate, the generator is rewound to where
-    the call started and advanced over exactly the candidates up to and
-    including the first passing one, so the sample and the generator
-    state afterwards are exactly those of drawing and testing one
-    candidate at a time.
+    Candidates are drawn as raw doubles SAMPLE_BLOCK at a time, mapped to
+    reluctances once per double and tested with array operations; the
+    accepted candidate's two MMF draws are the two doubles after it.  The
+    generator is then rewound to where the call started and advanced over
+    exactly the doubles used, so the sample and the generator state
+    afterwards are exactly those of drawing and testing one candidate at
+    a time.
     """
+    lo, hi = RELUCTANCE_DECADES
     start = rng.bit_generator.state
     rejected = 0
     while True:
-        block = 10.0 ** rng.uniform(*RELUCTANCE_DECADES, size=(SAMPLE_BLOCK, 5))
-        ratios = dominance_ratios(*block.T)
-        passing = np.flatnonzero(np.logical_and.reduce([v >= threshold for v in ratios.values()]))
-        if passing.size:
+        block = 10.0 ** (lo + (hi - lo) * rng.random(5 * SAMPLE_BLOCK))
+        ratios = dominance_ratios(*block.reshape(SAMPLE_BLOCK, 5).T)
+        passing = np.logical_and.reduce([v >= threshold for v in ratios.values()])
+        first = int(passing.argmax())
+        if passing[first]:
             break
         rejected += SAMPLE_BLOCK
     rng.bit_generator.state = start
-    rng.uniform(*RELUCTANCE_DECADES, size=(rejected + int(passing[0]), 5))
-    r_sy, r_sp, r_ry, r_g, r_pm = 10.0 ** rng.uniform(*RELUCTANCE_DECADES, size=5)
-    accepted = ReluctanceSet(r_sy=r_sy, r_sp=r_sp, r_ry=r_ry, r_g=r_g, r_pm=r_pm)
-    f_e, f_pm = 10.0 ** rng.uniform(*MMF_DECADES, size=2)
-    return accepted, SourceSet(f_e=float(f_e), f_pm=float(f_pm))
+    mmf_draws = rng.random(5 * (rejected + first) + 7)[-2:]
+    if tested is not None:
+        tested.append(rejected + first + 1)
+    r_sy, r_sp, r_ry, r_g, r_pm = block[5 * first : 5 * first + 5]
+    mlo, mhi = MMF_DECADES
+    f_e, f_pm = (10.0 ** (mlo + (mhi - mlo) * mmf_draws)).tolist()
+    return (
+        ReluctanceSet(r_sy=r_sy, r_sp=r_sp, r_ry=r_ry, r_g=r_g, r_pm=r_pm),
+        SourceSet(f_e=f_e, f_pm=f_pm),
+    )
 
 
 def supermesh_limit_fluxes(r: ReluctanceSet, s: SourceSet) -> np.ndarray:
@@ -112,7 +154,8 @@ def supermesh_limit_fluxes(r: ReluctanceSet, s: SourceSet) -> np.ndarray:
     Each magnet branch behaves as an ideal flux source phi_r =
     f_pm/r_pm; eliminating the magnet meshes by supermesh reduction
     leaves a 2x2 system whose solution is written out here.  Exact as
-    r_pm -> infinity with the other reluctances fixed.
+    r_pm -> infinity with the other reluctances fixed.  The fields of r
+    and s may be (n,) arrays of samples, giving (n, 5).
     """
     phi_r = s.f_pm / r.r_pm
     loop = 2.0 * r.r_sp + 2.0 * r.r_g + r.r_ry
@@ -120,7 +163,7 @@ def supermesh_limit_fluxes(r: ReluctanceSet, s: SourceSet) -> np.ndarray:
     phi1 = (-10.0 * s.f_e + (3.0 * loop - 10.0 * r.r_sp) * phi_r) / denom
     phi2 = (2.0 * s.f_e - (3.0 * loop + 2.0 * r.r_sy - 2.0 * r.r_sp) * phi_r) / denom
     phi4 = (2.0 * s.f_e + (3.0 * loop + 3.0 * r.r_sy + 2.0 * r.r_sp) * phi_r) / denom
-    return np.array([phi1, phi2, phi2, phi4, phi2])
+    return np.array([phi1, phi2, phi2, phi4, phi2]).T
 
 
 def rsy_variant_composites(r: ReluctanceSet):
@@ -131,14 +174,7 @@ def rsy_variant_composites(r: ReluctanceSet):
     is replaced by (gap + yoke), matching the (gap + yoke) numerators of
     the printed flux forms.  Audited alongside the printed version.
     """
-    widened = ReluctanceSet(
-        r_sy=r.r_sy, r_sp=r.r_sp, r_ry=r.r_ry, r_g=r.r_g + r.r_sy, r_pm=r.r_pm
-    )
-    return composite_reluctances(widened)
-
-
-def _branch_array(b: BranchFluxes) -> np.ndarray:
-    return np.array([b.phi_sy, b.phi_sp, b.phi_g])
+    return composite_reluctances(SimpleNamespace(r_g=r.r_g + r.r_sy, r_ry=r.r_ry, r_sp=r.r_sp))
 
 
 # Row order of the report; every row appears exactly once per audit.
@@ -170,74 +206,82 @@ ROW_ORDER = (
 )
 
 
-def _collect(n_samples: int, seed: int, threshold: float, stream: int):
-    """Deviation series for one threshold setting; off BASE_THRESHOLD,
-    only the asymptotic rows, suffixed _strong_regime."""
+def _collect(n_samples: int, seed: int, threshold: float, stream: int) -> dict[str, np.ndarray]:
+    """Per-sample deviations of every row for one threshold setting,
+    each an (n_samples,) array; off BASE_THRESHOLD, only the asymptotic
+    rows, suffixed _strong_regime.
+
+    Samples are drawn one by one; each row is then one array expression
+    over the whole batch, and only the exact oracle and the production
+    solve run sample by sample.
+    """
     rng = np.random.default_rng([seed, stream])
-    series: dict[str, list[float]] = {}
+    tested: list[int] = []
+    values = np.empty((n_samples, len(RegimeSamples._fields)))
+    for k in range(n_samples):
+        r, s = sample_regime_case(rng, threshold, tested)
+        values[k] = r.r_sy, r.r_sp, r.r_ry, r.r_g, r.r_pm, s.f_e, s.f_pm
+    logger.info(
+        "audit stream %d: dominance threshold %g, %d samples, %d candidates tested",
+        stream, threshold, n_samples, sum(tested)
+    )
+    samples = RegimeSamples(*values.T)
+    matrices = TOPOLOGY.stamp(element_values(samples))
+    rhs = source_values(samples) @ TOPOLOGY.rhs_pattern
+    exact = np.array(
+        [[float(x) for x in solve_exact(a.tolist(), b.tolist())] for a, b in zip(matrices, rhs)]
+    )
+    mesh_scale = np.max(np.abs(exact), axis=1)
 
-    def push(key: str, value: float) -> None:
-        series.setdefault(key, []).append(value)
+    def mesh_dev(candidate: np.ndarray, k: int) -> np.ndarray:
+        return np.abs(candidate - exact[:, k]) / mesh_scale
 
-    for _ in range(n_samples):
-        r, s = sample_regime_case(rng, threshold)
-        system = build_network(r, s)
-        exact = np.array(
-            [float(x) for x in solve_exact(system.matrix.tolist(), system.rhs.tolist())]
-        )
-        mesh_scale = np.max(np.abs(exact))
+    suffix = "" if threshold == BASE_THRESHOLD else "_strong_regime"
+    limit = supermesh_limit_fluxes(samples, samples)
+    series = {f"mesh5_vs_mesh2_exact{suffix}": mesh_dev(exact[:, 4], 1)}
+    for k in (0, 1, 3):
+        series[f"mesh{k + 1}_supermesh_limit{suffix}"] = mesh_dev(limit[:, k], k)
+    if suffix:
+        return series
 
-        suffix = "" if threshold == BASE_THRESHOLD else "_strong_regime"
-        push(f"mesh5_vs_mesh2_exact{suffix}", abs(exact[4] - exact[1]) / mesh_scale)
-        limit = supermesh_limit_fluxes(r, s)
-        for k in (0, 1, 3):
-            push(f"mesh{k + 1}_supermesh_limit{suffix}", abs(limit[k] - exact[k]) / mesh_scale)
-        if suffix:
-            continue
+    exact_branch = branch_flux_values(exact)
+    branch_scale = np.maximum(np.max(np.abs(exact_branch), axis=1), mesh_scale * 1e-300)
 
-        exact_branch = _branch_array(branch_fluxes(MeshFluxes(values=exact)))
-        branch_scale = max(np.max(np.abs(exact_branch)), mesh_scale * 1e-300)
+    def branch_dev(candidate: np.ndarray, k: int) -> np.ndarray:
+        return np.abs(candidate - exact_branch[:, k]) / branch_scale
 
-        printed_mesh = closed_form_mesh_fluxes(r, s)
-        for k in range(5):
-            push(f"mesh{k + 1}_closed_form", abs(printed_mesh[k] - exact[k]) / mesh_scale)
+    printed_mesh = closed_form_mesh_fluxes(samples, samples)
+    for k in range(5):
+        series[f"mesh{k + 1}_closed_form"] = mesh_dev(printed_mesh[:, k], k)
+    printed_branch = closed_form_branch_fluxes(samples, samples)
+    series["yoke_branch_closed_form"] = branch_dev(printed_branch.phi_sy, 0)
+    series["pole_branch_closed_form"] = branch_dev(printed_branch.phi_sp, 1)
+    series["gap_branch_closed_form"] = branch_dev(printed_branch.phi_g, 2)
 
-        printed_branch = closed_form_branch_fluxes(r, s)
-        push("yoke_branch_closed_form", abs(printed_branch.phi_sy - exact_branch[0]) / branch_scale)
-        push("pole_branch_closed_form", abs(printed_branch.phi_sp - exact_branch[1]) / branch_scale)
-        push("gap_branch_closed_form", abs(printed_branch.phi_g - exact_branch[2]) / branch_scale)
+    # Internal consistency of the printed expressions themselves.
+    series["yoke_branch_vs_negated_mesh1_print"] = (
+        np.abs(printed_branch.phi_sy - (-printed_mesh[:, 0])) / branch_scale
+    )
+    composed = branch_flux_values(printed_mesh)
+    series["gap_branch_print_vs_composed_print"] = (
+        np.abs(printed_branch.phi_g - composed[:, 2]) / branch_scale
+    )
+    series["mesh2_vs_mesh3_exact"] = mesh_dev(exact[:, 2], 1)
 
-        # Internal consistency of the printed expressions themselves.
-        push(
-            "yoke_branch_vs_negated_mesh1_print",
-            abs(printed_branch.phi_sy - (-printed_mesh[0])) / branch_scale,
-        )
-        composed = _branch_array(branch_fluxes(MeshFluxes(values=printed_mesh)))
-        push("gap_branch_print_vs_composed_print", abs(printed_branch.phi_g - composed[2]) / branch_scale)
+    production = np.array(
+        [solve_linear(MeshSystem(a, b, "srm mesh system")).values for a, b in zip(matrices, rhs)]
+    )
+    series["branch_map_production_vs_exact"] = (
+        np.max(np.abs(branch_flux_values(production) - exact_branch), axis=1) / branch_scale
+    )
 
-        push("mesh2_vs_mesh3_exact", abs(exact[1] - exact[2]) / mesh_scale)
-
-        production = solve_linear(system).values
-        production_branch = _branch_array(branch_fluxes(MeshFluxes(values=production)))
-        push(
-            "branch_map_production_vs_exact",
-            float(np.max(np.abs(production_branch - exact_branch))) / branch_scale,
-        )
-
-        variant = rsy_variant_composites(r)
-        variant_mesh = closed_form_mesh_fluxes(r, s, variant)
-        variant_branch = closed_form_branch_fluxes(r, s, variant)
-        push("mesh2_closed_form_rsy_variant", abs(variant_mesh[1] - exact[1]) / mesh_scale)
-        push("mesh4_closed_form_rsy_variant", abs(variant_mesh[3] - exact[3]) / mesh_scale)
-        push(
-            "pole_branch_closed_form_rsy_variant",
-            abs(variant_branch.phi_sp - exact_branch[1]) / branch_scale,
-        )
-        push(
-            "gap_branch_closed_form_rsy_variant",
-            abs(variant_branch.phi_g - exact_branch[2]) / branch_scale,
-        )
-
+    variant = rsy_variant_composites(samples)
+    variant_mesh = closed_form_mesh_fluxes(samples, samples, variant)
+    variant_branch = closed_form_branch_fluxes(samples, samples, variant)
+    series["mesh2_closed_form_rsy_variant"] = mesh_dev(variant_mesh[:, 1], 1)
+    series["mesh4_closed_form_rsy_variant"] = mesh_dev(variant_mesh[:, 3], 3)
+    series["pole_branch_closed_form_rsy_variant"] = branch_dev(variant_branch.phi_sp, 1)
+    series["gap_branch_closed_form_rsy_variant"] = branch_dev(variant_branch.phi_g, 2)
     return series
 
 
@@ -257,7 +301,7 @@ def run_fidelity_audit(
 
     rows = []
     for key in ROW_ORDER:
-        values = np.array(series[key])
+        values = series[key]
         rows.append(
             FidelityRow(
                 equation=key,

@@ -300,7 +300,8 @@ class CompositeReluctances:
 
 @dataclass(frozen=True)
 class BranchFluxes:
-    """Fluxes of the three reported branches, Wb."""
+    """Fluxes of the three reported branches, Wb (arrays when the closed
+    forms evaluate a batch of samples)."""
 
     phi_sy: float
     phi_sp: float
@@ -421,13 +422,15 @@ TOPOLOGY = compile_topology(ELEMENT_ORDER, SOURCE_ORDER, MESH_SPECS)
 
 
 def element_values(r: ReluctanceSet) -> np.ndarray:
-    """Per-element reluctances in ELEMENT_ORDER."""
-    return np.array([getattr(r, ELEMENT_RELUCTANCE_KEY[eid]) for eid in ELEMENT_ORDER])
+    """Per-element reluctances in ELEMENT_ORDER: (n_elements,), or
+    (n, n_elements) when the fields of r are (n,) arrays of samples."""
+    return np.array([getattr(r, ELEMENT_RELUCTANCE_KEY[eid]) for eid in ELEMENT_ORDER]).T
 
 
 def source_values(s: SourceSet) -> np.ndarray:
-    """Per-source MMFs in SOURCE_ORDER."""
-    return np.array([s.f_e, s.f_e, s.f_pm, s.f_pm, s.f_pm])
+    """Per-source MMFs in SOURCE_ORDER: (n_sources,), or (n, n_sources)
+    when the fields of s are (n,) arrays of samples."""
+    return np.array([s.f_e, s.f_e, s.f_pm, s.f_pm, s.f_pm]).T
 
 
 # --- geometry -> reluctances -----------------------------------------------
@@ -549,21 +552,25 @@ def pole_flux(mesh_fluxes: np.ndarray) -> np.ndarray:
     return mesh_fluxes[..., 1] - mesh_fluxes[..., 0]
 
 
-def branch_fluxes(mesh: MeshFluxes) -> BranchFluxes:
-    """Reported branch fluxes as the exact linear map of mesh fluxes.
+def branch_flux_values(mesh_fluxes: np.ndarray) -> np.ndarray:
+    """Yoke, pole and gap branch fluxes, Wb: (3,) from (5,) mesh fluxes,
+    (n, 3) from (n, 5).
 
     Stator yoke carries -phi1, the excited pole phi2-phi1, the gap
     phi4-phi1 (branch reference directions follow the reporting
     convention, not the mesh traversal).
     """
-    phi = mesh.values
-    if phi.shape[0] != 5:
+    phi = np.asarray(mesh_fluxes)
+    return np.array([-phi[..., 0], pole_flux(phi), phi[..., 3] - phi[..., 0]]).T
+
+
+def branch_fluxes(mesh: MeshFluxes) -> BranchFluxes:
+    """Reported branch fluxes as the exact linear map of mesh fluxes
+    (see branch_flux_values)."""
+    if mesh.values.shape[0] != 5:
         raise ValueError("expected 5 mesh fluxes")
-    return BranchFluxes(
-        phi_sy=float(-phi[0]),
-        phi_sp=float(pole_flux(phi)),
-        phi_g=float(phi[3] - phi[0]),
-    )
+    phi_sy, phi_sp, phi_g = branch_flux_values(mesh.values).tolist()
+    return BranchFluxes(phi_sy=phi_sy, phi_sp=phi_sp, phi_g=phi_g)
 
 
 def solve_superposition(
@@ -598,14 +605,27 @@ def solve_flux(
 # --- closed forms under audit ----------------------------------------------
 
 
+def _squared(x):
+    """x**2 rounded as libm pow rounds it, for a scalar or an array.
+
+    numpy squares an array by multiplication, which rounds differently
+    from pow in about 1 of 1,200 audit draws; the frozen audit verdicts
+    were computed with pow."""
+    if np.ndim(x) == 0:
+        return x**2
+    return np.array([math.pow(v, 2.0) for v in x.tolist()])
+
+
 def composite_reluctances(r: ReluctanceSet) -> CompositeReluctances:
-    """Composite reluctance terms of the closed-form flux expressions."""
+    """Composite reluctance terms of the closed-form flux expressions;
+    the fields of r may be arrays of samples."""
     r_g, r_ry, r_sp = r.r_g, r.r_ry, r.r_sp
+    g2, ry2, sp2 = _squared(r_g), _squared(r_ry), _squared(r_sp)
     return CompositeReluctances(
         r_1=r_g + r_ry + 2.0 * r_sp,
-        r_2=2.0 * r_g**2 + 3.0 * r_g * r_ry + 6.0 * r_g * r_sp + r_ry**2 + 4.0 * r_ry * r_sp + 4.0 * r_sp**2,
-        r_3=2.0 * r_g**2 + 3.0 * r_g * r_ry + 4.0 * r_g * r_sp + r_ry**2 + 2.0 * r_ry * r_sp,
-        r_4=r_g * r_sp + 2.0 * r_ry * r_sp + 4.0 * r_sp**2,
+        r_2=2.0 * g2 + 3.0 * r_g * r_ry + 6.0 * r_g * r_sp + ry2 + 4.0 * r_ry * r_sp + 4.0 * sp2,
+        r_3=2.0 * g2 + 3.0 * r_g * r_ry + 4.0 * r_g * r_sp + ry2 + 2.0 * r_ry * r_sp,
+        r_4=r_g * r_sp + 2.0 * r_ry * r_sp + 4.0 * sp2,
     )
 
 
@@ -617,14 +637,15 @@ def closed_form_mesh_fluxes(
     Kept verbatim for fidelity auditing.  The audit (srmec.fidelity)
     shows these do not solve the five-mesh system above, so they carry
     no computational weight anywhere in this package.  comp defaults to
-    the printed composites of r; the audit also passes a variant.
+    the printed composites of r; the audit also passes a variant.  The
+    fields of r and s may be (n,) arrays of samples, giving (n, 5).
     """
     comp = comp or composite_reluctances(r)
     coil_term = -2.0 * (r.r_g + r.r_sy) / comp.r_2 * s.f_e
     phi1 = -2.0 / comp.r_1 * s.f_e
     phi2 = coil_term - comp.r_3 / (comp.r_2 * r.r_pm) * s.f_pm
     phi4 = coil_term - comp.r_4 / (comp.r_2 * r.r_pm) * s.f_pm
-    return np.array([phi1, phi2, phi2, phi4, phi2])
+    return np.array([phi1, phi2, phi2, phi4, phi2]).T
 
 
 def closed_form_branch_fluxes(

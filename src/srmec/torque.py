@@ -30,6 +30,12 @@ logger = logging.getLogger(__name__)
 DEFAULT_CURRENT_POINTS = 33
 DEFAULT_ANGLE_STEP_DEG = 0.25
 MIN_ANGLE_STEPS = 4
+# Finest angle grid a sweep accepts, 125 times the default's 80 steps.
+# The sweep's arrays grow with the angle count: the default sweep at
+# this bound (0.002 deg) peaked at 668 MB RSS in 6.4 s on a 2-core
+# x86-64 machine, 292 MB at 4,000 steps; a step of 1e-7 deg would ask
+# for 2e8 angles.
+MAX_ANGLE_STEPS = 10_000
 
 # Slack for the nondecreasing-linkage check: solver-noise scale, far
 # below any physical inductance change across one grid step.
@@ -169,10 +175,15 @@ def angles_for_period(geometry: MotorGeometry, step_deg: float = DEFAULT_ANGLE_S
 
     Raises ValueError unless the step is finite and divides the rotor
     period evenly into at least MIN_ANGLE_STEPS steps, the fewest a
-    FluxLinkageGrid accepts.
+    FluxLinkageGrid accepts, and at most MAX_ANGLE_STEPS.
     """
     period = geometry.period_deg
     cells = period / step_deg if math.isfinite(step_deg) and step_deg > 0.0 else 0.0
+    if cells > MAX_ANGLE_STEPS + 0.5:
+        raise ValueError(
+            f"angle_step_deg {step_deg!r} divides the rotor period ({period:g} deg) into "
+            f"{cells:.6g} steps, more than the {MAX_ANGLE_STEPS} allowed"
+        )
     if not (abs(cells - round(cells)) < 1e-9 and round(cells) >= MIN_ANGLE_STEPS):
         raise ValueError(
             f"angle_step_deg must be finite and divide the rotor period ({period:g} deg) "

@@ -1,5 +1,6 @@
 """Tests for configuration loading and the command-line interface."""
 
+import hashlib
 import json
 import logging
 
@@ -250,7 +251,21 @@ class TestSolveCommand:
         assert "bore" in capsys.readouterr().err
 
 
+# SHA-256 of the default audit's files (`srmec fidelity --samples 1000
+# --seed 108`), as pinned by the benchmark's audit workload.
+AUDIT_SHA256 = {
+    "fidelity.csv": "6e2767f02eb74f7247027b6e6bfcd075eac3a64202cce170998c2db090229997",
+    "fidelity_notes.txt": "8ace4ff6b5a3cf9dbd6dcb238948997a74b0f3b7677784230c43d8d281a0728b",
+}
+
+
 class TestFidelityCommand:
+    def test_default_audit_files_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "fid"
+        assert main(["fidelity", "--samples", "1000", "--seed", "108", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in AUDIT_SHA256}
+        assert digests == AUDIT_SHA256
+
     def test_report_and_notes(self, tmp_path, capsys):
         out = tmp_path / "fid"
         assert main(["fidelity", "--samples", "25", "--out", str(out)]) == 0
@@ -386,6 +401,21 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "srmec: error: [sweep] angle_step_deg must be finite" in err
         assert f"at least 4 steps, got {float(step)!r}" in err
+        assert list(out.iterdir()) == []
+
+    # 1e-300 once overflowed numpy's array size, 5e-324 raised a bare
+    # OverflowError and 1e-7 asked for 2e8 angles.
+    @pytest.mark.parametrize(
+        "step, steps", [("1e-300", "2e+301"), ("5e-324", "inf"), ("1e-7", "2e+08")]
+    )
+    def test_too_fine_angle_step_exits_2_before_any_output(self, tmp_path, capsys, step, steps):
+        config = write_config(tmp_path, f"[sweep]\ncurrents = 1\nangle_step_deg = {step}\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"srmec: error: [sweep] angle_step_deg {float(step)!r} divides" in err
+        assert f"into {steps} steps, more than the 10000 allowed" in err
         assert list(out.iterdir()) == []
 
     def test_currents_sharing_a_file_name_exit_2(self, tmp_path, capsys):

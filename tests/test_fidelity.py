@@ -8,9 +8,13 @@ exactly zero, which converge, which stay order-one) were established
 against the exact elimination oracle before freezing.
 """
 
+import functools
+import logging
+
 import numpy as np
 import pytest
 
+from srmec import fidelity
 from srmec.exact import solve_exact
 from srmec.fidelity import (
     BASE_THRESHOLD,
@@ -20,6 +24,8 @@ from srmec.fidelity import (
     RELUCTANCE_DECADES,
     ROW_ORDER,
     STRONG_THRESHOLD,
+    FidelityRow,
+    RegimeSamples,
     audit_notes,
     run_fidelity_audit,
     rsy_variant_composites,
@@ -30,12 +36,14 @@ from srmec.motor import (
     BranchFluxes,
     ReluctanceSet,
     SourceSet,
+    branch_fluxes,
     build_network,
     closed_form_branch_fluxes,
     closed_form_mesh_fluxes,
     composite_reluctances,
     regime_check,
 )
+from srmec.network import MeshFluxes, solve_linear
 
 # (max_rel_dev, median_rel_dev) per row at the default sample count and
 # seed, formatted with .17g (same formatting the CSV writer uses).
@@ -97,16 +105,24 @@ class TestSampling:
         assert a == b
 
 
-def scalar_rejection_sample(rng, threshold):
+def counted_rejection_sample(rng, threshold):
     """One candidate at a time, each checked by regime_check: the
-    sampling rule the block sampler must reproduce draw for draw."""
+    sampling rule the block sampler must reproduce draw for draw.
+    Returns the sample and the number of candidates tested."""
+    tested = 0
     while True:
+        tested += 1
         r_sy, r_sp, r_ry, r_g, r_pm = 10.0 ** rng.uniform(*RELUCTANCE_DECADES, size=5)
         candidate = ReluctanceSet(r_sy=r_sy, r_sp=r_sp, r_ry=r_ry, r_g=r_g, r_pm=r_pm)
         if regime_check(candidate, threshold).all_pass:
             break
     f_e, f_pm = 10.0 ** rng.uniform(*MMF_DECADES, size=2)
-    return candidate, SourceSet(f_e=float(f_e), f_pm=float(f_pm))
+    return candidate, SourceSet(f_e=float(f_e), f_pm=float(f_pm)), tested
+
+
+def scalar_rejection_sample(rng, threshold):
+    candidate, sources, _ = counted_rejection_sample(rng, threshold)
+    return candidate, sources
 
 
 class TestBlockSamplerStreamIdentity:
@@ -143,6 +159,153 @@ class TestBlockSamplerStreamIdentity:
         for name in ("r_sy", "r_sp", "r_ry", "r_g", "r_pm"):
             assert type(getattr(r, name)) is type(getattr(ref_r, name))
         assert type(s.f_e) is type(ref_s.f_e) is float
+
+    @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
+    def test_reports_the_candidates_tested(self, threshold):
+        block_rng = np.random.default_rng(17)
+        scalar_rng = np.random.default_rng(17)
+        tested = []
+        for _ in range(30):
+            sample_regime_case(block_rng, threshold, tested)
+        assert tested == [counted_rejection_sample(scalar_rng, threshold)[2] for _ in range(30)]
+
+
+@pytest.fixture(params=[1, 2, 13], ids=lambda block: f"block={block}")
+def small_sample_block(request, monkeypatch):
+    """Blocks that put the accepted candidate's MMF draws past the block
+    end (always at 1) and make a sample span many blocks."""
+    monkeypatch.setattr(fidelity, "SAMPLE_BLOCK", request.param)
+
+
+@pytest.mark.usefixtures("small_sample_block")
+class TestSmallBlockStreamIdentity(TestBlockSamplerStreamIdentity):
+    """The stream identity tests again with the sampler's block shrunk."""
+
+
+def _branch_array(b):
+    return np.array([b.phi_sy, b.phi_sp, b.phi_g])
+
+
+def scalar_collect(n_samples, seed, threshold, stream):
+    """The audit's deviation series computed one sample at a time, as the
+    package did before it evaluated whole batches: the reference the
+    batch rows must reproduce bit for bit."""
+    rng = np.random.default_rng([seed, stream])
+    series = {}
+
+    def push(key, value):
+        series.setdefault(key, []).append(value)
+
+    for _ in range(n_samples):
+        r, s = scalar_rejection_sample(rng, threshold)
+        system = build_network(r, s)
+        exact = np.array(
+            [float(x) for x in solve_exact(system.matrix.tolist(), system.rhs.tolist())]
+        )
+        mesh_scale = np.max(np.abs(exact))
+
+        suffix = "" if threshold == BASE_THRESHOLD else "_strong_regime"
+        push(f"mesh5_vs_mesh2_exact{suffix}", abs(exact[4] - exact[1]) / mesh_scale)
+        limit = supermesh_limit_fluxes(r, s)
+        for k in (0, 1, 3):
+            push(f"mesh{k + 1}_supermesh_limit{suffix}", abs(limit[k] - exact[k]) / mesh_scale)
+        if suffix:
+            continue
+
+        exact_branch = _branch_array(branch_fluxes(MeshFluxes(values=exact)))
+        branch_scale = max(np.max(np.abs(exact_branch)), mesh_scale * 1e-300)
+
+        printed_mesh = closed_form_mesh_fluxes(r, s)
+        for k in range(5):
+            push(f"mesh{k + 1}_closed_form", abs(printed_mesh[k] - exact[k]) / mesh_scale)
+
+        printed_branch = closed_form_branch_fluxes(r, s)
+        push("yoke_branch_closed_form", abs(printed_branch.phi_sy - exact_branch[0]) / branch_scale)
+        push("pole_branch_closed_form", abs(printed_branch.phi_sp - exact_branch[1]) / branch_scale)
+        push("gap_branch_closed_form", abs(printed_branch.phi_g - exact_branch[2]) / branch_scale)
+        push(
+            "yoke_branch_vs_negated_mesh1_print",
+            abs(printed_branch.phi_sy - (-printed_mesh[0])) / branch_scale,
+        )
+        composed = _branch_array(branch_fluxes(MeshFluxes(values=printed_mesh)))
+        push("gap_branch_print_vs_composed_print", abs(printed_branch.phi_g - composed[2]) / branch_scale)
+        push("mesh2_vs_mesh3_exact", abs(exact[1] - exact[2]) / mesh_scale)
+
+        production = solve_linear(system).values
+        production_branch = _branch_array(branch_fluxes(MeshFluxes(values=production)))
+        push(
+            "branch_map_production_vs_exact",
+            float(np.max(np.abs(production_branch - exact_branch))) / branch_scale,
+        )
+
+        variant = rsy_variant_composites(r)
+        variant_mesh = closed_form_mesh_fluxes(r, s, variant)
+        variant_branch = closed_form_branch_fluxes(r, s, variant)
+        push("mesh2_closed_form_rsy_variant", abs(variant_mesh[1] - exact[1]) / mesh_scale)
+        push("mesh4_closed_form_rsy_variant", abs(variant_mesh[3] - exact[3]) / mesh_scale)
+        push(
+            "pole_branch_closed_form_rsy_variant",
+            abs(variant_branch.phi_sp - exact_branch[1]) / branch_scale,
+        )
+        push(
+            "gap_branch_closed_form_rsy_variant",
+            abs(variant_branch.phi_g - exact_branch[2]) / branch_scale,
+        )
+    return series
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_audit(n_samples, seed):
+    series = scalar_collect(n_samples, seed, BASE_THRESHOLD, stream=0)
+    series.update(scalar_collect(n_samples, seed, STRONG_THRESHOLD, stream=1))
+    return tuple(
+        FidelityRow(
+            equation=key,
+            max_rel_dev=float(np.max(np.array(series[key]))),
+            median_rel_dev=float(np.median(np.array(series[key]))),
+            n_samples=n_samples,
+            seed=seed,
+        )
+        for key in ROW_ORDER
+    )
+
+
+class TestBatchAuditEqualsScalarAudit:
+    @pytest.mark.parametrize("block", [None, 1, 13], ids=lambda block: f"block={block or 'default'}")
+    @pytest.mark.parametrize("n_samples, seed", [(50, 1), (50, 20260816), (64, 7), (200, 108)])
+    def test_every_row_bit_for_bit(self, monkeypatch, block, n_samples, seed):
+        if block is not None:
+            monkeypatch.setattr(fidelity, "SAMPLE_BLOCK", block)
+        got = run_fidelity_audit(n_samples, seed)
+        assert [repr(row) for row in got] == [repr(row) for row in scalar_audit(n_samples, seed)]
+
+
+class TestBatchClosedForms:
+    def test_batch_evaluation_equals_per_sample_evaluation(self):
+        # Squares round as scalar pow does: numpy's array square (x*x)
+        # differs from it for about 1 in 1,200 draws.
+        rng = np.random.default_rng(11)
+        cases = [sample_regime_case(rng, BASE_THRESHOLD) for _ in range(3000)]
+        samples = RegimeSamples(
+            *np.array([(r.r_sy, r.r_sp, r.r_ry, r.r_g, r.r_pm, s.f_e, s.f_pm) for r, s in cases]).T
+        )
+        variant = rsy_variant_composites(samples)
+        batch = (
+            closed_form_mesh_fluxes(samples, samples),
+            closed_form_mesh_fluxes(samples, samples, variant),
+            supermesh_limit_fluxes(samples, samples),
+            _branch_array(closed_form_branch_fluxes(samples, samples, variant)).T,
+        )
+        per_sample = [[], [], [], []]
+        for values in zip(*samples):
+            r, s = ReluctanceSet(*values[:5]), SourceSet(*values[5:])
+            comp = rsy_variant_composites(r)
+            per_sample[0].append(closed_form_mesh_fluxes(r, s))
+            per_sample[1].append(closed_form_mesh_fluxes(r, s, comp))
+            per_sample[2].append(supermesh_limit_fluxes(r, s))
+            per_sample[3].append(_branch_array(closed_form_branch_fluxes(r, s, comp)))
+        for got, want in zip(batch, per_sample):
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestSupermeshLimit:
@@ -286,6 +449,18 @@ class TestAuditReport:
             for x, y in zip(a, b)
             if x.max_rel_dev != 0.0
         )
+
+    def test_logs_the_rejection_work_of_each_stream(self, caplog):
+        with caplog.at_level(logging.INFO, logger="srmec.fidelity"):
+            run_fidelity_audit(50, 108)
+        tested = []
+        for stream, threshold in ((0, BASE_THRESHOLD), (1, STRONG_THRESHOLD)):
+            rng = np.random.default_rng([108, stream])
+            tested.append(sum(counted_rejection_sample(rng, threshold)[2] for _ in range(50)))
+        assert [record.getMessage() for record in caplog.records] == [
+            f"audit stream 0: dominance threshold 10, 50 samples, {tested[0]} candidates tested",
+            f"audit stream 1: dominance threshold 1000, 50 samples, {tested[1]} candidates tested",
+        ]
 
     def test_rejects_empty_audit(self):
         with pytest.raises(ValueError):
