@@ -13,12 +13,15 @@ failure (non-convergent, singular or ill-conditioned solve).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, config_hash, load_config
@@ -47,6 +50,26 @@ def _fmt(value: float) -> str:
     return FLOAT_FORMAT.format(float(value))
 
 
+def numpy_build() -> dict:
+    """numpy's version and the CPU features its kernels dispatch on here.
+
+    The audit's frozen numbers hold only where numpy's array power takes
+    the same kernel, and numpy picks the kernel from these features.
+    Their tables are private (numpy._core on numpy 2, numpy.core on 1.x),
+    so they are read defensively and left out when absent."""
+    build: dict = {"version": np.__version__}
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            tables = importlib.import_module(name)
+        except ImportError:
+            continue
+        features = getattr(tables, "__cpu_features__", {})
+        build["cpu_baseline"] = list(getattr(tables, "__cpu_baseline__", []))
+        build["cpu_dispatch"] = [f for f in getattr(tables, "__cpu_dispatch__", []) if features.get(f)]
+        break
+    return build
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Provenance stamp for one command invocation."""
@@ -56,6 +79,7 @@ class RunManifest:
     timestamp: str
     command: str
     outputs: tuple[str, ...]
+    numpy: dict
 
     def to_json(self) -> str:
         payload = {
@@ -64,6 +88,7 @@ class RunManifest:
             "timestamp": self.timestamp,
             "command": self.command,
             "outputs": list(self.outputs),
+            "numpy": self.numpy,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -77,6 +102,7 @@ def write_manifest(out_dir: Path, command: str, digest: str, outputs: tuple[str,
         timestamp=datetime.now(timezone.utc).isoformat(),
         command=command,
         outputs=outputs,
+        numpy=numpy_build(),
     )
     path = out_dir / MANIFEST_NAME
     path.write_text(manifest.to_json(), encoding="utf-8", newline="\n")

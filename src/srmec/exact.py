@@ -87,18 +87,3 @@ def solve_exact(matrix: Sequence[Sequence[float]], rhs: Sequence[float]) -> list
         scaled[i] = acc // line[i]
     return [Fraction(y, det) for y in scaled]
 
-
-def residual_exact(
-    matrix: Sequence[Sequence[float]],
-    rhs: Sequence[float],
-    solution: Sequence[Fraction],
-) -> list[Fraction]:
-    """Exact residual ``matrix @ solution - rhs`` for auditing a solve."""
-    n = len(rhs)
-    out = []
-    for i in range(n):
-        acc = Fraction(0)
-        for j in range(n):
-            acc += Fraction(matrix[i][j]) * solution[j]
-        out.append(acc - Fraction(rhs[i]))
-    return out

@@ -29,11 +29,11 @@ report zero.
 
 Each sampling stream is drawn sample by sample (sample_regime_case,
 which tests its candidates in vectorised blocks) and then audited as
-one batch: every system is stamped at once and every row is an array
-expression over all samples.  Only the exact oracle and the production
-solve behind branch_map_production_vs_exact also run sample by sample.
-Every per-sample value has the bits the one-sample-at-a-time audit
-gave it.
+one batch: every system is stamped at once, the production solve behind
+branch_map_production_vs_exact is one stacked solve_linear call, and
+every row is an array expression over all samples.  Only the exact
+oracle runs sample by sample.  Every per-sample value has the bits the
+one-sample-at-a-time audit gave it.
 """
 
 from __future__ import annotations
@@ -211,9 +211,9 @@ def _collect(n_samples: int, seed: int, threshold: float, stream: int) -> dict[s
     each an (n_samples,) array; off BASE_THRESHOLD, only the asymptotic
     rows, suffixed _strong_regime.
 
-    Samples are drawn one by one; each row is then one array expression
-    over the whole batch, and only the exact oracle and the production
-    solve run sample by sample.
+    Samples are drawn one by one; the production solve is then one
+    stacked solve, each row is one array expression over the whole
+    batch, and only the exact oracle runs sample by sample.
     """
     rng = np.random.default_rng([seed, stream])
     tested: list[int] = []
@@ -268,9 +268,7 @@ def _collect(n_samples: int, seed: int, threshold: float, stream: int) -> dict[s
     )
     series["mesh2_vs_mesh3_exact"] = mesh_dev(exact[:, 2], 1)
 
-    production = np.array(
-        [solve_linear(MeshSystem(a, b, "srm mesh system")).values for a, b in zip(matrices, rhs)]
-    )
+    production = solve_linear(MeshSystem(matrices, rhs, "srm mesh system")).values
     series["branch_map_production_vs_exact"] = (
         np.max(np.abs(branch_flux_values(production) - exact_branch), axis=1) / branch_scale
     )

@@ -255,15 +255,6 @@ class ReluctanceSet:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
-    @property
-    def pm_dominates(self) -> bool:
-        """Whether the magnet reluctance exceeds both stator iron terms.
-
-        The closed-form literature assumes this; violating it is allowed
-        (the numeric solve does not care) but flagged here.
-        """
-        return self.r_pm > self.r_sp and self.r_pm > self.r_sy
-
 
 @dataclass(frozen=True)
 class SourceSet:
@@ -578,20 +569,18 @@ def solve_superposition(
 ) -> FluxSolution:
     """Refined solves of one assembled mesh matrix with the coil/PM split.
 
-    The matrix is solved against the total, coil-only and magnet-only
-    right-hand sides of s, so each part is itself a valid circuit
-    solution; the residual is that of the total, measured exactly.
+    The matrix is solved in one stacked solve against the total (batch
+    index 0), coil-only (1) and magnet-only (2) right-hand sides of s, so
+    each part is itself a valid circuit solution; the residual is that of
+    the total, measured exactly.
     """
-    systems = [
-        MeshSystem(matrix, source_values(part) @ TOPOLOGY.rhs_pattern, label + suffix)
-        for part, suffix in zip(s.parts, ("", " (coil only)", " (pm only)"))
-    ]
-    total, coil, pm = (solve_linear(system) for system in systems)
+    rhs = np.array([source_values(part) @ TOPOLOGY.rhs_pattern for part in s.parts])
+    total, coil, pm = solve_linear(MeshSystem(matrix, rhs, label)).values
     return FluxSolution(
-        mesh_fluxes=total.values,
-        coil_mesh_fluxes=coil.values,
-        pm_mesh_fluxes=pm.values,
-        residual=kirchhoff_residual(systems[0], total),
+        mesh_fluxes=total,
+        coil_mesh_fluxes=coil,
+        pm_mesh_fluxes=pm,
+        residual=kirchhoff_residual(MeshSystem(matrix, rhs[0], label), MeshFluxes(total)),
     )
 
 

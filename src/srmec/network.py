@@ -31,10 +31,24 @@ RESIDUAL_FLOOR = 1e-30
 # Conditioning guard: the PM reluctance dwarfs the iron reluctances by
 # design, so ill-conditioning must fail loudly, not silently.
 CONDITION_LIMIT = 1e12
-# Iterative-refinement passes in solve_linear.  Refinement uses exact
-# rational residuals, so two passes pin the result at the correctly
-# rounded solution for any system this package builds.
+# Iterative-refinement passes in solve_linear.  Each pass measures the
+# residual of every system still being refined exactly, so two passes
+# pin each system of a stack at its correctly rounded solution for any
+# system this package builds.
 REFINEMENT_STEPS = 2
+# Exact residual by TwoProduct (see _exact_residuals).  Veltkamp's split
+# multiplies by 2**27 + 1, which overflows for a factor near 2**997; the
+# partial products of a product above 2**1023 may overflow; and a
+# nonzero product below 2**-968 may leave an error term finer than the
+# subnormal grain 2**-1074.  Rows outside these limits take the integer
+# path.
+SPLIT_FACTOR = 2.0**27 + 1.0
+SPLIT_LIMIT = 2.0**996
+PRODUCT_LIMIT = 2.0**1023
+PRODUCT_FLOOR = 2.0**-968
+# Systems per chunk of correctly rounded row sums, bounding the Python
+# floats alive at once.
+RESIDUAL_CHUNK = 32
 
 
 class NetworkDefinitionError(ValueError):
@@ -108,7 +122,12 @@ class MeshSpec:
 
 @dataclass(frozen=True)
 class MeshSystem:
-    """Assembled mesh-reluctance system ``A @ phi = b``."""
+    """Assembled mesh-reluctance system ``A @ phi = b``, or a stack of them.
+
+    matrix is (..., n, n) and rhs (..., n); their batch axes broadcast,
+    so one matrix may serve several right-hand sides.  A single system
+    is a stack without batch axes.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -116,12 +135,29 @@ class MeshSystem:
 
     @property
     def n(self) -> int:
-        return self.rhs.shape[0]
+        return self.rhs.shape[-1]
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return np.broadcast_shapes(self.matrix.shape[:-2], self.rhs.shape[:-1])
+
+    def flat_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, n, n) matrices and (m, n) right-hand sides of the
+        m = prod(batch_shape) systems, in batch order."""
+        n, batch = self.n, self.batch_shape
+        matrices, rhs = self.matrix, self.rhs
+        if matrices.shape[:-2] != batch:
+            matrices = np.empty(batch + (n, n))
+            matrices[...] = self.matrix
+        if rhs.shape[:-1] != batch:
+            rhs = np.empty(batch + (n,))
+            rhs[...] = self.rhs
+        return matrices.reshape(-1, n, n), rhs.reshape(-1, n)
 
 
 @dataclass(frozen=True)
 class MeshFluxes:
-    """Mesh fluxes in Wb, one per mesh."""
+    """Mesh fluxes in Wb, one per mesh: (n,), or (..., n) for a stack."""
 
     values: np.ndarray
 
@@ -170,81 +206,226 @@ def assemble_mesh_system(
     return MeshSystem(matrix=matrix, rhs=rhs, label=label)
 
 
-def _exact_residual_vector(system: MeshSystem, values: np.ndarray) -> np.ndarray:
-    """Residual A@phi - b computed exactly, rounded once per entry.
+def _int_residual(row: list[float], phi: list[float], b: float) -> float:
+    """One entry of A@phi - b computed exactly, rounded once.
 
-    Every float is m / 2**k with integer m, so each product a*phi and
-    each b is an integer over a power of two.  The terms of a row are
-    summed exactly as integers over the largest of those denominators,
-    and one correctly rounded int / int division gives the float of the
-    exact residual.  This makes tiny residuals measurable where a
-    float64 matvec would drown them in rounding.
+    Every float is m / 2**k with integer m, so each product a*phi and b
+    is an integer over a power of two.  The terms are summed exactly as
+    integers over the largest of those denominators, and one correctly
+    rounded int / int division gives the float of the exact residual.
 
-    Raises SolveError, naming the system, when an input is not finite
-    or a residual entry lies outside the float range."""
-    n = system.n
-    phi = values.tolist()
-    rhs = system.rhs.tolist()
-    out = np.empty(n)
+    Raises OverflowError or ValueError when an input is not finite or
+    the residual lies outside the float range."""
+    terms = []
+    for a, x in zip(row, phi):
+        if a != 0.0:
+            a_num, a_den = a.as_integer_ratio()
+            x_num, x_den = x.as_integer_ratio()
+            terms.append((a_num * x_num, a_den.bit_length() + x_den.bit_length() - 2))
+    b_num, b_den = b.as_integer_ratio()
+    terms.append((-b_num, b_den.bit_length() - 1))
+    shift = max(k for _, k in terms)
+    return sum(m << (shift - k) for m, k in terms) / (1 << shift)
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split v = hi + lo into halves short enough that the
+    product of any two halves is exact."""
+    c = SPLIT_FACTOR * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _fsum(terms: list[float]) -> float | None:
+    """The correctly rounded sum of terms; None when an intermediate sum
+    overflows, as in fsum([1e308, 1e308, -1e308])."""
     try:
-        for i, row in enumerate(system.matrix.tolist()):
-            terms = []
-            for a, x in zip(row, phi):
-                if a != 0.0:
-                    a_num, a_den = a.as_integer_ratio()
-                    x_num, x_den = x.as_integer_ratio()
-                    terms.append((a_num * x_num, a_den.bit_length() + x_den.bit_length() - 2))
-            b_num, b_den = rhs[i].as_integer_ratio()
-            terms.append((-b_num, b_den.bit_length() - 1))
-            shift = max(k for _, k in terms)
-            out[i] = sum(m << (shift - k) for m, k in terms) / (1 << shift)
-    except (OverflowError, ValueError) as exc:
-        raise SolveError(f"{system.label}: exact residual is not a finite float: {exc}") from exc
-    return out
+        return math.fsum(terms)
+    except OverflowError:
+        return None
+
+
+def _exact_residuals(
+    matrices: np.ndarray, values: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Residuals A@phi - b of m stacked systems, each entry exact and
+    rounded once, the value _int_residual gives.
+
+    Dekker's TwoProduct (Numer. Math. 18, 1971) splits every product a*x
+    exactly into its rounded value p and error e, for all systems at
+    once; math.fsum then rounds the 2n + 1 terms p, e and -b of a row
+    correctly (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005).
+    Adding 0.0 makes an exact cancellation +0.0, as the integer path
+    gives it, whatever sign fsum returns.  Rows outside the split limits
+    (SPLIT_LIMIT, PRODUCT_LIMIT, PRODUCT_FLOOR), with a non-finite input
+    or whose fsum overflows take _int_residual.
+
+    Args:
+        matrices: (m, n, n); values and rhs: (m, n).
+
+    Returns:
+        (m, n) residuals, and the reason for each system index whose
+        residual is not a finite float; the failing entries hold NaN.
+    """
+    m, n = rhs.shape
+    out = np.empty((m, n))
+    failures: dict[int, str] = {}
+    for start in range(0, m, RESIDUAL_CHUNK):
+        a = matrices[start : start + RESIDUAL_CHUNK]
+        b = rhs[start : start + RESIDUAL_CHUNK]
+        # Each row's values, laid out like the matrices: same-shape
+        # operations run faster than broadcasting ones.
+        x = np.empty_like(a)
+        x[...] = values[start : start + RESIDUAL_CHUNK, None, :]
+        with np.errstate(all="ignore"):
+            p = a * x
+            a_hi, a_lo = _split(a)
+            x_hi, x_lo = _split(x)
+            e = a_lo * x_lo - (((p - a_hi * x_hi) - a_lo * x_hi) - a_hi * x_lo)
+            a_abs, x_abs, p_abs = np.abs(a), np.abs(x), np.abs(p)
+            safe = (np.maximum(a_abs, x_abs) < SPLIT_LIMIT) & (p_abs < PRODUCT_LIMIT)
+            safe &= (p_abs >= PRODUCT_FLOOR) | (np.minimum(a_abs, x_abs) == 0.0)
+            fast = safe.all(axis=-1) & np.isfinite(b)
+            terms = np.concatenate((p, e, -b[..., None]), axis=-1)
+        sums = [_fsum(row) for row in terms[fast].tolist()]
+        flat = out[start : start + RESIDUAL_CHUNK]
+        flat[fast] = sums
+        flat += 0.0
+        if fast.all() and None not in sums:
+            continue
+        for k, i in zip(*np.nonzero(~fast | np.isnan(flat))):
+            try:
+                flat[k, i] = _int_residual(a[k, i].tolist(), x[k, i].tolist(), float(b[k, i]))
+            except (OverflowError, ValueError) as exc:
+                flat[k, i] = math.nan
+                failures.setdefault(start + int(k), f"exact residual is not a finite float: {exc}")
+    return out, failures
+
+
+def _failure_message(label: str, batch: tuple[int, ...], failures: dict[int, str]) -> str:
+    """One message naming the system and, for a stack, every failing
+    batch index, grouped by reason."""
+    if not batch:
+        return f"{label}: {failures[0]}"
+    by_reason: dict[str, list[str]] = {}
+    for k in sorted(failures):
+        index = np.unravel_index(k, batch)
+        by_reason.setdefault(failures[k], []).append(
+            str(int(index[0])) if len(batch) == 1 else str(tuple(map(int, index)))
+        )
+    return "; ".join(
+        f"{label}: {reason} at batch {'index' if len(where) == 1 else 'indices'} {', '.join(where)}"
+        for reason, where in by_reason.items()
+    )
+
+
+def _exact_residual_vector(system: MeshSystem, values: np.ndarray) -> np.ndarray:
+    """(..., n) exact residuals A@phi - b of a system or stack at values
+    (see _exact_residuals).
+
+    Raises SolveError, naming the system and any failing batch index,
+    when a residual entry is not a finite float."""
+    matrices, rhs = system.flat_stack()
+    batch = system.batch_shape
+    residual, failures = _exact_residuals(matrices, values.reshape(rhs.shape), rhs)
+    if failures:
+        raise SolveError(_failure_message(system.label, batch, failures))
+    return residual.reshape(batch + (system.n,))
+
+
+def _refusals(matrices: np.ndarray, condition_limit: float) -> dict[int, str]:
+    """Why each refused matrix of an (m, n, n) stack is refused, by index.
+
+    One condition estimate covers the stack; only when it fails is each
+    matrix estimated alone."""
+    try:
+        conditions = np.linalg.cond(matrices).tolist()
+    except np.linalg.LinAlgError as exc:
+        if len(matrices) == 1:
+            return {0: f"condition estimate failed: {exc}"}
+        return {
+            k: reason
+            for k, matrix in enumerate(matrices)
+            for reason in _refusals(matrix[None], condition_limit).values()
+        }
+    return {
+        k: f"condition number {c:.3e} exceeds limit {condition_limit:.3e}"
+        for k, c in enumerate(conditions)
+        if not (math.isfinite(c) and c <= condition_limit)
+    }
 
 
 def solve_linear(system: MeshSystem, condition_limit: float = CONDITION_LIMIT) -> MeshFluxes:
-    """Solve the mesh system by dense elimination with partial pivoting.
+    """Solve a mesh system, or a stack of them, by dense elimination with
+    partial pivoting.
 
     The LAPACK solution is polished with a fixed number of refinement
     passes whose residuals are evaluated exactly, so the returned fluxes
     are the correctly rounded solution even when the PM reluctance
-    dwarfs every iron reluctance.
+    dwarfs every iron reluctance.  A stack takes one pass: one condition
+    estimate over its distinct matrices, one batched LAPACK solve, and
+    REFINEMENT_STEPS passes that each measure the exact residual of
+    every system still being refined at once.  A system whose residual
+    is exactly zero stops refining.  Every system of a stack gets the
+    bits it gets alone.
 
     Args:
-        system: assembled mesh system.
-        condition_limit: 2-norm condition-number bound above which the
-            solve is refused.
+        system: assembled mesh system or stack.
+        condition_limit: 2-norm condition-number bound above which a
+            system is refused.
 
     Returns:
-        MeshFluxes solving the system.
+        MeshFluxes solving the system, shaped like its right-hand sides
+        broadcast against its matrices.
 
     Raises:
-        SolveError: singular or ill-conditioned matrix, or a solution
-            whose residual does not fit a float, naming the offending
-            system.
+        SolveError: a singular or ill-conditioned matrix, or a solution
+            whose residual does not fit a float.  The message names the
+            system and, for a stack, every failing batch index.
     """
-    matrix = system.matrix
+    n, batch = system.n, system.batch_shape
+    matrices, rhs = system.flat_stack()
+    refused = _refusals(system.matrix.reshape(-1, n, n), condition_limit)
+    failures: dict[int, str] = {}
+    if refused:
+        # Each system shares the refusal of its matrix.
+        owner = np.arange(math.prod(system.matrix.shape[:-2])).reshape(system.matrix.shape[:-2])
+        for k, j in enumerate(np.broadcast_to(owner, batch).reshape(-1).tolist()):
+            if j in refused:
+                failures[k] = refused[j]
+    # The systems still being solved, with their working arrays (views
+    # of the stack while none is refused).
+    index = np.array([k for k in range(len(rhs)) if k not in failures], dtype=np.intp)
+    a, b = (matrices, rhs) if not failures else (matrices[index], rhs[index])
     try:
-        condition = np.linalg.cond(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"{system.label}: condition estimate failed: {exc}") from exc
-    if not np.isfinite(condition) or condition > condition_limit:
-        raise SolveError(
-            f"{system.label}: condition number {condition:.3e} exceeds limit {condition_limit:.3e}"
-        )
-    try:
-        values = np.linalg.solve(matrix, system.rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"{system.label}: singular system: {exc}") from exc
+        x = np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # Find the singular ones; their NaN solutions fail the residual.
+        x = np.full(b.shape, math.nan)
+        for j, k in enumerate(index.tolist()):
+            try:
+                x[j] = np.linalg.solve(a[j], b[j])
+            except np.linalg.LinAlgError as exc:
+                failures[k] = f"singular system: {exc}"
 
+    values = np.full(rhs.shape, math.nan)
     for _ in range(REFINEMENT_STEPS):
-        residual = _exact_residual_vector(system, values)
-        if not np.any(residual):
-            break
-        values = values - np.linalg.solve(matrix, residual)
+        values[index] = x
+        residual, residual_failures = _exact_residuals(a, x, b)
+        refine = residual.any(axis=1)
+        for j, reason in residual_failures.items():
+            failures.setdefault(int(index[j]), reason)
+            refine[j] = False
+        if not refine.all():
+            index, a, b, x, residual = index[refine], a[refine], b[refine], x[refine], residual[refine]
+            if not index.size:
+                break
+        x = x - np.linalg.solve(a, residual[..., None])[..., 0]
+    values[index] = x
 
-    return MeshFluxes(values=values)
+    if failures:
+        raise SolveError(_failure_message(system.label, batch, failures))
+    return MeshFluxes(values=values.reshape(batch + (n,)))
 
 
 @dataclass(frozen=True)
@@ -425,7 +606,7 @@ def kirchhoff_residual(system: MeshSystem, fluxes: MeshFluxes, floor: float = RE
     """Relative defect of a candidate solution.
 
     Returns ``max|A@phi - b| / max(max|b|, floor)`` with the matvec done
-    exactly (see _exact_residual_vector).
+    exactly (see _exact_residuals).
 
     Args:
         system: assembled mesh system.
@@ -433,9 +614,9 @@ def kirchhoff_residual(system: MeshSystem, fluxes: MeshFluxes, floor: float = RE
         floor: lower bound on the normalizer, keeping the ratio defined
             for b = 0.
     """
-    if fluxes.values.shape[0] != system.n:
+    if fluxes.values.shape[-1] != system.n:
         raise ValueError(
-            f"flux vector has length {fluxes.values.shape[0]}, system has {system.n} meshes"
+            f"flux vector has length {fluxes.values.shape[-1]}, system has {system.n} meshes"
         )
     defect = np.max(np.abs(_exact_residual_vector(system, fluxes.values)))
     scale = max(float(np.max(np.abs(system.rhs))), floor)

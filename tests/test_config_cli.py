@@ -4,9 +4,10 @@ import hashlib
 import json
 import logging
 
+import numpy as np
 import pytest
 
-from srmec.cli import main
+from srmec.cli import main, solve_record_text
 from srmec.config import (
     DEFAULT_SWEEP_CURRENTS,
     ConfigError,
@@ -16,7 +17,7 @@ from srmec.config import (
     load_config,
 )
 from srmec.metrics import comparison_table, load_motor_records
-from srmec.motor import MaterialSet, MotorGeometry
+from srmec.motor import MaterialSet, MotorGeometry, OperatingPoint
 from srmec.saturation import BhCurve, NonlinearConfig
 
 
@@ -188,6 +189,11 @@ def read_record(path):
     return record
 
 
+# SHA-256 of the concatenated solve records pinned by
+# TestSolveCommand.test_solve_records_are_pinned.
+SOLVE_RECORDS_SHA256 = "9f744655b6b3b12ff9ea297a28b16525518a0c9fd6d23cfd8a5df66a6d6e50b5"
+
+
 class TestSolveCommand:
     def test_writes_record_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -204,6 +210,17 @@ class TestSolveCommand:
         assert manifest["tool_version"]
         assert len(manifest["config_hash"]) == 64
         assert "mesh_flux_1_wb" in capsys.readouterr().out
+
+    def test_manifest_records_the_numpy_build(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["solve", "--current", "1", "--out", str(out)]) == 0
+        build = json.loads((out / "manifest.json").read_text())["numpy"]
+        assert build["version"] == np.__version__
+        for key in ("cpu_baseline", "cpu_dispatch"):
+            assert isinstance(build[key], list)
+            assert all(isinstance(feature, str) for feature in build[key])
+        # Only dispatch targets this CPU supports are listed.
+        assert set(build["cpu_dispatch"]) <= set(np._core._multiarray_umath.__cpu_dispatch__)
 
     def test_zero_current_has_zero_coil_fluxes(self, tmp_path, capsys):
         out = tmp_path / "zero"
@@ -230,6 +247,15 @@ class TestSolveCommand:
         assert main(["solve", *flags, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_solve_records_are_pinned(self):
+        # Twenty default-design points across currents and the rotor
+        # period, through the saturating solve and its refined split.
+        config = default_config()
+        text = "".join(
+            solve_record_text(config, OperatingPoint(0.5 * k, 0.95 * k + 0.1)) for k in range(20)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == SOLVE_RECORDS_SHA256
 
     def test_ill_conditioned_solve_exits_3(self, tmp_path, capsys):
         # A near-zero magnet width makes the magnet reluctance dwarf the

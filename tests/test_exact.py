@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srmec.exact import residual_exact, solve_exact
+from srmec.exact import solve_exact
 
 
 def reference_gauss_jordan(matrix, rhs):
@@ -25,6 +25,13 @@ def reference_gauss_jordan(matrix, rhs):
                 factor = work[row][col] / work[col][col]
                 work[row] = [work[row][k] - factor * work[col][k] for k in range(n + 1)]
     return [work[i][n] / work[i][i] for i in range(n)]
+
+
+def residual_exact(matrix, rhs, solution):
+    """Exact residual matrix @ solution - rhs, in Fractions."""
+    return [
+        sum(Fraction(a) * x for a, x in zip(row, solution)) - Fraction(b) for row, b in zip(matrix, rhs)
+    ]
 
 
 # Floats of either sign with magnitudes spread over 1e-300 .. 1e300.

@@ -1,5 +1,6 @@
 """Tests for generic mesh-network assembly and the linear solver."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,9 @@ from srmec.motor import (
     source_values,
 )
 from srmec.network import (
+    PRODUCT_FLOOR,
+    PRODUCT_LIMIT,
+    SPLIT_LIMIT,
     MeshFluxes,
     MeshSpec,
     MeshSystem,
@@ -26,6 +30,7 @@ from srmec.network import (
     ReluctanceElement,
     SolveError,
     _exact_residual_vector,
+    _int_residual,
     assemble_mesh_system,
     compile_topology,
     kirchhoff_residual,
@@ -444,9 +449,16 @@ def fraction_residual(system, values):
 
 
 class TestExactResidualVector:
+    """The vectorised exact residual (TwoProduct and fsum, with the
+    integer fallback) against Fractions, bit for bit."""
+
+    @staticmethod
+    def residual(system, values):
+        return _exact_residual_vector(system, values)
+
     def assert_bitwise_equal(self, matrix, rhs, values):
         system = MeshSystem(matrix=np.array(matrix, dtype=float), rhs=np.array(rhs, dtype=float))
-        got = _exact_residual_vector(system, np.array(values, dtype=float))
+        got = self.residual(system, np.array(values, dtype=float))
         want = fraction_residual(system, values)
         assert got.tobytes() == want.tobytes()
 
@@ -465,9 +477,17 @@ class TestExactResidualVector:
 
     def test_exact_cancellation_gives_positive_zero(self):
         system = MeshSystem(matrix=np.array([[2.0, -1.0], [0.5, 0.25]]), rhs=np.array([3.0, 1.0]))
-        residual = _exact_residual_vector(system, np.array([2.0, 1.0]))
+        residual = self.residual(system, np.array([2.0, 1.0]))
         assert residual.tolist() == [0.0, 0.25]
         assert not np.signbit(residual[0])
+
+    def test_negative_zero_terms_give_positive_zero(self):
+        # Every product is -0.0 and so is -b: the exact residual is 0,
+        # which the integer path returns as +0.0.
+        system = MeshSystem(matrix=np.array([[-1.0, 2.0], [1.0, 1.0]]), rhs=np.array([0.0, 0.0]))
+        residual = self.residual(system, np.array([0.0, -0.0]))
+        assert residual.tolist() == [0.0, 0.0]
+        assert not np.signbit(residual).any()
 
     def test_random_mixed_signs_and_scales(self):
         rng = np.random.default_rng(17)
@@ -490,5 +510,155 @@ class TestExactResidualVector:
         values = [1.0, 2.0**-60]
         self.assert_bitwise_equal(matrix, [1.0, 1.0], values)
         system = MeshSystem(matrix=np.array(matrix), rhs=np.array([1.0, 1.0]))
-        residual = _exact_residual_vector(system, np.array(values))
+        residual = self.residual(system, np.array(values))
         assert residual.tolist() == [2.0**-60, -(2.0**-60)]
+
+    def test_near_cancelling_random_rows(self):
+        # b is the float matvec, so each residual is the rounding the
+        # matvec left behind.
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            matrix = rng.uniform(-1.0, 1.0, size=(4, 4)) * 10.0 ** rng.uniform(-20, 20, size=(4, 4))
+            values = rng.uniform(-1.0, 1.0, size=4) * 10.0 ** rng.uniform(-20, 20, size=4)
+            self.assert_bitwise_equal(matrix, matrix @ values, values)
+
+    @pytest.mark.parametrize(
+        "big",
+        [
+            np.nextafter(SPLIT_LIMIT, 0.0),
+            SPLIT_LIMIT,
+            np.nextafter(2.0 * SPLIT_LIMIT, 0.0),
+            2.0 * SPLIT_LIMIT,
+        ],
+        ids=["under_limit", "at_limit", "under_twice_limit", "twice_limit"],
+    )
+    def test_factors_at_the_split_limit(self, big):
+        # Just under the limit the split is exact; at about twice the
+        # limit (2**27 + 1) * big overflows, so those rows must take the
+        # integer path.
+        small = 0.1 * 2.0**-100
+        self.assert_bitwise_equal([[big, -3.0], [small, 1.0]], [1.0, -big], [small, 1.0 / 3.0])
+        self.assert_bitwise_equal([[small, 1.0], [-small, 7.0]], [2.0, 3.0], [big, 1.0 / 3.0])
+
+    def test_products_near_the_subnormal_floor(self):
+        # Products whose exponents sum to about -1010 to -950 straddle
+        # PRODUCT_FLOOR; b cancels their rounded parts, so each residual
+        # is the sum of their error terms.  Below the floor an error term
+        # can fall under 2**-1074 and only the integer path is exact.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            exponents = rng.integers(-700, -260, size=2)
+            a = (1.0 + rng.random(2)) * 2.0**exponents
+            x = (1.0 + rng.random(2)) * 2.0 ** (rng.integers(-1010, -950, size=2) - exponents)
+            b = a[0] * x[0] + a[1] * x[1]
+            self.assert_bitwise_equal([a, [1.0, 1.0]], [b, 0.0], x)
+        assert PRODUCT_FLOOR == 2.0**-968
+
+    @pytest.mark.parametrize(
+        "factor", [1.4142135 * 2.0**511, np.nextafter(2.0**512, 0.0)], ids=["under_limit", "over_limit"]
+    )
+    def test_products_at_the_product_limit(self, factor):
+        # The first product lies just under PRODUCT_LIMIT.  The second is
+        # a float, but its split halves round up to 2**512, whose product
+        # overflows, so it must take the integer path.
+        product = factor * factor
+        self.assert_bitwise_equal([[factor, 1.0], [1.0, 1.0]], [product, 0.0], [factor, 1.0])
+
+    def test_intermediate_fsum_overflow(self):
+        # Each product is 8e307, inside every split limit, but fsum
+        # raises on the running sum 2.4e308 although the exact residual,
+        # 8e307, is a float.
+        factor, value = 2.0**600, 8e307 / 2.0**600
+        assert factor < SPLIT_LIMIT and factor * value < PRODUCT_LIMIT
+        self.assert_bitwise_equal(
+            [[factor, factor, factor], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            [1.6e308, 0.0, 0.0],
+            [value, value, value],
+        )
+
+
+class TestIntegerResidualPath(TestExactResidualVector):
+    """The same cases through the integer path alone, the fallback of
+    the vectorised residual."""
+
+    @staticmethod
+    def residual(system, values):
+        return np.array(
+            [_int_residual(row, values.tolist(), b) for row, b in zip(system.matrix.tolist(), system.rhs.tolist())]
+        )
+
+
+class TestVectorisedResidual:
+    def test_random_stack_in_the_split_window(self):
+        # 2,000 five-mesh systems residualised as one stack, in several
+        # chunks; every entry takes the TwoProduct path.
+        rng = np.random.default_rng(47)
+
+        def draw(shape, decades):
+            return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-decades, decades, size=shape)
+
+        matrices, values, rhs = draw((2000, 5, 5), 30), draw((2000, 5), 30), draw((2000, 5), 60)
+        got = _exact_residual_vector(MeshSystem(matrices, rhs), values)
+        for k in range(2000):
+            want = fraction_residual(MeshSystem(matrices[k], rhs[k]), values[k])
+            assert got[k].tobytes() == want.tobytes()
+
+    def test_residual_beyond_float_range_names_the_batch_index(self):
+        third = 8e307
+        good = np.eye(3)
+        matrices = np.array([good, [[third, third, third], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], good])
+        rhs = np.array([[1.0, 1.0, 1.0], [-third, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(SolveError, match=r"big stack: exact residual is not a finite float: .* at batch index 1$"):
+            _exact_residual_vector(MeshSystem(matrices, rhs, "big stack"), np.ones((3, 3)))
+
+
+def audit_systems(stream, count):
+    """count stamped audit systems of one sampling stream."""
+    threshold = (BASE_THRESHOLD, STRONG_THRESHOLD)[stream]
+    rng = np.random.default_rng([DEFAULT_SEED, stream])
+    pairs = [sample_regime_case(rng, threshold) for _ in range(count)]
+    matrices = TOPOLOGY.stamp(np.array([element_values(r) for r, _ in pairs]))
+    rhs = np.array([source_values(s) for _, s in pairs]) @ TOPOLOGY.rhs_pattern
+    return matrices, rhs
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_stack_equals_batch_of_one_solves(self, stream):
+        matrices, rhs = audit_systems(stream, 100)
+        stacked = solve_linear(MeshSystem(matrices, rhs, "audit stack")).values
+        assert stacked.shape == (100, 5)
+        for k in range(100):
+            alone = solve_linear(MeshSystem(matrices[k], rhs[k])).values
+            assert stacked[k].tobytes() == alone.tobytes()
+
+    def test_three_right_hand_sides_of_one_matrix(self):
+        matrices, _ = audit_systems(0, 1)
+        parts = SourceSet(f_e=700.0, f_pm=4000.0).parts
+        rhs = np.array([source_values(part) for part in parts]) @ TOPOLOGY.rhs_pattern
+        stacked = solve_linear(MeshSystem(matrices[0], rhs)).values
+        for k in range(3):
+            alone = solve_linear(MeshSystem(matrices[0], rhs[k])).values
+            assert stacked[k].tobytes() == alone.tobytes()
+
+    def test_every_failing_system_is_named(self):
+        matrices, rhs = audit_systems(0, 12)
+        matrices[3] = np.diag([1.0, 1.0, 1.0, 1.0, 1e-13])  # ill-conditioned
+        matrices[5] = np.nan  # no condition estimate: the stack's fails too
+        matrices[7] = np.ones((5, 5))  # singular
+        matrices[11] *= 1e-300  # well conditioned, but its solution overflows
+        rhs[11] *= 1e300
+        with np.errstate(over="ignore"), pytest.raises(SolveError) as info:
+            solve_linear(MeshSystem(matrices, rhs, "audit stack"))
+        message = str(info.value)
+        assert message.startswith("audit stack: condition number")
+        assert message.count("audit stack: condition number") == 2
+        assert "audit stack: condition estimate failed" in message
+        assert "audit stack: exact residual is not a finite float" in message
+        named = [int(k) for k in re.findall(r"at batch index (\d+)", message)]
+        assert named == [3, 5, 7, 11]
+
+    def test_shared_failure_names_indices_once(self):
+        matrix = np.diag([1.0, 1e-13])
+        with pytest.raises(SolveError, match=r"^pair: condition number 1\.000e\+13 exceeds limit 1\.000e\+12 at batch indices 0, 1, 2$"):
+            solve_linear(MeshSystem(matrix, np.ones((3, 2)), "pair"))
