@@ -33,8 +33,8 @@ def show_position(geometry: MotorGeometry, materials: MaterialSet, angle: float,
     print(f"sources (A-t): coil {s.f_e:.1f}  magnet {s.f_pm:.1f}")
 
     fluxes = solve_linear(system)
-    exact = solve_exact(system.matrix, system.rhs)
-    gap = max(abs(float(e) - p) for e, p in zip(exact, fluxes.values))
+    exact = solve_exact(system.matrix, system.rhs).rounded()
+    gap = np.max(np.abs(exact - fluxes.values))
     print(f"mesh fluxes (Wb): {np.array2string(fluxes.values, precision=3)}")
     print(f"production residual (exact arithmetic): {kirchhoff_residual(system, fluxes):.2e}")
     print(f"worst gap to the rational oracle: {gap:.2e}")
@@ -54,7 +54,7 @@ def main() -> None:
     materials = MaterialSet()
     show_position(geometry, materials, geometry.aligned_angle_deg, "aligned")
     show_position(geometry, materials, geometry.unaligned_angle_deg, "unaligned")
-    print("The oracle route (stdlib Fractions) and the production route stay")
+    print("The oracle route (exact integer elimination) and the production route stay")
     print("separate on purpose: one checks the other, so a regression in either")
     print("shows up as a residual, never as two copies of the same bug.")
 

@@ -29,16 +29,18 @@ report zero.
 
 Each sampling stream is drawn sample by sample (sample_regime_case,
 which tests its candidates in vectorised blocks) and then audited as
-one batch: every system is stamped at once, the production solve behind
+one batch: every system is stamped at once, the exact oracle is one
+stacked solve_exact call, the production solve behind
 branch_map_production_vs_exact is one stacked solve_linear call, and
-every row is an array expression over all samples.  Only the exact
-oracle runs sample by sample.  Every per-sample value has the bits the
+every row is an array expression over all samples.  Only the sampler
+runs sample by sample.  Every per-sample value has the bits the
 one-sample-at-a-time audit gave it.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -211,32 +213,58 @@ def _collect(n_samples: int, seed: int, threshold: float, stream: int) -> dict[s
     each an (n_samples,) array; off BASE_THRESHOLD, only the asymptotic
     rows, suffixed _strong_regime.
 
-    Samples are drawn one by one; the production solve is then one
-    stacked solve, each row is one array expression over the whole
-    batch, and only the exact oracle runs sample by sample.
+    Samples are drawn one by one and their systems stamped at once; the
+    exact oracle and the production solve are then one stacked call
+    each, and each row is one array expression over the whole batch.
+    The wall time of each of these four stages is logged: sampling with
+    the rejection work as soon as it is done, so that a stream whose
+    oracle or production solve fails still reports it, and the other
+    three once the rows are built.
     """
+    clock = time.perf_counter
+    started = clock()
     rng = np.random.default_rng([seed, stream])
     tested: list[int] = []
     values = np.empty((n_samples, len(RegimeSamples._fields)))
     for k in range(n_samples):
         r, s = sample_regime_case(rng, threshold, tested)
         values[k] = r.r_sy, r.r_sp, r.r_ry, r.r_g, r.r_pm, s.f_e, s.f_pm
-    logger.info(
-        "audit stream %d: dominance threshold %g, %d samples, %d candidates tested",
-        stream, threshold, n_samples, sum(tested)
-    )
     samples = RegimeSamples(*values.T)
     matrices = TOPOLOGY.stamp(element_values(samples))
     rhs = source_values(samples) @ TOPOLOGY.rhs_pattern
-    exact = np.array(
-        [[float(x) for x in solve_exact(a.tolist(), b.tolist())] for a, b in zip(matrices, rhs)]
+    sampled = clock()
+    logger.info(
+        "audit stream %d: dominance threshold %g, %d samples, %d candidates tested; "
+        "wall ms: sampling %.1f",
+        stream, threshold, n_samples, sum(tested), 1e3 * (sampled - started),
     )
+    exact = solve_exact(matrices, rhs).rounded()
+    solved_exactly = clock()
+    production = None
+    if threshold == BASE_THRESHOLD:
+        production = solve_linear(MeshSystem(matrices, rhs, "srm mesh system")).values
+    solved = clock()
+    series = _rows(samples, exact, production)
+    logger.info(
+        "audit stream %d: wall ms: oracle %.1f, production solve %.1f, rows %.1f",
+        stream, 1e3 * (solved_exactly - sampled), 1e3 * (solved - solved_exactly),
+        1e3 * (clock() - solved),
+    )
+    return series
+
+
+def _rows(
+    samples: RegimeSamples, exact: np.ndarray, production: np.ndarray | None
+) -> dict[str, np.ndarray]:
+    """The deviation rows of one stream from its exact solutions; with
+    no production solutions, only the asymptotic rows, suffixed
+    _strong_regime."""
     mesh_scale = np.max(np.abs(exact), axis=1)
 
     def mesh_dev(candidate: np.ndarray, k: int) -> np.ndarray:
         return np.abs(candidate - exact[:, k]) / mesh_scale
 
-    suffix = "" if threshold == BASE_THRESHOLD else "_strong_regime"
+    suffix = "" if production is not None else "_strong_regime"
     limit = supermesh_limit_fluxes(samples, samples)
     series = {f"mesh5_vs_mesh2_exact{suffix}": mesh_dev(exact[:, 4], 1)}
     for k in (0, 1, 3):
@@ -268,7 +296,6 @@ def _collect(n_samples: int, seed: int, threshold: float, stream: int) -> dict[s
     )
     series["mesh2_vs_mesh3_exact"] = mesh_dev(exact[:, 2], 1)
 
-    production = solve_linear(MeshSystem(matrices, rhs, "srm mesh system")).values
     series["branch_map_production_vs_exact"] = (
         np.max(np.abs(branch_flux_values(production) - exact_branch), axis=1) / branch_scale
     )

@@ -199,9 +199,7 @@ def scalar_collect(n_samples, seed, threshold, stream):
     for _ in range(n_samples):
         r, s = scalar_rejection_sample(rng, threshold)
         system = build_network(r, s)
-        exact = np.array(
-            [float(x) for x in solve_exact(system.matrix.tolist(), system.rhs.tolist())]
-        )
+        exact = solve_exact(system.matrix, system.rhs).rounded()
         mesh_scale = np.max(np.abs(exact))
 
         suffix = "" if threshold == BASE_THRESHOLD else "_strong_regime"
@@ -311,9 +309,7 @@ class TestBatchClosedForms:
 class TestSupermeshLimit:
     def _exact(self, r, s):
         system = build_network(r, s)
-        return np.array(
-            [float(x) for x in solve_exact(system.matrix.tolist(), system.rhs.tolist())]
-        )
+        return solve_exact(system.matrix, system.rhs).rounded()
 
     def test_exact_in_the_limit(self):
         # Integer body values with r_pm = 2**50 keep every assembly sum
@@ -450,16 +446,54 @@ class TestAuditReport:
             if x.max_rel_dev != 0.0
         )
 
+    @staticmethod
+    def _rejection_lines(caplog):
+        return [
+            record.getMessage().split("; wall ms: ")[0]
+            for record in caplog.records
+            if "candidates tested" in record.getMessage()
+        ]
+
+    @staticmethod
+    def _tested(n_samples, seed, stream, threshold):
+        rng = np.random.default_rng([seed, stream])
+        return sum(counted_rejection_sample(rng, threshold)[2] for _ in range(n_samples))
+
     def test_logs_the_rejection_work_of_each_stream(self, caplog):
         with caplog.at_level(logging.INFO, logger="srmec.fidelity"):
             run_fidelity_audit(50, 108)
-        tested = []
-        for stream, threshold in ((0, BASE_THRESHOLD), (1, STRONG_THRESHOLD)):
-            rng = np.random.default_rng([108, stream])
-            tested.append(sum(counted_rejection_sample(rng, threshold)[2] for _ in range(50)))
-        assert [record.getMessage() for record in caplog.records] == [
+        tested = [self._tested(50, 108, 0, BASE_THRESHOLD), self._tested(50, 108, 1, STRONG_THRESHOLD)]
+        assert self._rejection_lines(caplog) == [
             f"audit stream 0: dominance threshold 10, 50 samples, {tested[0]} candidates tested",
             f"audit stream 1: dominance threshold 1000, 50 samples, {tested[1]} candidates tested",
+        ]
+
+    def test_logs_the_wall_time_of_each_stage(self, caplog):
+        with caplog.at_level(logging.INFO, logger="srmec.fidelity"):
+            run_fidelity_audit(50, 108)
+        assert len(caplog.records) == 4
+        for stream in (0, 1):
+            lines = caplog.records[2 * stream : 2 * stream + 2]
+            stages = []
+            for record in lines:
+                head, times = record.getMessage().split("wall ms: ")
+                assert head.startswith(f"audit stream {stream}: ")
+                stages += [stage.rsplit(" ", 1) for stage in times.split(", ")]
+            names, times = zip(*stages)
+            assert names == ("sampling", "oracle", "production solve", "rows")
+            assert all(float(ms) >= 0.0 for ms in times)
+
+    def test_logs_the_sampling_of_a_stream_whose_oracle_fails(self, caplog, monkeypatch):
+        def refuse(matrix, rhs):
+            raise ValueError("system 7 of the stack is singular: no pivot in column 2")
+
+        monkeypatch.setattr(fidelity, "solve_exact", refuse)
+        with caplog.at_level(logging.INFO, logger="srmec.fidelity"):
+            with pytest.raises(ValueError, match="system 7 of the stack"):
+                run_fidelity_audit(50, 108)
+        tested = self._tested(50, 108, 0, BASE_THRESHOLD)
+        assert self._rejection_lines(caplog) == [
+            f"audit stream 0: dominance threshold 10, 50 samples, {tested} candidates tested"
         ]
 
     def test_rejects_empty_audit(self):

@@ -236,7 +236,7 @@ class TestNetworkStructure:
         s = SourceSet(f_e=1120.0, f_pm=4547.284088339868)
         system = build_network(r, s)
         phi = solve_linear(system)
-        exact = [float(x) for x in solve_exact(system.matrix.tolist(), system.rhs.tolist())]
+        exact = solve_exact(system.matrix, system.rhs).rounded()
         assert phi.values == pytest.approx(exact, rel=1e-13)
 
 

@@ -334,7 +334,7 @@ class TestSolveLinear:
             a = a + a.T + 2 * n * np.eye(n)
             b = rng.uniform(-10.0, 10.0, size=n)
             phi = solve_linear(MeshSystem(matrix=a, rhs=b))
-            expected = [float(x) for x in solve_exact(a.tolist(), b.tolist())]
+            expected = solve_exact(a, b).rounded()
             assert phi.values == pytest.approx(expected, rel=1e-13)
 
     def test_superposition(self):
