@@ -158,7 +158,8 @@ def _flux_linkage_grids(
         result.distinct_systems,
         result.system_iterations.max(),
     )
-    linkages = geometry.turns_per_pole * SERIES_COILS * pole_flux(result.mesh_fluxes)
+    flux = pole_flux(result.system_mesh_fluxes)[result.system_index]
+    linkages = geometry.turns_per_pole * SERIES_COILS * flux
     return tuple(
         FluxLinkageGrid(
             currents=row,

@@ -1,16 +1,18 @@
 """Tests for the exact fraction-free solver."""
 
+import ast
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from srmec import exact
+from srmec import exact, network
 from srmec.exact import CHUNK_SYSTEMS, solve_exact
 
 
@@ -55,7 +57,9 @@ def float_systems(draw):
     return matrix, rhs
 
 
-@settings(max_examples=100, deadline=None)
+# No shrink or explain phase, as stack_settings below: on a failure they
+# spend minutes on systems of 300-decade floats.
+@settings(max_examples=100, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(float_systems())
 def test_matches_fraction_gauss_jordan_on_wide_float_systems(system):
     matrix, rhs = system
@@ -338,3 +342,27 @@ def test_non_finite_entry_in_a_stack_names_the_system(fractions_route):
 def test_stack_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="matrix must be"):
         solve_exact(np.ones((3, 2, 2)), np.ones((4, 2)))
+
+
+def imported_modules(module) -> set[str]:
+    """Every module name the source of module imports, made absolute,
+    with each imported name also read as a possible submodule."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = module.__name__.rsplit(".", node.level)[0]
+                base = f"{package}.{base}" if base else package
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_oracle_and_production_solver_share_no_code():
+    # The audit's production-vs-oracle check means something only while
+    # the two routes are independent.
+    assert not {n for n in imported_modules(exact) if n == "srmec" or n.startswith("srmec.")}
+    assert not {n for n in imported_modules(network) if n == "srmec.exact" or n.startswith("srmec.exact.")}

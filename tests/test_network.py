@@ -1,5 +1,6 @@
 """Tests for generic mesh-network assembly and the linear solver."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -19,9 +20,7 @@ from srmec.motor import (
     source_values,
 )
 from srmec.network import (
-    PRODUCT_FLOOR,
-    PRODUCT_LIMIT,
-    SPLIT_LIMIT,
+    RESIDUAL_CHUNK,
     MeshFluxes,
     MeshSpec,
     MeshSystem,
@@ -30,7 +29,7 @@ from srmec.network import (
     ReluctanceElement,
     SolveError,
     _exact_residual_vector,
-    _int_residual,
+    _exact_residuals,
     assemble_mesh_system,
     compile_topology,
     kirchhoff_residual,
@@ -449,8 +448,7 @@ def fraction_residual(system, values):
 
 
 class TestExactResidualVector:
-    """The vectorised exact residual (TwoProduct and fsum, with the
-    integer fallback) against Fractions, bit for bit."""
+    """The exact residual against Fractions, bit for bit."""
 
     @staticmethod
     def residual(system, values):
@@ -483,7 +481,7 @@ class TestExactResidualVector:
 
     def test_negative_zero_terms_give_positive_zero(self):
         # Every product is -0.0 and so is -b: the exact residual is 0,
-        # which the integer path returns as +0.0.
+        # returned as +0.0.
         system = MeshSystem(matrix=np.array([[-1.0, 2.0], [1.0, 1.0]]), rhs=np.array([0.0, 0.0]))
         residual = self.residual(system, np.array([0.0, -0.0]))
         assert residual.tolist() == [0.0, 0.0]
@@ -524,27 +522,21 @@ class TestExactResidualVector:
 
     @pytest.mark.parametrize(
         "big",
-        [
-            np.nextafter(SPLIT_LIMIT, 0.0),
-            SPLIT_LIMIT,
-            np.nextafter(2.0 * SPLIT_LIMIT, 0.0),
-            2.0 * SPLIT_LIMIT,
-        ],
-        ids=["under_limit", "at_limit", "under_twice_limit", "twice_limit"],
+        [np.nextafter(2.0**996, 0.0), 2.0**996, np.nextafter(2.0**997, 0.0), 2.0**997],
+        ids=["under_2**996", "at_2**996", "under_2**997", "at_2**997"],
     )
-    def test_factors_at_the_split_limit(self, big):
-        # Just under the limit the split is exact; at about twice the
-        # limit (2**27 + 1) * big overflows, so those rows must take the
-        # integer path.
+    def test_factors_near_2_to_the_996(self, big):
+        # Large factors beside small ones: a row's integers run to over
+        # a thousand bits.
         small = 0.1 * 2.0**-100
         self.assert_bitwise_equal([[big, -3.0], [small, 1.0]], [1.0, -big], [small, 1.0 / 3.0])
         self.assert_bitwise_equal([[small, 1.0], [-small, 7.0]], [2.0, 3.0], [big, 1.0 / 3.0])
 
-    def test_products_near_the_subnormal_floor(self):
-        # Products whose exponents sum to about -1010 to -950 straddle
-        # PRODUCT_FLOOR; b cancels their rounded parts, so each residual
-        # is the sum of their error terms.  Below the floor an error term
-        # can fall under 2**-1074 and only the integer path is exact.
+    def test_products_near_2_to_the_minus_968(self):
+        # Products whose exponents sum to about -1010 to -950; b cancels
+        # their rounded parts, so each residual is the sum of their
+        # rounding errors, which can fall under the subnormal grain
+        # 2**-1074.
         rng = np.random.default_rng(31)
         for _ in range(300):
             exponents = rng.integers(-700, -260, size=2)
@@ -552,24 +544,20 @@ class TestExactResidualVector:
             x = (1.0 + rng.random(2)) * 2.0 ** (rng.integers(-1010, -950, size=2) - exponents)
             b = a[0] * x[0] + a[1] * x[1]
             self.assert_bitwise_equal([a, [1.0, 1.0]], [b, 0.0], x)
-        assert PRODUCT_FLOOR == 2.0**-968
 
     @pytest.mark.parametrize(
-        "factor", [1.4142135 * 2.0**511, np.nextafter(2.0**512, 0.0)], ids=["under_limit", "over_limit"]
+        "factor", [1.4142135 * 2.0**511, np.nextafter(2.0**512, 0.0)], ids=["under_2**1023", "near_2**1024"]
     )
-    def test_products_at_the_product_limit(self, factor):
-        # The first product lies just under PRODUCT_LIMIT.  The second is
-        # a float, but its split halves round up to 2**512, whose product
-        # overflows, so it must take the integer path.
+    def test_products_near_2_to_the_1023(self, factor):
+        # The first product lies just under 2**1023, the second just
+        # under the end of the float range.
         product = factor * factor
         self.assert_bitwise_equal([[factor, 1.0], [1.0, 1.0]], [product, 0.0], [factor, 1.0])
 
-    def test_intermediate_fsum_overflow(self):
-        # Each product is 8e307, inside every split limit, but fsum
-        # raises on the running sum 2.4e308 although the exact residual,
-        # 8e307, is a float.
+    def test_running_sum_past_the_float_range(self):
+        # Each product is 8e307; their running sum 2.4e308 is beyond the
+        # float range, but the exact residual, 8e307, is a float.
         factor, value = 2.0**600, 8e307 / 2.0**600
-        assert factor < SPLIT_LIMIT and factor * value < PRODUCT_LIMIT
         self.assert_bitwise_equal(
             [[factor, factor, factor], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
             [1.6e308, 0.0, 0.0],
@@ -577,21 +565,28 @@ class TestExactResidualVector:
         )
 
 
-class TestIntegerResidualPath(TestExactResidualVector):
-    """The same cases through the integer path alone, the fallback of
-    the vectorised residual."""
+class TestResidualInASharedChunk(TestExactResidualVector):
+    """The same cases with each system in a chunk beside two others.  A
+    chunk's rows share one power of two, so the first companion, which
+    holds the smallest subnormal, sets that scale for the system; the
+    second has a non-finite input, and its failure must leave the
+    system's residual untouched."""
 
     @staticmethod
     def residual(system, values):
-        return np.array(
-            [_int_residual(row, values.tolist(), b) for row, b in zip(system.matrix.tolist(), system.rhs.tolist())]
-        )
+        n, tiny = system.n, 2.0**-1074
+        matrices = np.stack([np.eye(n) * tiny, system.matrix, np.eye(n)])
+        rhs = np.stack([np.full(n, tiny), system.rhs, np.r_[math.nan, np.ones(n - 1)]])
+        residuals, failures = _exact_residuals(matrices, np.stack([np.ones(n), values, np.ones(n)]), rhs)
+        assert failures == {2: "exact residual is not a finite float: an input is not finite"}
+        assert residuals[0].tobytes() == np.zeros(n).tobytes()
+        return residuals[1]
 
 
 class TestVectorisedResidual:
-    def test_random_stack_in_the_split_window(self):
+    def test_random_stack_in_several_chunks(self):
         # 2,000 five-mesh systems residualised as one stack, in several
-        # chunks; every entry takes the TwoProduct path.
+        # chunks.
         rng = np.random.default_rng(47)
 
         def draw(shape, decades):
@@ -610,6 +605,20 @@ class TestVectorisedResidual:
         rhs = np.array([[1.0, 1.0, 1.0], [-third, 0.0, 0.0], [1.0, 1.0, 1.0]])
         with pytest.raises(SolveError, match=r"big stack: exact residual is not a finite float: .* at batch index 1$"):
             _exact_residual_vector(MeshSystem(matrices, rhs, "big stack"), np.ones((3, 3)))
+
+    def test_failures_in_a_later_chunk_name_their_batch_indices(self):
+        third = 8e307
+        m = RESIDUAL_CHUNK + 8
+        matrices, rhs = np.tile(np.eye(3), (m, 1, 1)), np.ones((m, 3))
+        over, nan = RESIDUAL_CHUNK + 2, RESIDUAL_CHUNK + 5
+        matrices[over, 0] = third
+        rhs[over, 0] = -third
+        rhs[nan, 1] = math.nan
+        with pytest.raises(SolveError) as info:
+            _exact_residual_vector(MeshSystem(matrices, rhs, "long stack"), np.ones((m, 3)))
+        message = str(info.value)
+        assert message.count("long stack: exact residual is not a finite float") == 2
+        assert sorted(int(k) for k in re.findall(r"at batch index (\d+)", message)) == [over, nan]
 
 
 def audit_systems(stream, count):
