@@ -117,9 +117,7 @@ def solve_record_text(config: RunConfig, point: OperatingPoint) -> str:
     """Flat key = value record of one saturating solve."""
     current, angle_deg = point.phase_current, point.rotor_angle
     curve = BhCurve.default()
-    solution = solve_nonlinear(
-        config.geometry, config.materials, curve, point, config=config.solver
-    )
+    solution = solve_nonlinear(config.geometry, config.materials, curve, point)
     report = regime_check(reluctances_from_geometry(config.geometry, config.materials, angle_deg))
     lines = [
         f"current_a = {_fmt(current)}",
@@ -179,8 +177,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         raise ConfigError("--samples must be >= 1")
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
-    config = load_config(args.config)
-    write_manifest(args.out, "fidelity", config_hash(config), (FIDELITY_CSV, FIDELITY_NOTES))
+    # The audit samples its own designs and reads no config.
+    write_manifest(args.out, "fidelity", "none", (FIDELITY_CSV, FIDELITY_NOTES))
     rows = run_fidelity_audit(n_samples=args.samples, seed=args.seed)
     notes = audit_notes(rows)
     _write_text(args.out, FIDELITY_CSV, fidelity_csv_text(rows))
@@ -225,7 +223,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config.sweep_currents,
         current_points=config.current_points,
         angle_step_deg=config.angle_step_deg,
-        config=config.solver,
     )
     summary = ["current_a,mean_torque_nm,peak_torque_nm"]
     for split, name in zip(splits, names):
@@ -275,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     fidelity = commands.add_parser(
         "fidelity", help="audit the closed-form flux expressions against the exact oracle"
     )
-    fidelity.add_argument("--config", type=Path, default=None, help="run configuration file")
     fidelity.add_argument(
         "--samples", type=int, default=DEFAULT_SAMPLES, help="regime-valid samples per row"
     )

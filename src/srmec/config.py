@@ -1,9 +1,9 @@
 """Run configuration: file schema, documented defaults, canonical hash.
 
-The config file is flat key = value text under four section headers:
-[geometry], [materials], [solver], [sweep].  Keys match the field names
-of MotorGeometry, MaterialSet, and NonlinearConfig; the sweep section
-takes currents (comma-separated A), current_points, and angle_step_deg.
+The config file is flat key = value text under three section headers:
+[geometry], [materials], [sweep].  Keys match the field names of
+MotorGeometry and MaterialSet; the sweep section takes currents
+(comma-separated A), current_points, and angle_step_deg.
 Unknown sections or keys are rejected by name; a key the file omits
 falls back to its documented default with a logged notice, and an
 absent file section means all defaults.  The no-file configuration is
@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .motor import MaterialSet, MotorGeometry
-from .saturation import NonlinearConfig
 from .torque import DEFAULT_ANGLE_STEP_DEG, DEFAULT_CURRENT_POINTS, angles_for_period
 
 logger = logging.getLogger("srmec.config")
@@ -28,12 +27,11 @@ logger = logging.getLogger("srmec.config")
 DEFAULT_SWEEP_CURRENTS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 
 _INT_KEYS = frozenset(
-    {"turns_per_pole", "stator_teeth_count", "rotor_poles_count", "max_iterations", "current_points"}
+    {"turns_per_pole", "stator_teeth_count", "rotor_poles_count", "current_points"}
 )
 _SECTION_KEYS = {
     "geometry": tuple(f.name for f in fields(MotorGeometry)),
     "materials": tuple(f.name for f in fields(MaterialSet)),
-    "solver": tuple(f.name for f in fields(NonlinearConfig)),
     "sweep": ("currents", "current_points", "angle_step_deg"),
 }
 
@@ -52,7 +50,6 @@ class RunConfig:
 
     geometry: MotorGeometry
     materials: MaterialSet
-    solver: NonlinearConfig
     sweep_currents: tuple[float, ...] = DEFAULT_SWEEP_CURRENTS
     current_points: int = DEFAULT_CURRENT_POINTS
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG
@@ -75,7 +72,7 @@ class RunConfig:
 
 def default_config() -> RunConfig:
     """All-defaults configuration: the catalog machine."""
-    return RunConfig(geometry=MotorGeometry(), materials=MaterialSet(), solver=NonlinearConfig())
+    return RunConfig(geometry=MotorGeometry(), materials=MaterialSet())
 
 
 def _parse_number(section: str, key: str, text: str, want_int: bool) -> float | int:
@@ -144,39 +141,18 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         if section not in _SECTION_KEYS:
             raise ConfigError(f"{origin}: unknown section [{section}]")
 
-    geometry = _build_section(
-        origin, "geometry", _section_values(parser, origin, "geometry"), MotorGeometry
+    geometry, materials = (
+        _build_section(origin, section, _section_values(parser, origin, section), factory)
+        for section, factory in (("geometry", MotorGeometry), ("materials", MaterialSet))
     )
-    materials = _build_section(
-        origin, "materials", _section_values(parser, origin, "materials"), MaterialSet
-    )
-    solver = _build_section(
-        origin, "solver", _section_values(parser, origin, "solver"), NonlinearConfig
-    )
+    # The sweep keys left unset take RunConfig's defaults.
     sweep_raw = _section_values(parser, origin, "sweep")
-    currents = (
-        _parse_currents(sweep_raw["currents"])
-        if "currents" in sweep_raw
-        else DEFAULT_SWEEP_CURRENTS
-    )
-    points = (
-        int(_parse_number("sweep", "current_points", sweep_raw["current_points"], want_int=True))
-        if "current_points" in sweep_raw
-        else DEFAULT_CURRENT_POINTS
-    )
-    step = (
-        float(_parse_number("sweep", "angle_step_deg", sweep_raw["angle_step_deg"], want_int=False))
-        if "angle_step_deg" in sweep_raw
-        else DEFAULT_ANGLE_STEP_DEG
-    )
-    return RunConfig(
-        geometry=geometry,
-        materials=materials,
-        solver=solver,
-        sweep_currents=currents,
-        current_points=points,
-        angle_step_deg=step,
-    )
+    sweep = {}
+    if "currents" in sweep_raw:
+        sweep["sweep_currents"] = _parse_currents(sweep_raw.pop("currents"))
+    for key, text in sweep_raw.items():
+        sweep[key] = _parse_number("sweep", key, text, want_int=key in _INT_KEYS)
+    return RunConfig(geometry=geometry, materials=materials, **sweep)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -186,11 +162,7 @@ def config_hash(config: RunConfig) -> str:
     and comment differences do not change the hash.
     """
     parts = []
-    for section, obj in (
-        ("geometry", config.geometry),
-        ("materials", config.materials),
-        ("solver", config.solver),
-    ):
+    for section, obj in (("geometry", config.geometry), ("materials", config.materials)):
         for field in fields(obj):
             parts.append(f"{section}.{field.name}={getattr(obj, field.name)!r}")
     parts.append(f"sweep.currents={config.sweep_currents!r}")

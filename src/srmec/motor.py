@@ -186,30 +186,24 @@ class MaterialSet:
         iron_relative_permeability: linear-mode core permeability.
         pm_remanence: magnet remanent flux density, T.
         pm_relative_permeability: magnet recoil permeability.
-        pm_coercivity: A/m; derived from remanence and recoil slope when
-            not given explicitly.
     """
 
     iron_relative_permeability: float = 4000.0
     pm_remanence: float = 1.2
     pm_relative_permeability: float = 1.05
-    pm_coercivity: float | None = None
 
     def __post_init__(self) -> None:
         for name, value, low, bound in (
             ("iron_relative_permeability", self.iron_relative_permeability, 1.0, ">= 1"),
             ("pm_relative_permeability", self.pm_relative_permeability, 1.0, ">= 1"),
             ("pm_remanence", self.pm_remanence, 0.0, "nonnegative"),
-            ("pm_coercivity", self.pm_coercivity, 0.0, "nonnegative"),
         ):
-            if value is not None and not (math.isfinite(value) and value >= low):
+            if not (math.isfinite(value) and value >= low):
                 raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
     @property
     def coercivity(self) -> float:
-        """Magnet coercive field, A/m."""
-        if self.pm_coercivity is not None:
-            return self.pm_coercivity
+        """Magnet coercive field, A/m: remanence over the recoil slope."""
         return self.pm_remanence / (MU0 * self.pm_relative_permeability)
 
 
@@ -232,11 +226,13 @@ class OperatingPoint:
             raise ValueError("rotor_angle must be finite")
 
     def validate_for(self, geometry: MotorGeometry) -> None:
-        """Enforce the one-period angle convention for this geometry."""
+        """Enforce the one-period angle convention and a finite coil MMF
+        for this geometry."""
         if not 0.0 <= self.rotor_angle < geometry.period_deg:
             raise ValueError(
                 f"rotor_angle {self.rotor_angle!r} outside [0, {geometry.period_deg}) deg"
             )
+        _check_coil_mmf(geometry, self.phase_current)
 
 
 @dataclass(frozen=True)
@@ -518,10 +514,17 @@ def reluctances_from_geometry(
     )
 
 
+def _check_coil_mmf(geometry: MotorGeometry, current: float) -> None:
+    """Mesh 1 carries both coils' N*i, so 2*N*i must be a finite float."""
+    if not math.isfinite(2.0 * geometry.turns_per_pole * current):
+        raise ValueError(f"phase current {current!r} A overflows the coil MMF")
+
+
 def sources_for(geometry: MotorGeometry, materials: MaterialSet, current: float) -> SourceSet:
     """MMF set at a phase current: f_e = N*i per coil, f_pm = H_c*l."""
     if current < 0:
         raise ValueError("current must be nonnegative")
+    _check_coil_mmf(geometry, current)
     return SourceSet(
         f_e=geometry.turns_per_pole * current,
         f_pm=materials.coercivity * geometry.pm_length * 1e-3,

@@ -297,7 +297,7 @@ def _exact_residual_vector(system: MeshSystem, values: np.ndarray) -> np.ndarray
     return residual.reshape(batch + (system.n,))
 
 
-def _refusals(matrices: np.ndarray, condition_limit: float) -> dict[int, str]:
+def _refusals(matrices: np.ndarray) -> dict[int, str]:
     """Why each refused matrix of an (m, n, n) stack is refused, by index.
 
     One condition estimate covers the stack; only when it fails is each
@@ -310,16 +310,16 @@ def _refusals(matrices: np.ndarray, condition_limit: float) -> dict[int, str]:
         return {
             k: reason
             for k, matrix in enumerate(matrices)
-            for reason in _refusals(matrix[None], condition_limit).values()
+            for reason in _refusals(matrix[None]).values()
         }
     return {
-        k: f"condition number {c:.3e} exceeds limit {condition_limit:.3e}"
+        k: f"condition number {c:.3e} exceeds limit {CONDITION_LIMIT:.3e}"
         for k, c in enumerate(conditions)
-        if not (math.isfinite(c) and c <= condition_limit)
+        if not (math.isfinite(c) and c <= CONDITION_LIMIT)
     }
 
 
-def solve_linear(system: MeshSystem, condition_limit: float = CONDITION_LIMIT) -> MeshFluxes:
+def solve_linear(system: MeshSystem) -> MeshFluxes:
     """Solve a mesh system, or a stack of them, by dense elimination with
     partial pivoting.
 
@@ -331,12 +331,11 @@ def solve_linear(system: MeshSystem, condition_limit: float = CONDITION_LIMIT) -
     REFINEMENT_STEPS passes that each measure the exact residual of
     every system still being refined at once.  A system whose residual
     is exactly zero stops refining.  Every system of a stack gets the
-    bits it gets alone.
+    bits it gets alone.  A system whose 2-norm condition number exceeds
+    CONDITION_LIMIT is refused.
 
     Args:
         system: assembled mesh system or stack.
-        condition_limit: 2-norm condition-number bound above which a
-            system is refused.
 
     Returns:
         MeshFluxes solving the system, shaped like its right-hand sides
@@ -349,7 +348,7 @@ def solve_linear(system: MeshSystem, condition_limit: float = CONDITION_LIMIT) -
     """
     n, batch = system.n, system.batch_shape
     matrices, rhs = system.flat_stack()
-    refused = _refusals(system.matrix.reshape(-1, n, n), condition_limit)
+    refused = _refusals(system.matrix.reshape(-1, n, n))
     failures: dict[int, str] = {}
     if refused:
         # Each system shares the refusal of its matrix.
@@ -566,22 +565,20 @@ def compile_topology(
     )
 
 
-def kirchhoff_residual(system: MeshSystem, fluxes: MeshFluxes, floor: float = RESIDUAL_FLOOR) -> float:
+def kirchhoff_residual(system: MeshSystem, fluxes: MeshFluxes) -> float:
     """Relative defect of a candidate solution.
 
-    Returns ``max|A@phi - b| / max(max|b|, floor)`` with the matvec done
-    exactly (see _exact_residuals).
+    Returns ``max|A@phi - b| / max(max|b|, RESIDUAL_FLOOR)`` with the
+    matvec done exactly (see _exact_residuals).
 
     Args:
         system: assembled mesh system.
         fluxes: candidate mesh fluxes.
-        floor: lower bound on the normalizer, keeping the ratio defined
-            for b = 0.
     """
     if fluxes.values.shape[-1] != system.n:
         raise ValueError(
             f"flux vector has length {fluxes.values.shape[-1]}, system has {system.n} meshes"
         )
     defect = np.max(np.abs(_exact_residual_vector(system, fluxes.values)))
-    scale = max(float(np.max(np.abs(system.rhs))), floor)
+    scale = max(float(np.max(np.abs(system.rhs))), RESIDUAL_FLOOR)
     return float(defect / scale)

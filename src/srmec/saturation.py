@@ -76,6 +76,12 @@ _IRON_SLOTS = np.array([_ELEMENT_INDEX[eid] for eid in IRON_ELEMENT_IDS])
 _GAP_SLOTS = np.array([_ELEMENT_INDEX["g1"], _ELEMENT_INDEX["g2"]])
 _PM_SLOTS = np.array([_ELEMENT_INDEX[eid] for eid in ("pm1", "pm2", "pm3")])
 
+# Newton controls: the relative flux change an undamped chord solve
+# would still make for a point to count as converged, and the cap on
+# Newton passes.  The default sweep needs at most 9 passes.
+TOLERANCE = 1e-8
+MAX_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
 class BhCurve:
@@ -121,8 +127,8 @@ class BhCurve:
         return cls._from_rows(csv.reader(text.splitlines()), DEFAULT_CURVE_RESOURCE)
 
     @classmethod
-    def linear(cls, relative_permeability: float, span_t: float = 1e6) -> "BhCurve":
-        """Synthetic constant-permeability curve covering |B| <= span_t.
+    def linear(cls, relative_permeability: float) -> "BhCurve":
+        """Synthetic constant-permeability curve covering |B| <= 1e6 T.
 
         The huge span keeps every realistic solve on the table, so chord
         lookups return exactly mu0*mu_r and the saturating solver
@@ -130,9 +136,8 @@ class BhCurve:
         """
         if relative_permeability <= 0.0:
             raise ValueError("relative permeability must be positive")
-        mu = MU0 * relative_permeability
-        h_top = span_t / mu
-        return cls(field_points=(0.5 * h_top, h_top), density_points=(0.5 * span_t, span_t))
+        h_top = 1e6 / (MU0 * relative_permeability)
+        return cls(field_points=(0.5 * h_top, h_top), density_points=(0.5e6, 1e6))
 
     @classmethod
     def _from_rows(cls, rows, origin: str) -> "BhCurve":
@@ -169,7 +174,9 @@ class BhCurve:
         h_tab = np.concatenate(([0.0], self.field_points))
         b_tab = np.concatenate(([0.0], self.density_points))
         h = np.interp(b, b_tab, h_tab)
-        h = np.where(b > b_tab[-1], h_tab[-1] + (b - b_tab[-1]) / MU0, h)
+        # Past the float range H is inf, whose zero chord the grid refuses.
+        with np.errstate(over="ignore"):
+            h = np.where(b > b_tab[-1], h_tab[-1] + (b - b_tab[-1]) / MU0, h)
         return float(h) if np.ndim(density) == 0 else h
 
     def chord_permeability(self, density: float | np.ndarray) -> float | np.ndarray:
@@ -189,22 +196,6 @@ class BhCurve:
         b = np.abs(np.asarray(density, dtype=float))
         mu = slopes[np.searchsorted(b_tab[1:], b, side="right")]
         return float(mu) if np.ndim(density) == 0 else mu
-
-
-@dataclass(frozen=True)
-class NonlinearConfig:
-    """Newton controls: the relative flux tolerance of the convergence
-    test (the change an undamped chord solve would still make) and the
-    cap on Newton passes."""
-
-    tolerance: float = 1e-8
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 def _describe_points(points: tuple[tuple[float, float], ...]) -> str:
@@ -399,7 +390,6 @@ def solve_nonlinear_grid(
     curve: BhCurve,
     currents: np.ndarray,
     angles: np.ndarray,
-    config: NonlinearConfig | None = None,
 ) -> NonlinearGridResult:
     """Saturating solve at every point of a (current x angle) grid.
 
@@ -415,12 +405,11 @@ def solve_nonlinear_grid(
 
     Raises ValueError if currents or angles is empty or a current is
     negative.  Raises NonConvergenceError if any system is still moving
-    after config.max_iterations, and SolveError if a system is
+    after MAX_ITERATIONS passes, and SolveError if a system is
     singular, solves to non-finite fluxes, or has a condition number
     above network.CONDITION_LIMIT; both name every requested operating
     point of the failing systems, in request order.
     """
-    cfg = config or NonlinearConfig()
     currents = np.atleast_1d(np.asarray(currents, dtype=float))
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if currents.size == 0:
@@ -498,12 +487,15 @@ def solve_nonlinear_grid(
     # overshoot.
     recent: list[float] = []
     last_change = math.inf
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         idx = np.flatnonzero(active)
         flux_a = fluxes[idx]
         chord = np.asarray(curve.chord_permeability(iron_densities(flux_a)))
         vals_a = values[idx]
-        vals_a[:, _IRON_SLOTS] = iron_lengths / (chord * iron_areas)
+        # A zero or subnormal chord is an infinite reluctance, refused by
+        # point below.
+        with np.errstate(divide="ignore", over="ignore"):
+            vals_a[:, _IRON_SLOTS] = iron_lengths / (chord * iron_areas)
         chords, rhs_a = TOPOLOGY.assemble(vals_a, sources[idx])
         trial = _guarded_solve(chords, rhs_a[..., None], idx, named)[..., 0]
         scale = np.maximum(np.max(np.abs(trial), axis=-1), 1e-300)
@@ -511,7 +503,7 @@ def solve_nonlinear_grid(
         iterations[idx] += 1
         last_change = float(np.max(change))
         recent.append(last_change)
-        moving = change > cfg.tolerance
+        moving = change > TOLERANCE
         stepped = ~moving & (iterations[idx] > 1)
         matrix[idx[stepped]] = chords[stepped]
         active[idx[~moving]] = False
@@ -547,7 +539,7 @@ def solve_nonlinear_grid(
         _refuse_ill_conditioned(chords, unconverged, named, "unconverged ")
         failing = named(unconverged)
         raise NonConvergenceError(
-            iterations=cfg.max_iterations,
+            iterations=MAX_ITERATIONS,
             last_change=last_change,
             recent_changes=tuple(recent[-8:]),
             unconverged_points=len(failing),
@@ -578,7 +570,6 @@ def solve_nonlinear(
     materials: MaterialSet,
     curve: BhCurve,
     operating_point: OperatingPoint,
-    config: NonlinearConfig | None = None,
 ) -> FluxSolution:
     """Saturating solve at one operating point.
 
@@ -590,7 +581,7 @@ def solve_nonlinear(
     """
     operating_point.validate_for(geometry)
     current, angle = operating_point.phase_current, operating_point.rotor_angle
-    grid = solve_nonlinear_grid(geometry, materials, curve, [current], [angle], config=config)
+    grid = solve_nonlinear_grid(geometry, materials, curve, [current], [angle])
     split = solve_superposition(
         grid.matrices[0, 0],
         sources_for(geometry, materials, current),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .motor import MaterialSet, MotorGeometry, pole_flux
-from .saturation import BhCurve, NonlinearConfig, solve_nonlinear_grid
+from .saturation import BhCurve, solve_nonlinear_grid
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +114,6 @@ def build_flux_linkage_grid(
     peak_current: float,
     current_points: int = DEFAULT_CURRENT_POINTS,
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
-    config: NonlinearConfig | None = None,
 ) -> FluxLinkageGrid:
     """Sample lambda over (0..peak_current) x one angle period.
 
@@ -123,7 +122,7 @@ def build_flux_linkage_grid(
     geometry's turns_per_pole, the same turns that set the coil MMF.
     """
     return _flux_linkage_grids(
-        geometry, materials, curve, (peak_current,), current_points, angle_step_deg, config
+        geometry, materials, curve, (peak_current,), current_points, angle_step_deg
     )[0]
 
 
@@ -134,7 +133,6 @@ def _flux_linkage_grids(
     peak_currents: Sequence[float],
     current_points: int,
     angle_step_deg: float,
-    config: NonlinearConfig | None,
 ) -> tuple[FluxLinkageGrid, ...]:
     """One lambda grid per peak current, from a single grid solve over
     the concatenated current rows; each peak's rows are sliced back
@@ -148,9 +146,7 @@ def _flux_linkage_grids(
         raise ValueError("current_points must be >= 2")
     angles = angles_for_period(geometry, angle_step_deg)
     rows = [np.linspace(0.0, peak, current_points) for peak in peak_currents]
-    result = solve_nonlinear_grid(
-        geometry, materials, curve, np.concatenate(rows), angles, config=config
-    )
+    result = solve_nonlinear_grid(geometry, materials, curve, np.concatenate(rows), angles)
     logger.info(
         "pm_remanence %g T: %d grid points on %d distinct systems, at most %d iterations",
         materials.pm_remanence,
@@ -286,12 +282,11 @@ def torque_angle_sweep(
     current: float,
     current_points: int = DEFAULT_CURRENT_POINTS,
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
-    config: NonlinearConfig | None = None,
 ) -> TorqueCurve:
     """Torque-angle curve at one phase current over one period; see
     torque_angle_sweeps."""
     return torque_angle_sweeps(
-        geometry, materials, curve, (current,), current_points, angle_step_deg, config
+        geometry, materials, curve, (current,), current_points, angle_step_deg
     )[0]
 
 
@@ -302,7 +297,6 @@ def torque_angle_sweeps(
     currents: Sequence[float],
     current_points: int = DEFAULT_CURRENT_POINTS,
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
-    config: NonlinearConfig | None = None,
 ) -> tuple[TorqueCurve, ...]:
     """Torque-angle curves at several phase currents over one period.
 
@@ -321,22 +315,22 @@ def torque_angle_sweeps(
     angles = angles_for_period(geometry, angle_step_deg)
     excited = [current for current in currents if current != 0.0]
     grids = iter(
-        _flux_linkage_grids(
-            geometry, materials, curve, excited, current_points, angle_step_deg, config
-        )
+        _flux_linkage_grids(geometry, materials, curve, excited, current_points, angle_step_deg)
     )
     stroke = angles <= 0.5 * geometry.period_deg + 1e-9
     curves = []
     for current in currents:
-        if current == 0.0:
-            samples = np.zeros_like(angles)
-        else:
-            grid = next(grids)
-            coenergy_row = _trapezoid(grid.currents, grid.linkages)
-            step_rad = math.radians(grid.angle_step_deg)
-            samples = (np.roll(coenergy_row, -1) - np.roll(coenergy_row, 1)) / (2.0 * step_rad)
-        curves.append(
-            TorqueCurve(
+        # Coenergy grows as current squared, so a huge current overflows
+        # it even on a finite linkage grid; such a curve is refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if current == 0.0:
+                samples = np.zeros_like(angles)
+            else:
+                grid = next(grids)
+                coenergy_row = _trapezoid(grid.currents, grid.linkages)
+                step_rad = math.radians(grid.angle_step_deg)
+                samples = (np.roll(coenergy_row, -1) - np.roll(coenergy_row, 1)) / (2.0 * step_rad)
+            swept = TorqueCurve(
                 current=float(current),
                 angles=angles,
                 samples=samples,
@@ -344,7 +338,9 @@ def torque_angle_sweeps(
                 stroke_mean_torque=float(np.mean(samples[stroke])),
                 peak_torque=float(np.max(np.abs(samples))),
             )
-        )
+        if not np.isfinite([swept.mean_torque, swept.stroke_mean_torque, swept.peak_torque]).all():
+            raise ValueError(f"current {current!r} A: torque overflows the float range")
+        curves.append(swept)
     return tuple(curves)
 
 
@@ -353,8 +349,8 @@ class TorqueComponents:
     """Torque split between coil excitation and magnets.
 
     total_curve is the sweep at the given materials; coil_curve reruns
-    the identical sweep with the magnet remanence (and any explicit
-    coercivity) zeroed.  The means are stroke means, N*m, and
+    the identical sweep with the magnet remanence, and so its
+    coercivity, zeroed.  The means are stroke means, N*m, and
     pm_contribution = total - coil_only is exact by construction and
     captures everything the magnets change, including their effect on
     the saturation state.
@@ -391,11 +387,10 @@ def torque_components(
     current: float,
     current_points: int = DEFAULT_CURRENT_POINTS,
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
-    config: NonlinearConfig | None = None,
 ) -> TorqueComponents:
     """Torque-angle sweeps with and without the magnets at one current."""
     return torque_component_sweeps(
-        geometry, materials, curve, (current,), current_points, angle_step_deg, config
+        geometry, materials, curve, (current,), current_points, angle_step_deg
     )[0]
 
 
@@ -406,13 +401,12 @@ def torque_component_sweeps(
     currents: Sequence[float],
     current_points: int = DEFAULT_CURRENT_POINTS,
     angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
-    config: NonlinearConfig | None = None,
 ) -> tuple[TorqueComponents, ...]:
     """Torque-angle sweeps with and without the magnets at each current:
     one grid solve per magnet state over all of the currents."""
-    options = (current_points, angle_step_deg, config)
+    options = (current_points, angle_step_deg)
     total = torque_angle_sweeps(geometry, materials, curve, currents, *options)
-    no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
+    no_pm = replace(materials, pm_remanence=0.0)
     coil = torque_angle_sweeps(geometry, no_pm, curve, currents, *options)
     return tuple(
         TorqueComponents(current=current, total_curve=t, coil_curve=c)

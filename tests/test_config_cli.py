@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from srmec.config import (
 )
 from srmec.metrics import comparison_table, load_motor_records
 from srmec.motor import MaterialSet, MotorGeometry, OperatingPoint
-from srmec.saturation import BhCurve, NonlinearConfig
+from srmec.saturation import BhCurve
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -41,7 +42,6 @@ class TestLoadConfig:
         assert config == default_config()
         assert config.geometry == MotorGeometry()
         assert config.materials == MaterialSet()
-        assert config.solver == NonlinearConfig()
         assert config.sweep_currents == DEFAULT_SWEEP_CURRENTS
         assert config.current_points == 33
         assert config.angle_step_deg == 0.25
@@ -57,9 +57,6 @@ turns_per_pole = 120
 [materials]
 pm_remanence = 1.1
 
-[solver]
-max_iterations = 150
-
 [sweep]
 currents = 2, 4.5
 current_points = 9
@@ -71,35 +68,44 @@ angle_step_deg = 0.5
         assert config.geometry.turns_per_pole == 120
         assert config.geometry.stator_outer_diameter == 140.0
         assert config.materials.pm_remanence == 1.1
-        assert config.solver.max_iterations == 150
-        assert config.solver.tolerance == NonlinearConfig().tolerance
+        assert config.materials.pm_relative_permeability == MaterialSet().pm_relative_permeability
         assert config.sweep_currents == (2.0, 4.5)
         assert config.current_points == 9
         assert config.angle_step_deg == 0.5
 
     def test_missing_keys_log_a_notice(self, tmp_path, caplog):
-        path = write_config(tmp_path, "[solver]\nmax_iterations = 150\n")
+        path = write_config(tmp_path, "[materials]\npm_remanence = 1.1\n")
         with caplog.at_level(logging.INFO, logger="srmec.config"):
             load_config(path)
         notices = [r.message for r in caplog.records if "using default" in r.message]
-        assert any("tolerance" in message for message in notices)
+        assert any("pm_relative_permeability" in message for message in notices)
         assert any("[geometry]" in message or "geometry" in message for message in notices)
 
-    def test_unknown_section_rejected(self, tmp_path):
-        path = write_config(tmp_path, "[rotor]\npoles = 18\n")
-        with pytest.raises(ConfigError, match=r"unknown section \[rotor\]"):
+    # The Newton tolerance and pass cap are constants of
+    # srmec.saturation, so a [solver] section is unknown like any other.
+    @pytest.mark.parametrize(
+        "text, section",
+        [("[rotor]\npoles = 18\n", "rotor"), ("[solver]\nmax_iterations = 150\n", "solver")],
+        ids=["rotor", "solver"],
+    )
+    def test_unknown_section_rejected(self, tmp_path, text, section):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]$"):
             load_config(path)
 
-    def test_unknown_key_rejected_by_name(self, tmp_path):
-        path = write_config(tmp_path, "[geometry]\nbore = 12\n")
-        with pytest.raises(ConfigError, match="'bore'"):
-            load_config(path)
-
-    def test_removed_relaxation_key_rejected(self, tmp_path):
-        # The Newton solver has no under-relaxation factor; a file still
-        # setting it fails like any other unknown key.
-        path = write_config(tmp_path, "[solver]\nrelaxation = 0.5\n")
-        with pytest.raises(ConfigError, match=r"\[solver\] unknown key 'relaxation'"):
+    # The magnet coercivity is always derived from remanence and recoil
+    # permeability; a file still setting it fails like any unknown key.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[geometry]\nbore = 12\n", "[geometry] unknown key 'bore'"),
+            ("[materials]\npm_coercivity = 9e5\n", "[materials] unknown key 'pm_coercivity'"),
+        ],
+        ids=["bore", "pm_coercivity"],
+    )
+    def test_unknown_key_rejected_by_name(self, tmp_path, text, message):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path)
 
     def test_key_before_section_rejected(self, tmp_path):
@@ -166,16 +172,15 @@ class TestConfigHash:
         changed = RunConfig(
             geometry=base.geometry,
             materials=base.materials,
-            solver=base.solver,
             sweep_currents=(2.0,),
         )
         assert config_hash(base) != config_hash(changed)
 
     def test_hash_ignores_file_formatting(self, tmp_path):
-        sparse = write_config(tmp_path, "[solver]\nmax_iterations = 150\n", name="a.cfg")
+        sparse = write_config(tmp_path, "[materials]\npm_remanence = 1.1\n", name="a.cfg")
         noisy = write_config(
             tmp_path,
-            "# a comment\n[solver]\n\nmax_iterations =   150\n\n[geometry]\n",
+            "# a comment\n[materials]\n\npm_remanence =   1.1\n\n[geometry]\n",
             name="b.cfg",
         )
         assert config_hash(load_config(sparse)) == config_hash(load_config(noisy))
@@ -239,7 +244,12 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--current", "nan"], "phase_current"), (["--angle", "25"], "rotor_angle")],
+        [
+            (["--current", "nan"], "phase_current"),
+            (["--angle", "25"], "rotor_angle"),
+            # 2 coils x 140 turns x 1e308 A overflows mesh 1's MMF.
+            (["--current", "1e308"], "phase current 1e+308 A overflows the coil MMF"),
+        ],
     )
     def test_bad_operating_point_exits_2_before_the_manifest(self, tmp_path, capsys, flags, message):
         out = tmp_path / "D"
@@ -269,7 +279,17 @@ class TestSolveCommand:
     def test_removed_relaxation_key_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "[solver]\nrelaxation = 0.5\n")
         assert main(["solve", "--config", str(path)]) == 2
-        assert "unknown key 'relaxation'" in capsys.readouterr().err
+        assert "unknown section [solver]" in capsys.readouterr().err
+
+    def test_huge_current_fails_by_name_without_warnings(self, capsys):
+        # Under the suite's warnings-as-errors filter: the B-H
+        # extrapolation overflows H to inf and the zero chord gives an
+        # infinite reluctance, which the grid refuses by point.
+        assert main(["solve", "--current", "1e303"]) == 3
+        assert capsys.readouterr().err == (
+            "srmec: solve failed: singular or non-finite saturated mesh system "
+            "at 1 operating point(s): (1e+303 A, 10 deg)\n"
+        )
 
     def test_malformed_config_key_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "[geometry]\nbore = 1\n")
@@ -303,6 +323,8 @@ class TestFidelityCommand:
         assert "numeric solve" in notes
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"fidelity.csv", "fidelity_notes.txt"}
+        # The audit samples its own designs, so no config is hashed.
+        assert manifest["config_hash"] == "none"
         assert "closed-form audit notes" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
@@ -314,6 +336,12 @@ class TestFidelityCommand:
         assert (
             first / "fidelity_notes.txt"
         ).read_bytes() == (second / "fidelity_notes.txt").read_bytes()
+
+    def test_config_flag_is_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fidelity", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_zero_samples_exits_2(self, tmp_path, capsys):
         assert main(["fidelity", "--samples", "0", "--out", str(tmp_path)]) == 2
@@ -368,7 +396,6 @@ class TestSweepCommand:
         assert lines[1].startswith("pm_remanence 0 T: 40 grid points on 15 distinct systems")
         assert all(", at most " in line and line.endswith(" iterations") for line in lines)
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_non_finite_saturated_system_exits_3(self, tmp_path, capsys, monkeypatch):
         # Past 0.25 T this curve's permeabilities underflow, so the iron
         # reluctances overflow at every point of the sweep grid: the
@@ -406,6 +433,7 @@ class TestSweepCommand:
                 "vacuum_permeability = 1.2566370614359173e-06",
                 "[materials] unknown key 'vacuum_permeability'",
             ),
+            ("pm_coercivity = 9e5", "[materials] unknown key 'pm_coercivity'"),
             ("pm_remanence = inf", "[materials] pm_remanence must be finite"),
             ("iron_relative_permeability = nan", "[materials] iron_relative_permeability must be finite"),
         ],
@@ -443,6 +471,16 @@ class TestSweepCommand:
         assert f"srmec: error: [sweep] angle_step_deg {float(step)!r} divides" in err
         assert f"into {steps} steps, more than the 10000 allowed" in err
         assert list(out.iterdir()) == []
+
+    def test_overflowing_torque_exits_2_without_data_files(self, tmp_path, capsys):
+        # The grid converges at 1e160 A, but coenergy grows as current
+        # squared and overflows: refused by name, with no warning and no
+        # NaN curve written.
+        config = write_config(tmp_path, "[sweep]\ncurrents = 1e160\ncurrent_points = 5\nangle_step_deg = 2.5\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert "srmec: error: current 1e+160 A: torque overflows the float range" in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
     def test_currents_sharing_a_file_name_exit_2(self, tmp_path, capsys):
         # Both currents print as 1 under {:g}, so the second curve would

@@ -79,12 +79,10 @@ class TestGeometryAndMaterials:
         mats = MaterialSet()
         expected = 1.2 / (MU0 * 1.05)
         assert mats.coercivity == pytest.approx(expected, rel=1e-15)
-        override = MaterialSet(pm_coercivity=9.0e5)
-        assert override.coercivity == 9.0e5
 
     @pytest.mark.parametrize(
         "field",
-        ["iron_relative_permeability", "pm_relative_permeability", "pm_remanence", "pm_coercivity"],
+        ["iron_relative_permeability", "pm_relative_permeability", "pm_remanence"],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
     def test_material_rejects_non_finite_or_out_of_range(self, field, value):
@@ -96,7 +94,6 @@ class TestGeometryAndMaterials:
             iron_relative_permeability=1.0,
             pm_relative_permeability=1.0,
             pm_remanence=0.0,
-            pm_coercivity=0.0,
         )
         assert mats.coercivity == 0.0
 

@@ -1,11 +1,12 @@
-"""Guards on the package's public surface: the exported names and the
-README Quick-start example."""
+"""Guards on the package's public surface: the exported names, the
+README Quick-start example and the README's sample config."""
 
 import math
 import re
 from pathlib import Path
 
 import srmec
+from srmec.config import default_config, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +25,12 @@ def test_readme_quick_start_runs_and_prints_finite_numbers(capsys):
     printed = capsys.readouterr().out.split()
     assert len(printed) == 4
     assert all(math.isfinite(float(value)) for value in printed)
+
+
+def test_readme_sample_config_loads_as_the_defaults(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    sample = text[text.index("### Configuration file") :]
+    block = re.search(r"```ini\n(.*?)```", sample, re.DOTALL).group(1)
+    path = tmp_path / "readme.ini"
+    path.write_text(block, encoding="utf-8")
+    assert load_config(path) == default_config()

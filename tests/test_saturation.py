@@ -20,12 +20,12 @@ from srmec.motor import (
     source_values,
     sources_for,
 )
+from srmec import saturation
 from srmec.network import CONDITION_LIMIT, MeshStamps, SolveError
 from srmec.saturation import (
     ELIMINATION_MIN_SYSTEMS,
     BhCurve,
     NonConvergenceError,
-    NonlinearConfig,
     _condition_bound,
     _guarded_solve,
     solve_nonlinear,
@@ -230,21 +230,6 @@ class TestBhCurveCsv:
             BhCurve.from_csv(path)
 
 
-class TestNonlinearConfig:
-    def test_defaults(self):
-        cfg = NonlinearConfig()
-        assert cfg.tolerance == 1e-8
-        assert cfg.max_iterations == 200
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            NonlinearConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            NonlinearConfig(tolerance=math.nan)
-        with pytest.raises(ValueError):
-            NonlinearConfig(max_iterations=0)
-
-
 class TestSolveNonlinear:
     def test_linear_curve_reduces_to_linear_solver(self, geometry, materials):
         lin_curve = BhCurve.linear(materials.iron_relative_permeability)
@@ -335,15 +320,10 @@ class TestSolveNonlinear:
         with pytest.raises(ValueError, match="rotor_angle"):
             solve_nonlinear(geometry, materials, curve, OperatingPoint(2.0, 25.0))
 
-    def test_nonconvergence_error_payload(self, geometry, materials, curve):
+    def test_nonconvergence_error_payload(self, geometry, materials, curve, monkeypatch):
+        monkeypatch.setattr(saturation, "MAX_ITERATIONS", 3)
         with pytest.raises(NonConvergenceError) as info:
-            solve_nonlinear(
-                geometry,
-                materials,
-                curve,
-                OperatingPoint(8.0, ALIGNED),
-                config=NonlinearConfig(max_iterations=3),
-            )
+            solve_nonlinear(geometry, materials, curve, OperatingPoint(8.0, ALIGNED))
         err = info.value
         assert err.iterations == 3
         assert err.last_change > 1e-8
@@ -399,19 +379,18 @@ class TestNonlinearGrid:
         # solves it; the chord fixed point needed up to 124 passes here.
         currents = np.linspace(0.0, 8.0, DEFAULT_CURRENT_POINTS)
         angles = angles_for_period(geometry)
-        no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
+        no_pm = replace(materials, pm_remanence=0.0)
         for mats in (materials, no_pm):
             grid = solve_nonlinear_grid(geometry, mats, curve, currents, angles)
             assert grid.iterations.shape == (33, 80)
             assert grid.iterations.max() <= 15
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_non_finite_system_names_its_points(self, geometry, materials, curve):
         # Past 0.25 T this curve's chord and slope underflow to about
         # 1e-309 H/m, so the iron reluctance overflows; unexcited points
         # without magnets never leave the first segment.
         overflowing = BhCurve(field_points=(50.0, 1.5e308), density_points=(0.25, 0.5))
-        no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
+        no_pm = replace(materials, pm_remanence=0.0)
         with pytest.raises(SolveError) as info:
             solve_nonlinear_grid(geometry, no_pm, overflowing, [0.0, 8.0], [0.0, ALIGNED])
         message = str(info.value)
@@ -443,7 +422,6 @@ class TestNonlinearGrid:
         with pytest.raises(SolveError, match=r"condition number .* exceeds limit .*\(8 A, 10 deg\)$"):
             solve_nonlinear_grid(thin, materials, curve, [8.0], [ALIGNED])
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_non_finite_points_named_in_a_batch_above_the_elimination_threshold(
         self, geometry, materials, curve
     ):
@@ -452,7 +430,7 @@ class TestNonlinearGrid:
         # (320 systems) goes to the elimination, which spoils only the
         # 8 A systems.
         overflowing = BhCurve(field_points=(50.0, 1.5e308), density_points=(0.25, 0.5))
-        no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
+        no_pm = replace(materials, pm_remanence=0.0)
         angles = angles_for_period(geometry)
         assert 2 * 2 * angles.size >= ELIMINATION_MIN_SYSTEMS
         with pytest.raises(SolveError) as info:
@@ -661,14 +639,13 @@ class TestDistinctSystems:
             solve_nonlinear_grid(thin, materials, curve, [1.0], [5.0, 15.0])
 
     def test_non_convergence_names_duplicated_points_in_request_order(
-        self, geometry, materials, curve
+        self, geometry, materials, curve, monkeypatch
     ):
         # At 8 A the points near alignment need 7-8 passes; 5 deg needs 1.
+        monkeypatch.setattr(saturation, "MAX_ITERATIONS", 3)
         angles = [ALIGNED, 5.0, 9.0, ALIGNED, 11.0]
         with pytest.raises(NonConvergenceError) as info:
-            solve_nonlinear_grid(
-                geometry, materials, curve, [8.0], angles, config=NonlinearConfig(max_iterations=3)
-            )
+            solve_nonlinear_grid(geometry, materials, curve, [8.0], angles)
         err = info.value
         assert err.unconverged_points == 4
         assert err.failing_points == ((8.0, ALIGNED), (8.0, 9.0), (8.0, ALIGNED), (8.0, 11.0))

@@ -374,7 +374,7 @@ class TestTorqueComponents:
     def test_curves_are_the_two_separate_sweeps(self, geometry, materials, curve):
         options = dict(current_points=9, angle_step_deg=1.0)
         parts = torque_components(geometry, materials, curve, 5.0, **options)
-        no_pm = replace(materials, pm_remanence=0.0, pm_coercivity=0.0)
+        no_pm = replace(materials, pm_remanence=0.0)
         for got, mats in ((parts.total_curve, materials), (parts.coil_curve, no_pm)):
             want = torque_angle_sweep(geometry, mats, curve, 5.0, **options)
             assert got.angles.tobytes() == want.angles.tobytes()
@@ -395,7 +395,7 @@ class TestTorqueComponents:
         assert high.pm_share > low.pm_share
 
     def test_zero_remanence_has_zero_pm_contribution(self, geometry, curve):
-        no_pm = MaterialSet(pm_remanence=0.0, pm_coercivity=0.0)
+        no_pm = MaterialSet(pm_remanence=0.0)
         parts = torque_components(geometry, no_pm, curve, 4.0)
         assert parts.pm_contribution == 0.0
 
