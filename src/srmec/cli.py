@@ -17,7 +17,6 @@ import importlib
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -70,43 +69,18 @@ def numpy_build() -> dict:
     return build
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance stamp for one command invocation."""
-
-    tool_version: str
-    config_hash: str
-    timestamp: str
-    command: str
-    outputs: tuple[str, ...]
-    numpy: dict
-
-    def to_json(self) -> str:
-        payload = {
-            "tool_version": self.tool_version,
-            "config_hash": self.config_hash,
-            "timestamp": self.timestamp,
-            "command": self.command,
-            "outputs": list(self.outputs),
-            "numpy": self.numpy,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_manifest(out_dir: Path, command: str, digest: str, outputs: tuple[str, ...]) -> Path:
+def write_manifest(out_dir: Path, command: str, digest: str, outputs: tuple[str, ...]) -> None:
     """Write manifest.json first, before any listed output exists."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        tool_version=__version__,
-        config_hash=digest,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        command=command,
-        outputs=outputs,
-        numpy=numpy_build(),
-    )
-    path = out_dir / MANIFEST_NAME
-    path.write_text(manifest.to_json(), encoding="utf-8", newline="\n")
-    return path
+    manifest = {
+        "tool_version": __version__,
+        "config_hash": digest,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "command": command,
+        "outputs": list(outputs),
+        "numpy": numpy_build(),
+    }
+    _write_text(out_dir, MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _write_text(out_dir: Path, name: str, text: str) -> None:

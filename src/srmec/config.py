@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .motor import MaterialSet, MotorGeometry
-from .torque import DEFAULT_ANGLE_STEP_DEG, DEFAULT_CURRENT_POINTS, angles_for_period
+from .torque import DEFAULT_ANGLE_STEP_DEG, DEFAULT_CURRENT_POINTS, sweep_angles
 
 logger = logging.getLogger("srmec.config")
 
@@ -62,10 +62,8 @@ class RunConfig:
                 raise ConfigError(f"[sweep] currents must be nonnegative numbers, got {value!r}")
         if len(set(self.sweep_currents)) != len(self.sweep_currents):
             raise ConfigError("[sweep] currents must not repeat")
-        if self.current_points < 2:
-            raise ConfigError("[sweep] current_points must be >= 2")
         try:
-            angles_for_period(self.geometry, self.angle_step_deg)
+            sweep_angles(self.geometry, self.current_points, self.angle_step_deg)
         except ValueError as error:
             raise ConfigError(f"[sweep] {error}") from None
 

@@ -26,6 +26,7 @@ computation is SI.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -111,6 +112,8 @@ class MotorGeometry:
         ):
             if not (isinstance(count, int) and count >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {count!r}")
+            if count > sys.float_info.max:
+                raise ValueError(f"{name} overflows the float range")
         if not 0 < self.stator_tooth_arc < 360.0 / self.stator_teeth_count:
             raise ValueError("stator_tooth_arc must lie in (0, 360/stator_teeth_count) deg")
         if not 0 < self.rotor_pole_arc < 360.0 / self.rotor_poles_count:

@@ -43,6 +43,10 @@ REFINEMENT_STEPS = 2
 # against 0.2 MB at 32, and `srmec fidelity --samples 1000` peaks at
 # 42.6 to 42.7 MB RSS at 32, 128 and 256 alike.
 RESIDUAL_CHUNK = 128
+# A nonzero right-hand side wholly below this (about 1e-277) leaves
+# residuals too deep in the subnormal range to refine the last bits
+# with, so solve_linear refuses it.
+SMALLEST_RHS = 2.0**-920
 
 
 class NetworkDefinitionError(ValueError):
@@ -332,7 +336,8 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
     every system still being refined at once.  A system whose residual
     is exactly zero stops refining.  Every system of a stack gets the
     bits it gets alone.  A system whose 2-norm condition number exceeds
-    CONDITION_LIMIT is refused.
+    CONDITION_LIMIT is refused, and so is a nonzero right-hand side
+    wholly below SMALLEST_RHS.
 
     Args:
         system: assembled mesh system or stack.
@@ -342,9 +347,10 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
         broadcast against its matrices.
 
     Raises:
-        SolveError: a singular or ill-conditioned matrix, or a solution
-            whose residual does not fit a float.  The message names the
-            system and, for a stack, every failing batch index.
+        SolveError: a singular or ill-conditioned matrix, a right-hand
+            side below SMALLEST_RHS, or a solution whose residual does
+            not fit a float.  The message names the system and, for a
+            stack, every failing batch index.
     """
     n, batch = system.n, system.batch_shape
     matrices, rhs = system.flat_stack()
@@ -356,6 +362,9 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
         for k, j in enumerate(np.broadcast_to(owner, batch).reshape(-1).tolist()):
             if j in refused:
                 failures[k] = refused[j]
+    tiny = (np.abs(rhs).max(axis=1) < SMALLEST_RHS) & rhs.any(axis=1)
+    for k in np.flatnonzero(tiny).tolist():
+        failures.setdefault(k, f"right-hand side below {SMALLEST_RHS:.3g}, too small to round exactly")
     # The systems still being solved, with their working arrays (views
     # of the stack while none is refused).
     index = np.array([k for k in range(len(rhs)) if k not in failures], dtype=np.intp)

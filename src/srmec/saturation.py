@@ -41,12 +41,10 @@ or not, naming each (current, angle) that maps to it.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -68,8 +66,6 @@ from .motor import (
     sources_for,
 )
 from .network import CONDITION_LIMIT, SolveError
-
-DEFAULT_CURVE_RESOURCE = "data/bh_m19.csv"
 
 _ELEMENT_INDEX = {eid: k for k, eid in enumerate(ELEMENT_ORDER)}
 _IRON_SLOTS = np.array([_ELEMENT_INDEX[eid] for eid in IRON_ELEMENT_IDS])
@@ -115,16 +111,12 @@ class BhCurve:
             raise ValueError("chord permeability B/H must be nonincreasing")
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "BhCurve":
-        """Load a curve from a two-column CSV with an H,B header row."""
-        with open(path, newline="") as handle:
-            return cls._from_rows(csv.reader(handle), str(path))
-
-    @classmethod
     def default(cls) -> "BhCurve":
         """Packaged default: generic M-19-class silicon-steel table."""
-        text = resources.files("srmec").joinpath(DEFAULT_CURVE_RESOURCE).read_text()
-        return cls._from_rows(csv.reader(text.splitlines()), DEFAULT_CURVE_RESOURCE)
+        text = resources.files("srmec").joinpath("data/bh_m19.csv").read_text()
+        # An H,B header row, then one sample per line.
+        field, density = zip(*(map(float, line.split(",")) for line in text.splitlines()[1:]))
+        return cls(field_points=field, density_points=density)
 
     @classmethod
     def linear(cls, relative_permeability: float) -> "BhCurve":
@@ -138,30 +130,6 @@ class BhCurve:
             raise ValueError("relative permeability must be positive")
         h_top = 1e6 / (MU0 * relative_permeability)
         return cls(field_points=(0.5 * h_top, h_top), density_points=(0.5e6, 1e6))
-
-    @classmethod
-    def _from_rows(cls, rows, origin: str) -> "BhCurve":
-        try:
-            header = next(iter(rows))
-        except StopIteration:
-            raise ValueError(f"{origin}: empty curve file") from None
-        if len(header) != 2 or not (
-            header[0].strip().lower().startswith("h") and header[1].strip().lower().startswith("b")
-        ):
-            raise ValueError(f"{origin}: expected a two-column H,B header row")
-        h_values: list[float] = []
-        b_values: list[float] = []
-        for line_no, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{origin}: line {line_no}: expected two columns")
-            try:
-                h_values.append(float(row[0]))
-                b_values.append(float(row[1]))
-            except ValueError:
-                raise ValueError(f"{origin}: line {line_no}: non-numeric entry") from None
-        return cls(field_points=tuple(h_values), density_points=tuple(b_values))
 
     @property
     def initial_permeability(self) -> float:

@@ -31,11 +31,13 @@ DEFAULT_CURRENT_POINTS = 33
 DEFAULT_ANGLE_STEP_DEG = 0.25
 MIN_ANGLE_STEPS = 4
 # Finest angle grid a sweep accepts, 125 times the default's 80 steps.
-# The sweep's arrays grow with the angle count: the default sweep at
-# this bound (0.002 deg) peaked at 668 MB RSS in 6.4 s on a 2-core
-# x86-64 machine, 292 MB at 4,000 steps; a step of 1e-7 deg would ask
-# for 2e8 angles.
+# The sweep's arrays grow with its grid: the default sweep at this bound
+# (0.002 deg, 33 x 10,000 points per current) peaked at 668 MB RSS in
+# 6.4 s on a 2-core x86-64 machine, 292 MB at 4,000 steps; a step of
+# 1e-7 deg would ask for 2e8 angles.  No sweep takes more (current x
+# angle) points per current than that grid, MAX_GRID_POINTS.
 MAX_ANGLE_STEPS = 10_000
+MAX_GRID_POINTS = DEFAULT_CURRENT_POINTS * MAX_ANGLE_STEPS
 
 # Slack for the nondecreasing-linkage check: solver-noise scale, far
 # below any physical inductance change across one grid step.
@@ -107,66 +109,6 @@ class FluxLinkageGrid:
         return index
 
 
-def build_flux_linkage_grid(
-    geometry: MotorGeometry,
-    materials: MaterialSet,
-    curve: BhCurve,
-    peak_current: float,
-    current_points: int = DEFAULT_CURRENT_POINTS,
-    angle_step_deg: float = DEFAULT_ANGLE_STEP_DEG,
-) -> FluxLinkageGrid:
-    """Sample lambda over (0..peak_current) x one angle period.
-
-    All operating points are solved by the saturating grid engine in
-    one batched run.  The phase links SERIES_COILS coils of the
-    geometry's turns_per_pole, the same turns that set the coil MMF.
-    """
-    return _flux_linkage_grids(
-        geometry, materials, curve, (peak_current,), current_points, angle_step_deg
-    )[0]
-
-
-def _flux_linkage_grids(
-    geometry: MotorGeometry,
-    materials: MaterialSet,
-    curve: BhCurve,
-    peak_currents: Sequence[float],
-    current_points: int,
-    angle_step_deg: float,
-) -> tuple[FluxLinkageGrid, ...]:
-    """One lambda grid per peak current, from a single grid solve over
-    the concatenated current rows; each peak's rows are sliced back
-    out.  Logs the solve's point, system and iteration counts."""
-    if not peak_currents:
-        return ()
-    for peak_current in peak_currents:
-        if not (math.isfinite(peak_current) and peak_current > 0.0):
-            raise ValueError("peak_current must be positive")
-    if current_points < 2:
-        raise ValueError("current_points must be >= 2")
-    angles = angles_for_period(geometry, angle_step_deg)
-    rows = [np.linspace(0.0, peak, current_points) for peak in peak_currents]
-    result = solve_nonlinear_grid(geometry, materials, curve, np.concatenate(rows), angles)
-    logger.info(
-        "pm_remanence %g T: %d grid points on %d distinct systems, at most %d iterations",
-        materials.pm_remanence,
-        result.system_index.size,
-        result.distinct_systems,
-        result.system_iterations.max(),
-    )
-    flux = pole_flux(result.system_mesh_fluxes)[result.system_index]
-    linkages = geometry.turns_per_pole * SERIES_COILS * flux
-    return tuple(
-        FluxLinkageGrid(
-            currents=row,
-            angles=angles,
-            linkages=linkages[k * current_points : (k + 1) * current_points],
-            period_deg=geometry.period_deg,
-        )
-        for k, row in enumerate(rows)
-    )
-
-
 def angles_for_period(geometry: MotorGeometry, step_deg: float = DEFAULT_ANGLE_STEP_DEG) -> np.ndarray:
     """Uniform half-open angle grid [0, period) at the given step.
 
@@ -187,6 +129,20 @@ def angles_for_period(geometry: MotorGeometry, step_deg: float = DEFAULT_ANGLE_S
             f"evenly into at least {MIN_ANGLE_STEPS} steps, got {step_deg!r}"
         )
     return np.arange(round(cells)) * step_deg
+
+
+def sweep_angles(geometry: MotorGeometry, current_points: int, angle_step_deg: float) -> np.ndarray:
+    """angles_for_period, once current_points is checked: at least 2,
+    and at most MAX_GRID_POINTS (current x angle) points per current."""
+    if current_points < 2:
+        raise ValueError("current_points must be >= 2")
+    angles = angles_for_period(geometry, angle_step_deg)
+    if current_points * angles.size > MAX_GRID_POINTS:
+        raise ValueError(
+            f"current_points {current_points} x {angles.size} angle steps is more than "
+            f"the {MAX_GRID_POINTS} grid points allowed per current"
+        )
+    return angles
 
 
 def _trapezoid(currents: np.ndarray, linkages: np.ndarray) -> np.ndarray:
@@ -300,23 +256,36 @@ def torque_angle_sweeps(
 ) -> tuple[TorqueCurve, ...]:
     """Torque-angle curves at several phase currents over one period.
 
-    Builds every nonzero current's flux-linkage grid from one batched
-    saturating solve, then integrates coenergy per angle and
-    differences it periodically, current by current.  A zero current
-    returns the identically zero curve that follows from the
-    W'(0, theta) = 0 convention (magnet cogging is outside this energy
-    account; see the module docstring).  A non-convergent operating
-    point aborts every curve with the failing (current, angle) points
-    identified in the error.
+    Solves every nonzero current's flux-linkage grid (SERIES_COILS
+    coils of turns_per_pole) in one batched saturating solve, then
+    integrates coenergy per angle and differences it periodically,
+    current by current.  A zero current returns the identically zero
+    curve that follows from the W'(0, theta) = 0 convention (magnet
+    cogging is outside this energy account; see the module docstring).
+    A non-convergent operating point aborts every curve with the
+    failing (current, angle) points identified in the error.
     """
     for current in currents:
         if not (math.isfinite(current) and current >= 0.0):
             raise ValueError("current must be nonnegative")
-    angles = angles_for_period(geometry, angle_step_deg)
+    angles = sweep_angles(geometry, current_points, angle_step_deg)
     excited = [current for current in currents if current != 0.0]
-    grids = iter(
-        _flux_linkage_grids(geometry, materials, curve, excited, current_points, angle_step_deg)
-    )
+    grids = {}
+    if excited:
+        rows = np.array([np.linspace(0.0, current, current_points) for current in excited])
+        result = solve_nonlinear_grid(geometry, materials, curve, rows.ravel(), angles)
+        logger.info(
+            "pm_remanence %g T: %d grid points on %d distinct systems, at most %d iterations",
+            materials.pm_remanence,
+            result.system_index.size,
+            result.distinct_systems,
+            result.system_iterations.max(),
+        )
+        flux = pole_flux(result.system_mesh_fluxes)[result.system_index]
+        linkages = geometry.turns_per_pole * SERIES_COILS * flux
+        blocks = linkages.reshape(len(excited), current_points, angles.size)
+        for current, row, block in zip(excited, rows, blocks):
+            grids[current] = FluxLinkageGrid(row, angles, block, geometry.period_deg)
     stroke = angles <= 0.5 * geometry.period_deg + 1e-9
     curves = []
     for current in currents:
@@ -326,7 +295,7 @@ def torque_angle_sweeps(
             if current == 0.0:
                 samples = np.zeros_like(angles)
             else:
-                grid = next(grids)
+                grid = grids[current]
                 coenergy_row = _trapezoid(grid.currents, grid.linkages)
                 step_rad = math.radians(grid.angle_step_deg)
                 samples = (np.roll(coenergy_row, -1) - np.roll(coenergy_row, 1)) / (2.0 * step_rad)

@@ -157,6 +157,13 @@ angle_step_deg = 0.5
         with pytest.raises(ConfigError, match="current_points"):
             load_config(path)
 
+    def test_grid_bound_is_checked_against_the_angle_count(self):
+        # 2,200 points fit at the default 80 angles, not at 160.
+        geometry, materials = MotorGeometry(), MaterialSet()
+        RunConfig(geometry, materials, current_points=2200)
+        with pytest.raises(ConfigError, match=r"^\[sweep\] current_points 2200 x 160 angle steps"):
+            RunConfig(geometry, materials, current_points=2200, angle_step_deg=0.125)
+
 
 class TestConfigHash:
     def test_equal_configs_hash_equal(self):
@@ -481,6 +488,34 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
         assert "srmec: error: current 1e+160 A: torque overflows the float range" in capsys.readouterr().err
         assert [path.name for path in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("key", ["turns_per_pole", "stator_teeth_count", "rotor_poles_count"])
+    def test_count_beyond_the_float_range_exits_2_before_the_manifest(
+        self, tmp_path, capsys, command, key
+    ):
+        # 10**400 once ended in a bare OverflowError (exit 1), for
+        # turns_per_pole after the sweep had written its manifest.
+        config = write_config(tmp_path, f"[geometry]\n{key} = {10**400}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert f"[geometry] {key} overflows the float range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", [4126, 10**30])
+    def test_oversized_grid_exits_2_before_the_manifest(self, tmp_path, capsys, monkeypatch, points):
+        # 4,126 points x 80 angles is the first grid over 33 x 10,000;
+        # 10**30 once failed inside numpy after the manifest was written.
+        def never(*args, **kwargs):
+            raise AssertionError("grid solved before current_points was checked")
+
+        monkeypatch.setattr("srmec.torque.solve_nonlinear_grid", never)
+        config = write_config(tmp_path, f"[sweep]\ncurrents = 1\ncurrent_points = {points}\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[sweep] current_points {points} x 80 angle steps is more than the 330000" in err
+        assert not out.exists()
 
     def test_currents_sharing_a_file_name_exit_2(self, tmp_path, capsys):
         # Both currents print as 1 under {:g}, so the second curve would

@@ -1,9 +1,12 @@
 """Tests for the machine-specific circuit construction and closed forms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from srmec.exact import solve_exact
 from srmec.fidelity import sample_regime_case
@@ -29,7 +32,7 @@ from srmec.motor import (
     source_values,
     sources_for,
 )
-from srmec.network import kirchhoff_residual, solve_linear
+from srmec.network import SMALLEST_RHS, SolveError, kirchhoff_residual, solve_linear
 
 # Gap reluctance of the default geometry at alignment, evaluated by hand
 # from the documented overlap model: full overlap 4.87 deg, mean gap
@@ -50,6 +53,58 @@ SAMPLE_MESH_FLUXES = [
 
 def default_pair():
     return MotorGeometry(), MaterialSet()
+
+
+def between(low, high):
+    return st.floats(min_value=low, max_value=high)
+
+
+@st.composite
+def designs(draw):
+    """(reluctances, sources) of a random valid design at a random
+    current and rotor angle.  Lengths are drawn as fractions of the
+    outer radius that always leave a rotor core and a narrow gap, arcs
+    as fractions of their pitch, so every draw passes the validators."""
+    diameter = draw(between(40.0, 400.0))
+    radius = diameter / 2.0
+    teeth = draw(st.integers(min_value=3, max_value=60))
+    poles = draw(st.integers(min_value=3, max_value=60))
+    geometry = MotorGeometry(
+        stator_outer_diameter=diameter,
+        stator_yoke_thickness=radius * draw(between(0.02, 0.15)),
+        stator_pole_height=radius * draw(between(0.05, 0.3)),
+        airgap_length=diameter * draw(between(5e-4, 9.9e-3)),
+        rotor_pole_height=radius * draw(between(0.02, 0.2)),
+        stator_tooth_arc=360.0 / teeth * draw(between(0.05, 0.95)),
+        rotor_pole_arc=360.0 / poles * draw(between(0.05, 0.95)),
+        stack_length=draw(between(2.0, 300.0)),
+        pm_width=draw(between(0.5, 30.0)),
+        pm_length=draw(between(0.5, 30.0)),
+        turns_per_pole=draw(st.integers(min_value=1, max_value=2000)),
+        stator_teeth_count=teeth,
+        rotor_poles_count=poles,
+    )
+    materials = MaterialSet(
+        iron_relative_permeability=draw(between(1.0, 20000.0)),
+        pm_remanence=draw(between(0.0, 1.6)),
+        pm_relative_permeability=draw(between(1.0, 1.3)),
+    )
+    current = draw(between(0.0, 50.0))
+    angle = draw(st.floats(min_value=0.0, max_value=geometry.period_deg, exclude_max=True))
+    r = reluctances_from_geometry(geometry, materials, angle)
+    s = sources_for(geometry, materials, current)
+    assume(s.f_e > 0.0 or s.f_pm > 0.0)
+    return r, s
+
+
+# Reproducible draws, and no shrink or explain phase: a failure is
+# reported as drawn.
+design_settings = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    phases=(Phase.explicit, Phase.generate),
+)
 
 
 class TestGeometryAndMaterials:
@@ -236,6 +291,21 @@ class TestNetworkStructure:
         exact = solve_exact(system.matrix, system.rhs).rounded()
         assert phi.values == pytest.approx(exact, rel=1e-13)
 
+    @pytest.mark.parametrize("current, angle", [(1e-305, 10.0), (1e-315, 0.0)])
+    def test_right_hand_side_too_small_to_round_is_refused(self, current, angle):
+        # Here the residuals underflow into the subnormal range, and the
+        # refined fluxes once came out an ulp off the exact solution.
+        geom, mats = MotorGeometry(), MaterialSet(pm_remanence=0.0)
+        system = build_network(reluctances_from_geometry(geom, mats, angle), sources_for(geom, mats, current))
+        with pytest.raises(SolveError, match=r"right-hand side below 1\.13e-277, too small to round exactly"):
+            solve_linear(system)
+
+    def test_right_hand_side_above_the_floor_rounds_exactly(self):
+        geom, mats = MotorGeometry(), MaterialSet(pm_remanence=0.0)
+        system = build_network(reluctances_from_geometry(geom, mats, 10.0), sources_for(geom, mats, 1e-270))
+        got = solve_linear(system).values
+        assert got.tobytes() == solve_exact(system.matrix, system.rhs).rounded().tobytes()
+
 
 class TestBranchFluxesAndDecomposition:
     def test_branch_map_is_exact(self):
@@ -292,6 +362,51 @@ class TestBranchFluxesAndDecomposition:
         sol = solve_flux(r, sources_for(geom, mats, 0.0))
         assert np.all(sol.coil_mesh_fluxes == 0.0)
         assert np.any(sol.pm_mesh_fluxes != 0.0)
+
+
+def too_small(rhs) -> bool:
+    """Whether solve_linear refuses this right-hand side as too small to
+    round its solution exactly."""
+    return 0.0 < np.max(np.abs(rhs)) < SMALLEST_RHS
+
+
+class TestRandomDesigns:
+    @design_settings
+    @given(designs())
+    def test_linear_solve_is_the_correctly_rounded_exact_solution(self, design):
+        system = build_network(*design)
+        if too_small(system.rhs):
+            with pytest.raises(SolveError, match="too small to round exactly"):
+                solve_linear(system)
+            return
+        got = solve_linear(system).values
+        assert got.tobytes() == solve_exact(system.matrix, system.rhs).rounded().tobytes()
+
+    @design_settings
+    @given(designs())
+    def test_coil_and_magnet_parts_sum_to_the_total(self, design):
+        # Each part is a correctly rounded exact solution: half an ulp
+        # of its own size.  The three right-hand sides round separately
+        # (f_e - f_pm, 3 f_pm), so the exact total differs from the exact
+        # parts' sum by the solve of that rounding, taken here exactly.
+        # The half ulps scale with the parts, never with the total,
+        # which may cancel.
+        r, s = design
+        system = build_network(r, s)
+        coil_rhs, pm_rhs = (
+            source_values(part) @ TOPOLOGY.rhs_pattern
+            for part in (SourceSet(f_e=s.f_e, f_pm=0.0), SourceSet(f_e=0.0, f_pm=s.f_pm))
+        )
+        if any(too_small(rhs) for rhs in (system.rhs, coil_rhs, pm_rhs)):
+            with pytest.raises(SolveError, match="too small to round exactly"):
+                solve_flux(r, s)
+            return
+        rounding = [Fraction(t) - Fraction(c) - Fraction(p) for t, c, p in zip(system.rhs, coil_rhs, pm_rhs)]
+        shift = np.abs(solve_exact(system.matrix, rounding).rounded()) if any(rounding) else np.zeros(5)
+        solution = solve_flux(r, s)
+        coil, pm = solution.coil_mesh_fluxes, solution.pm_mesh_fluxes
+        bound = 1.01 * shift + 2.01 * np.finfo(float).eps * (np.abs(coil) + np.abs(pm))
+        assert np.all(np.abs(solution.mesh_fluxes - (coil + pm)) <= bound)
 
 
 class TestClosedForms:

@@ -43,3 +43,26 @@ def test_traced_solve_counts_its_grid_points(tracing, capsys):
     counts = tracer.ops[-1].counts
     assert counts["saturation.points"] >= 1
     assert counts["saturation.point_iters"] >= counts["saturation.points"]
+
+
+def test_traced_sweep_counts_every_grid_point(tracing, tmp_path, capsys):
+    # The harness credits a sweep op with 2 magnet states x currents x
+    # current points x angles solved points.
+    config = tmp_path / "sweep.ini"
+    config.write_text("[sweep]\ncurrents = 1, 2\ncurrent_points = 3\nangle_step_deg = 5\n")
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        assert tracer.run_op(main, ["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert tracer.ops[-1].counts["saturation.points"] == 2 * 2 * 3 * 4
+
+
+def test_traced_fidelity_counts_every_sample(tracing, tmp_path, capsys):
+    # The harness credits an audit op with one sample_regime_case call
+    # per audited sample, in each of the two streams.
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        argv = ["fidelity", "--samples", "3", "--out", str(tmp_path)]
+        assert tracer.run_op(main, argv) == 0
+    capsys.readouterr()
+    assert tracer.ops[-1].layers["fidelity.sample"].calls == 6

@@ -197,39 +197,6 @@ class TestBhCurveLookup:
             BhCurve.linear(0.0)
 
 
-class TestBhCurveCsv:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        path.write_text("H (A/m),B (T)\n100,0.5\n200,1.0\n1000,1.5\n")
-        loaded = BhCurve.from_csv(path)
-        assert loaded.field_points == (100.0, 200.0, 1000.0)
-        assert loaded.density_points == (0.5, 1.0, 1.5)
-
-    def test_rejects_missing_header(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        path.write_text("100,0.5\n200,1.0\n")
-        with pytest.raises(ValueError, match="header"):
-            BhCurve.from_csv(path)
-
-    def test_rejects_wrong_column_count(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        path.write_text("H,B\n100,0.5\n200,1.0,9\n")
-        with pytest.raises(ValueError, match="line 3"):
-            BhCurve.from_csv(path)
-
-    def test_rejects_non_numeric_entry(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        path.write_text("H,B\n100,0.5\nlots,1.0\n")
-        with pytest.raises(ValueError, match="line 3"):
-            BhCurve.from_csv(path)
-
-    def test_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            BhCurve.from_csv(path)
-
-
 class TestSolveNonlinear:
     def test_linear_curve_reduces_to_linear_solver(self, geometry, materials):
         lin_curve = BhCurve.linear(materials.iron_relative_permeability)

@@ -12,11 +12,11 @@ from srmec.saturation import BhCurve, solve_nonlinear_grid
 from srmec.torque import (
     DEFAULT_ANGLE_STEP_DEG,
     DEFAULT_CURRENT_POINTS,
+    MAX_GRID_POINTS,
     SERIES_COILS,
     FluxLinkageGrid,
     TorqueCurve,
     angles_for_period,
-    build_flux_linkage_grid,
     coenergy,
     static_torque,
     torque_angle_sweep,
@@ -227,47 +227,42 @@ class TestStaticTorque:
         assert static_torque(grid, 0.0, 5.0).torque_nm == 0.0
 
 
-class TestBuildFluxLinkageGrid:
-    def test_grid_metadata(self, geometry, materials, curve):
-        grid = build_flux_linkage_grid(geometry, materials, curve, peak_current=4.0)
-        assert grid.currents.size == DEFAULT_CURRENT_POINTS
-        assert grid.currents[0] == 0.0 and grid.currents[-1] == 4.0
-        assert grid.angle_step_deg == pytest.approx(DEFAULT_ANGLE_STEP_DEG)
-        assert grid.period_deg == pytest.approx(geometry.period_deg)
-        assert grid.linkages.shape == (33, 80)
-
+class TestSweepGrid:
     def test_linkage_counts_the_geometry_turns(self, geometry, materials, curve):
-        grid = build_flux_linkage_grid(
-            geometry, materials, curve, peak_current=4.0, current_points=5, angle_step_deg=2.5
+        # The sweep's lambda grid is turns x SERIES_COILS x pole flux;
+        # its torque, rebuilt by hand from the grid solve, matches bit
+        # for bit.
+        swept = torque_angle_sweep(
+            geometry, materials, curve, 4.0, current_points=5, angle_step_deg=2.5
         )
-        result = solve_nonlinear_grid(geometry, materials, curve, grid.currents, grid.angles)
-        want = geometry.turns_per_pole * SERIES_COILS * pole_flux(result.mesh_fluxes)
-        assert np.array_equal(grid.linkages, want)
-
-    def test_linkage_grows_with_current(self, geometry, materials, curve):
-        grid = build_flux_linkage_grid(geometry, materials, curve, peak_current=4.0)
-        aligned = grid.linkages[:, grid.angle_index(ALIGNED)]
-        assert aligned[-1] > aligned[0]
-
-    def test_aligned_coenergy_exceeds_unaligned(self, geometry, materials, curve):
-        grid = build_flux_linkage_grid(geometry, materials, curve, peak_current=4.0)
-        assert coenergy(grid, 4.0, ALIGNED) > coenergy(grid, 4.0, 0.0)
-
-    def test_rejects_nonpositive_peak_current(self, geometry, materials, curve):
-        with pytest.raises(ValueError, match="peak_current"):
-            build_flux_linkage_grid(geometry, materials, curve, peak_current=0.0)
+        currents = np.linspace(0.0, 4.0, 5)
+        result = solve_nonlinear_grid(geometry, materials, curve, currents, swept.angles)
+        linkages = geometry.turns_per_pole * SERIES_COILS * pole_flux(result.mesh_fluxes)
+        widths = np.diff(currents)[:, None]
+        coenergy_row = np.sum(0.5 * (linkages[1:] + linkages[:-1]) * widths, axis=0)
+        step_rad = math.radians(2.5)
+        want = (np.roll(coenergy_row, -1) - np.roll(coenergy_row, 1)) / (2.0 * step_rad)
+        assert np.array_equal(swept.samples, want)
 
     def test_rejects_too_few_current_points(self, geometry, materials, curve):
-        with pytest.raises(ValueError, match="current_points"):
-            build_flux_linkage_grid(
-                geometry, materials, curve, peak_current=4.0, current_points=1
-            )
+        with pytest.raises(ValueError, match="current_points must be >= 2"):
+            torque_angle_sweep(geometry, materials, curve, 4.0, current_points=1)
 
     def test_rejects_step_not_dividing_period(self, geometry, materials, curve):
         with pytest.raises(ValueError, match="divide the rotor period"):
-            build_flux_linkage_grid(
-                geometry, materials, curve, peak_current=4.0, angle_step_deg=0.3
-            )
+            torque_angle_sweep(geometry, materials, curve, 4.0, angle_step_deg=0.3)
+
+    def test_refuses_a_grid_over_the_bound_before_solving(self, geometry, materials, curve, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("grid solved before current_points was checked")
+
+        monkeypatch.setattr("srmec.torque.solve_nonlinear_grid", never)
+        points = MAX_GRID_POINTS // 80
+        # At the default 80 angle steps, one more current point than fits.
+        with pytest.raises(ValueError, match=rf"^current_points {points + 1} x 80 angle steps"):
+            torque_angle_sweep(geometry, materials, curve, 4.0, current_points=points + 1)
+        with pytest.raises(ValueError, match=r"current_points 10{30} x 80"):
+            torque_angle_sweep(geometry, materials, curve, 4.0, current_points=10**30)
 
     @pytest.mark.parametrize("step", [math.inf, 1e300, 10.0, 20.0, 0.0, -0.25, math.nan])
     def test_rejects_a_step_giving_fewer_than_four_angles(self, geometry, step):
