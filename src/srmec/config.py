@@ -16,11 +16,13 @@ import configparser
 import hashlib
 import logging
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .motor import MaterialSet, MotorGeometry
-from .torque import DEFAULT_ANGLE_STEP_DEG, DEFAULT_CURRENT_POINTS, sweep_angles
+from .saturation import BhCurve
+from .torque import DEFAULT_ANGLE_STEP_DEG, DEFAULT_CURRENT_POINTS, linkage_bound, sweep_angles
 
 logger = logging.getLogger("srmec.config")
 
@@ -66,6 +68,17 @@ class RunConfig:
             sweep_angles(self.geometry, self.current_points, self.angle_step_deg)
         except ValueError as error:
             raise ConfigError(f"[sweep] {error}") from None
+        # The sweep's linkage grows as turns squared times current and
+        # would overflow only after the manifest is written.  Every
+        # command solves on the default curve; the factor 2 leaves
+        # headroom for the rounding of the solve itself.
+        top = max(self.sweep_currents)
+        bound = linkage_bound(self.geometry, self.materials, BhCurve.default(), top)
+        if not bound <= sys.float_info.max / 2.0:
+            raise ConfigError(
+                f"[geometry] turns_per_pole = {float(self.geometry.turns_per_pole):.6g} with "
+                f"[sweep] currents up to {top:g} A could overflow the flux linkage"
+            )
 
 
 def default_config() -> RunConfig:

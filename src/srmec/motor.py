@@ -501,7 +501,6 @@ def reluctances_from_geometry(
     recoil permeability; the gap uses the overlap model.
     """
     mu_iron = MU0 * materials.iron_relative_permeability
-    mu_pm = MU0 * materials.pm_relative_permeability
     paths = iron_path_specs(geometry)
 
     def iron(eid: str) -> float:
@@ -513,8 +512,14 @@ def reluctances_from_geometry(
         r_sp=iron("sp1"),
         r_ry=iron("ry"),
         r_g=airgap_reluctance(geometry, angle),
-        r_pm=geometry.pm_length * 1e-3 / (mu_pm * pm_area_m2(geometry)),
+        r_pm=pm_reluctance(geometry, materials),
     )
+
+
+def pm_reluctance(geometry: MotorGeometry, materials: MaterialSet) -> float:
+    """Magnet reluctance, A/Wb, at its recoil permeability."""
+    mu_pm = MU0 * materials.pm_relative_permeability
+    return geometry.pm_length * 1e-3 / (mu_pm * pm_area_m2(geometry))
 
 
 def _check_coil_mmf(geometry: MotorGeometry, current: float) -> None:

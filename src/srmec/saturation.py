@@ -41,6 +41,7 @@ or not, naming each (current, angle) that maps to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -60,7 +61,7 @@ from .motor import (
     airgap_reluctance,
     iron_path_specs,
     pm_area_m2,
-    reluctances_from_geometry,
+    pm_reluctance,
     solve_superposition,
     source_values,
     sources_for,
@@ -109,10 +110,20 @@ class BhCurve:
         # linear synthetic curves pass.
         if np.any(np.diff(chords) > 4.0 * np.finfo(float).eps * chords[0]):
             raise ValueError("chord permeability B/H must be nonincreasing")
+        # Lookup tables, built once per curve: the table anchored at the
+        # origin, and each segment's slope dB/dH with mu0 past the end.
+        h_tab = np.concatenate(([0.0], h))
+        b_tab = np.concatenate(([0.0], b))
+        slopes = np.append(np.diff(b_tab) / np.diff(h_tab), MU0)
+        for name, table in (("_h_tab", h_tab), ("_b_tab", b_tab), ("_slopes", slopes)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @classmethod
+    @functools.cache
     def default(cls) -> "BhCurve":
-        """Packaged default: generic M-19-class silicon-steel table."""
+        """Packaged default: generic M-19-class silicon-steel table,
+        parsed on the first call and shared by every later one."""
         text = resources.files("srmec").joinpath("data/bh_m19.csv").read_text()
         # An H,B header row, then one sample per line.
         field, density = zip(*(map(float, line.split(",")) for line in text.splitlines()[1:]))
@@ -139,8 +150,7 @@ class BhCurve:
     def field_magnitude(self, density: float | np.ndarray) -> float | np.ndarray:
         """H (A/m) at a flux-density magnitude; mu0 slope past the table."""
         b = np.abs(np.asarray(density, dtype=float))
-        h_tab = np.concatenate(([0.0], self.field_points))
-        b_tab = np.concatenate(([0.0], self.density_points))
+        h_tab, b_tab = self._h_tab, self._b_tab
         h = np.interp(b, b_tab, h_tab)
         # Past the float range H is inf, whose zero chord the grid refuses.
         with np.errstate(over="ignore"):
@@ -158,11 +168,8 @@ class BhCurve:
         """dB/dH(B) in H/m: the slope of the table segment containing |B|
         (the segment starting there at a knot, the first at B = 0), and
         mu0 past the table end."""
-        b_tab = np.concatenate(([0.0], self.density_points))
-        h_tab = np.concatenate(([0.0], self.field_points))
-        slopes = np.append(np.diff(b_tab) / np.diff(h_tab), MU0)
         b = np.abs(np.asarray(density, dtype=float))
-        mu = slopes[np.searchsorted(b_tab[1:], b, side="right")]
+        mu = self._slopes[np.searchsorted(self._b_tab[1:], b, side="right")]
         return float(mu) if np.ndim(density) == 0 else mu
 
 
@@ -223,13 +230,15 @@ class NonlinearGridResult:
     iterations, the Newton passes per system.  The properties of the
     same names without the prefix gather a field over the requested
     grid when read, e.g. mesh_fluxes (n_currents, n_angles, 5).
-    max_residual is the worst relative Kirchhoff residual of the final
-    systems.  solve_superposition on a matrix gives its coil/magnet
-    split.
+    gap_reluctances (n_angles,) is the air-gap reluctance at each
+    requested angle.  max_residual is the worst relative Kirchhoff
+    residual of the final systems.  solve_superposition on a matrix
+    gives its coil/magnet split.
     """
 
     currents: np.ndarray
     angles: np.ndarray
+    gap_reluctances: np.ndarray
     system_index: np.ndarray
     system_mesh_fluxes: np.ndarray
     system_matrices: np.ndarray
@@ -408,7 +417,6 @@ def solve_nonlinear_grid(
         requested = np.stack(np.meshgrid(currents, angles, indexing="ij"), axis=-1).reshape(-1, 2)
         return tuple((float(i), float(a)) for i, a in requested[np.isin(index, systems)])
 
-    linear = reluctances_from_geometry(geometry, materials, 0.0)
     iron_paths = iron_path_specs(geometry)
     iron_lengths = np.array([iron_paths[eid][0] for eid in IRON_ELEMENT_IDS])
     iron_areas = np.array([iron_paths[eid][1] for eid in IRON_ELEMENT_IDS])
@@ -417,7 +425,7 @@ def solve_nonlinear_grid(
     values = np.empty((n_s, len(ELEMENT_ORDER)))
     values[:, _GAP_SLOTS[0]] = unique_gaps[gap_of]
     values[:, _GAP_SLOTS[1]] = unique_gaps[gap_of]
-    values[:, _PM_SLOTS] = linear.r_pm
+    values[:, _PM_SLOTS] = pm_reluctance(geometry, materials)
     sources = np.array(
         [source_values(sources_for(geometry, materials, float(i))) for i in unique_currents]
     )[current_of]
@@ -525,6 +533,7 @@ def solve_nonlinear_grid(
     return NonlinearGridResult(
         currents=currents,
         angles=angles,
+        gap_reluctances=gap_r,
         system_index=index.reshape(n_c, n_a),
         system_mesh_fluxes=total,
         system_matrices=matrix,
@@ -555,7 +564,7 @@ def solve_nonlinear(
         sources_for(geometry, materials, current),
         label="saturated srm mesh system",
     )
-    areas = _element_areas(geometry, airgap_reluctance(geometry, angle))
+    areas = _element_areas(geometry, grid.gap_reluctances[0])
     densities = TOPOLOGY.element_fluxes(split.mesh_fluxes) / areas
     return replace(
         split,

@@ -22,7 +22,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .motor import MaterialSet, MotorGeometry, pole_flux
+from .motor import (
+    MU0,
+    MaterialSet,
+    MotorGeometry,
+    iron_path_specs,
+    pm_reluctance,
+    pole_flux,
+    sources_for,
+)
 from .saturation import BhCurve, solve_nonlinear_grid
 
 logger = logging.getLogger(__name__)
@@ -143,6 +151,31 @@ def sweep_angles(geometry: MotorGeometry, current_points: int, angle_step_deg: f
             f"the {MAX_GRID_POINTS} grid points allowed per current"
         )
     return angles
+
+
+def linkage_bound(
+    geometry: MotorGeometry, materials: MaterialSet, curve: BhCurve, current: float
+) -> float:
+    """Upper bound on |flux linkage| (Wb-turns) at a phase current, over
+    every saturation state a solve on this curve can reach; inf where
+    the bound passes the float range.
+
+    Each MMF source sits in series with one element (a coil with its
+    pole tooth, a magnet with its own reluctance), so the stored energy
+    sum_k r_k b_k**2 of the branch fluxes b equals sum_j F_j b_j over
+    the sources.  The source branch of largest flux then has
+    r b**2 <= |b| sum_j |F_j|: no source branch, the pole's included,
+    carries more than sum_j |F_j| over the least reluctance a pole tooth
+    (iron at its largest chord permeability) or a magnet can take.
+    """
+    turns = float(geometry.turns_per_pole)
+    length, area = iron_path_specs(geometry)["sp1"]
+    least = min(
+        length / (max(curve.initial_permeability, MU0) * area), pm_reluctance(geometry, materials)
+    )
+    # Two coils and three magnets; N * i may pass the float range here.
+    mmf = 2.0 * turns * current + 3.0 * sources_for(geometry, materials, 0.0).f_pm
+    return SERIES_COILS * turns * (mmf / least)
 
 
 def _trapezoid(currents: np.ndarray, linkages: np.ndarray) -> np.ndarray:

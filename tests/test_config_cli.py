@@ -3,7 +3,11 @@
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,16 @@ angle_step_deg = 0.5
         path = write_config(tmp_path, "[sweep]\ncurrent_points = 1\n")
         with pytest.raises(ConfigError, match="current_points"):
             load_config(path)
+
+    def test_turns_are_held_to_the_linkage_bound_of_the_largest_current(self):
+        # Default design at 8 A: the bound passes the float range between
+        # 10**155 and 10**156 turns; smaller currents allow more turns.
+        materials = MaterialSet()
+        RunConfig(geometry=MotorGeometry(turns_per_pole=10**155), materials=materials)
+        message = re.escape("[geometry] turns_per_pole = 1e+156 with [sweep] currents up to 8 A")
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(geometry=MotorGeometry(turns_per_pole=10**156), materials=materials)
+        RunConfig(geometry=MotorGeometry(turns_per_pole=10**156), materials=materials, sweep_currents=(0.01,))
 
     def test_grid_bound_is_checked_against_the_angle_count(self):
         # 2,200 points fit at the default 80 angles, not at 160.
@@ -502,6 +516,23 @@ class TestSweepCommand:
         assert f"[geometry] {key} overflows the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_turns_overflowing_the_linkage_exit_2_before_the_manifest(self, tmp_path, capsys, command):
+        # 10**300 turns fit a float, but the sweep's linkage, which grows
+        # as turns squared, does not: `sweep` once wrote the manifest,
+        # printed a numpy overflow warning (an error under this suite's
+        # filter) and exited 2 naming no key.
+        config = write_config(tmp_path, f"[geometry]\nturns_per_pole = {10**300}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "srmec: error: [geometry] turns_per_pole = 1e+300 with [sweep] currents up to 8 A "
+            "could overflow the flux linkage\n"
+        ) in err
+        assert "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", [4126, 10**30])
     def test_oversized_grid_exits_2_before_the_manifest(self, tmp_path, capsys, monkeypatch, points):
         # 4,126 points x 80 angles is the first grid over 33 x 10,000;
@@ -574,3 +605,73 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["polish"])
         assert excinfo.value.code == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_alone(argv):
+    """One srmec command in a fresh interpreter; returns its stdout."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    code = "import sys; from srmec.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def data_files(out):
+    """Every file a run wrote, but the timestamped manifest."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+class TestProcessState:
+    """The parser and the default curve are built once per process and
+    shared by every main() call; nothing else outlives a call."""
+
+    def test_solve_without_out_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "D"
+        assert main(["solve", "--current", "2", "--out", str(out)]) == 0
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["solve", "--current", "3"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+        assert [p.name for p in tmp_path.iterdir()] == ["D"]
+        assert "current_a = 3" in capsys.readouterr().out
+
+    def test_defaults_do_not_keep_the_last_call_flags(self, capsys):
+        assert main(["solve", "--current", "2", "--angle", "5"]) == 0
+        capsys.readouterr()
+        assert main(["solve"]) == 0
+        record = capsys.readouterr().out
+        assert "current_a = 8\n" in record and "rotor_angle_deg = 10\n" in record
+
+    def test_parse_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--current", "two"])
+        assert excinfo.value.code == 2
+        assert "invalid float value: 'two'" in capsys.readouterr().err
+        assert main(["solve", "--current", "2"]) == 0
+        assert "current_a = 2\n" in capsys.readouterr().out
+
+    def test_commands_in_one_process_match_each_run_alone(self, tmp_path, capsys):
+        config = write_config(tmp_path, FAST_SWEEP)
+        runs = [
+            ["sweep", "--config", str(config), "--out"],
+            ["solve", "--current", "3", "--angle", "7", "--out"],
+            ["fidelity", "--samples", "3", "--seed", "5", "--out"],
+        ]
+        together = []
+        for k, argv in enumerate(runs):
+            out = tmp_path / f"together{k}"
+            assert main([*argv, str(out)]) == 0
+            together.append((capsys.readouterr().out, data_files(out)))
+        for k, argv in enumerate(runs):
+            out = tmp_path / f"alone{k}"
+            stdout = run_alone([*argv, str(out)])
+            assert (stdout, data_files(out)) == together[k], argv[0]

@@ -69,6 +69,16 @@ class TestBhCurveValidation:
         assert curve.field_points[0] == 50.0 and curve.density_points[0] == 0.25
         assert curve.field_points[-1] == 200000.0 and curve.density_points[-1] == 2.15
 
+    def test_default_is_parsed_once_and_shared(self, curve):
+        assert BhCurve.default() is BhCurve.default() is curve
+
+    def test_lookup_tables_are_read_only(self, curve):
+        # Built once per curve and shared by every lookup, so no caller
+        # may write them.
+        for name in ("_h_tab", "_b_tab", "_slopes"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(curve, name)[0] = 1.0
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="counts differ"):
             BhCurve(field_points=(50.0, 100.0), density_points=(0.25,))
@@ -323,6 +333,14 @@ class TestNonlinearGrid:
         assert np.issubdtype(grid.iterations.dtype, np.integer)
         assert np.all(grid.iterations >= 1)
         assert grid.max_residual <= 1e-10
+
+    def test_gap_reluctances_are_the_scalar_ones_bit_for_bit(self, geometry, materials, curve):
+        # solve_nonlinear takes its gap area from these, where it once
+        # evaluated the scalar gap model again.
+        angles = np.array([0.0, 2.5, 7.3, 10.0, 19.9])
+        grid = solve_nonlinear_grid(geometry, materials, curve, [1.0], angles)
+        assert grid.gap_reluctances.shape == angles.shape
+        assert grid.gap_reluctances.tolist() == [airgap_reluctance(geometry, a) for a in angles.tolist()]
 
     def test_grid_rerun_is_byte_identical(self, geometry, materials, curve):
         currents = np.array([0.0, 4.0, 8.0])

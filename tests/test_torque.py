@@ -18,6 +18,7 @@ from srmec.torque import (
     TorqueCurve,
     angles_for_period,
     coenergy,
+    linkage_bound,
     static_torque,
     torque_angle_sweep,
     torque_component_sweeps,
@@ -281,6 +282,42 @@ class TestSweepGrid:
         angles = angles_for_period(geometry)
         assert angles[0] == 0.0
         assert angles[-1] == pytest.approx(geometry.period_deg - DEFAULT_ANGLE_STEP_DEG)
+
+
+class TestLinkageBound:
+    @pytest.mark.parametrize(
+        "turns, current, curve_name",
+        [
+            (140, 8.0, "default"),
+            (140, 0.0, "default"),
+            (140, 1e6, "default"),
+            # The largest power of ten the default sweep config accepts.
+            (10**155, 8.0, "default"),
+            (140, 8.0, "linear 4000"),
+            # Iron below vacuum permeability, driven past its table, where
+            # the chord rises toward mu0.
+            (140, 1e6, "below vacuum"),
+        ],
+    )
+    def test_bounds_every_grid_linkage(self, materials, turns, current, curve_name):
+        curves = {
+            "default": BhCurve.default(),
+            "linear 4000": BhCurve.linear(4000.0),
+            "below vacuum": BhCurve(field_points=(1e6, 2e6), density_points=(0.5, 1.0)),
+        }
+        curve = curves[curve_name]
+        geometry = MotorGeometry(turns_per_pole=turns)
+        angles = angles_for_period(geometry, 2.5)
+        currents = np.linspace(0.0, current, 5)
+        result = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
+        linkages = turns * SERIES_COILS * pole_flux(result.mesh_fluxes)
+        assert np.max(np.abs(linkages)) <= linkage_bound(geometry, materials, curve, current)
+
+    def test_grows_as_turns_squared_and_overflows_to_inf(self, materials, curve):
+        small = linkage_bound(MotorGeometry(turns_per_pole=10**100), materials, curve, 8.0)
+        large = linkage_bound(MotorGeometry(turns_per_pole=10**101), materials, curve, 8.0)
+        assert large == pytest.approx(100.0 * small, rel=1e-12)
+        assert linkage_bound(MotorGeometry(turns_per_pole=10**300), materials, curve, 8.0) == math.inf
 
 
 class TestTorqueAngleSweep:
