@@ -13,6 +13,7 @@ exactly the catalog machine.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import logging
 import math
@@ -20,9 +21,9 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .motor import MaterialSet, MotorGeometry
+from .motor import ELEMENT_ORDER, MU0, MaterialSet, MotorGeometry, largest_reluctances
 from .saturation import BhCurve
-from .torque import DEFAULT_ANGLE_STEP_DEG, DEFAULT_CURRENT_POINTS, linkage_bound, sweep_angles
+from .torque import DEFAULT_ANGLE_STEP_DEG, DEFAULT_CURRENT_POINTS, check_linkage, sweep_angles
 
 logger = logging.getLogger("srmec.config")
 
@@ -35,6 +36,31 @@ _SECTION_KEYS = {
     "geometry": tuple(f.name for f in fields(MotorGeometry)),
     "materials": tuple(f.name for f in fields(MaterialSet)),
     "sweep": ("currents", "current_points", "angle_step_deg"),
+}
+
+# A mesh matrix entry sums at most every element's reluctance, and the
+# grid's condition bound doubles a diagonal: past this, a lumped
+# reluctance leaves a mesh system no float headroom.
+RELUCTANCE_CEILING = sys.float_info.max / (2 * len(ELEMENT_ORDER))
+# The derived values RunConfig bounds, by ReluctanceSet and SourceSet
+# field name: what each is, and the keys it is computed from, which a
+# refusal names.
+_BORE_KEYS = ("stator_outer_diameter", "stator_yoke_thickness", "stator_pole_height")
+_DERIVED = {
+    "f_pm": ("magnet MMF", ("pm_length", "pm_remanence", "pm_relative_permeability")),
+    "r_sy": ("stator yoke reluctance", _BORE_KEYS[:2] + ("stator_teeth_count", "stack_length")),
+    "r_sp": ("stator pole reluctance", _BORE_KEYS + ("stator_tooth_arc", "stack_length")),
+    "r_ry": (
+        "rotor yoke reluctance",
+        _BORE_KEYS + ("airgap_length", "rotor_pole_height", "rotor_poles_count", "stack_length"),
+    ),
+    "r_g": (
+        "air-gap reluctance",
+        _BORE_KEYS + ("airgap_length", "stator_tooth_arc", "rotor_pole_arc", "stack_length"),
+    ),
+    "r_pm": (
+        "magnet reluctance", ("pm_length", "pm_width", "stack_length", "pm_relative_permeability")
+    ),
 }
 
 
@@ -68,21 +94,53 @@ class RunConfig:
             sweep_angles(self.geometry, self.current_points, self.angle_step_deg)
         except ValueError as error:
             raise ConfigError(f"[sweep] {error}") from None
-        # The sweep's linkage grows as turns squared times current and
-        # would overflow only after the manifest is written.  Every
-        # command solves on the default curve; the factor 2 leaves
-        # headroom for the rounding of the solve itself.
+        # Values derived from several keys would otherwise overflow only
+        # after the manifest is written.  Iron is bounded as the linear
+        # model takes it and as every saturating solve on the default
+        # curve starts it; the states a solve reaches from there are the
+        # solve's to refuse, by point.
+        curve = BhCurve.default()
+        iron = min(MU0 * self.materials.iron_relative_permeability, curve.initial_permeability)
+        values = {"f_pm": self.materials.coercivity * self.geometry.pm_length * 1e-3}
+        values.update(largest_reluctances(self.geometry, self.materials, iron))
+        for field, value in values.items():
+            what, keys = _DERIVED[field]
+            unit = "At" if field == "f_pm" else "A/Wb"
+            ceiling = sys.float_info.max if field == "f_pm" else RELUCTANCE_CEILING
+            if not value <= ceiling:
+                raise ConfigError(
+                    f"{self._named(keys)} make the {what} {value:.6g} {unit}, "
+                    f"past the {ceiling:.6g} {unit} a solve can take"
+                )
+        # The sweep's linkage grows as turns squared times current, and
+        # bounds the coil MMF 2*N*i too.
         top = max(self.sweep_currents)
-        bound = linkage_bound(self.geometry, self.materials, BhCurve.default(), top)
-        if not bound <= sys.float_info.max / 2.0:
+        try:
+            check_linkage(self.geometry, self.materials, curve, top)
+        except ValueError:
             raise ConfigError(
                 f"[geometry] turns_per_pole = {float(self.geometry.turns_per_pole):.6g} with "
                 f"[sweep] currents up to {top:g} A could overflow the flux linkage"
-            )
+            ) from None
+
+    def _named(self, keys: tuple[str, ...]) -> str:
+        """'[section] key = value, ...' for geometry and materials keys."""
+        parts = []
+        for section, values in (("geometry", self.geometry), ("materials", self.materials)):
+            named = [
+                f"{key} = {float(getattr(values, key)):.6g}"
+                for key in keys
+                if key in _SECTION_KEYS[section]
+            ]
+            if named:
+                parts.append(f"[{section}] " + ", ".join(named))
+        return " with ".join(parts)
 
 
+@functools.cache
 def default_config() -> RunConfig:
-    """All-defaults configuration: the catalog machine."""
+    """All-defaults configuration: the catalog machine, built on the
+    first call and shared by every later one (it is frozen throughout)."""
     return RunConfig(geometry=MotorGeometry(), materials=MaterialSet())
 
 

@@ -29,6 +29,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -179,6 +180,49 @@ class MotorGeometry:
     @property
     def aligned_angle_deg(self) -> float:
         return self.period_deg / 2.0
+
+    # Constants every solve on this geometry reads, computed on first use
+    # and kept on the instance (frozen fields never change them).
+
+    @cached_property
+    def gap_floor_permeance(self) -> float:
+        """Least air-gap permeance, H: FRINGING_PERMEANCE_FRACTION of the
+        aligned permeance (see airgap_reluctance)."""
+        aligned_area = gap_area_m2(self, self.aligned_angle_deg)
+        return FRINGING_PERMEANCE_FRACTION * MU0 * aligned_area / (self.airgap_length * 1e-3)
+
+    @cached_property
+    def iron_paths(self) -> np.ndarray:
+        """Read-only (2, len(IRON_ELEMENT_IDS)) table: path length (m, row
+        0) and cross-section (m^2, row 1) of each iron element, in
+        IRON_ELEMENT_IDS order.
+
+        Yoke segments span one stator tooth pitch at the yoke mean radius;
+        pole paths run radially over the tooth height with the tooth-chord
+        cross section; the rotor return spans one rotor pole pitch at the
+        rotor yoke mean radius.
+        """
+        stack = self.stack_length_m
+        tooth_chord = 2.0 * self.bore_radius_m * math.sin(math.radians(self.stator_tooth_arc) / 2.0)
+        by_kind = {
+            "sy": (
+                2.0 * math.pi * self.stator_yoke_mean_radius_m / self.stator_teeth_count,
+                self.stator_yoke_thickness * 1e-3 * stack,
+            ),
+            "sp": (self.stator_pole_height * 1e-3, tooth_chord * stack),
+            "ry": (
+                2.0 * math.pi * self.rotor_yoke_mean_radius_m / self.rotor_poles_count,
+                self.rotor_yoke_thickness_m * stack,
+            ),
+        }
+        table = np.array([by_kind[eid[:2]] for eid in IRON_ELEMENT_IDS]).T.copy()
+        table.flags.writeable = False
+        return table
+
+    def iron_path(self, eid: str) -> tuple[float, float]:
+        """(path length m, cross-section m^2) of one iron element."""
+        length, area = self.iron_paths[:, IRON_ELEMENT_IDS.index(eid)].tolist()
+        return length, area
 
 
 @dataclass(frozen=True)
@@ -426,33 +470,6 @@ def source_values(s: SourceSet) -> np.ndarray:
 # --- geometry -> reluctances -----------------------------------------------
 
 
-def iron_path_specs(geometry: MotorGeometry) -> dict[str, tuple[float, float]]:
-    """(path length m, cross-section m^2) per iron element.
-
-    Yoke segments span one stator tooth pitch at the yoke mean radius;
-    pole paths run radially over the tooth height with the tooth-chord
-    cross section; the rotor return spans one rotor pole pitch at the
-    rotor yoke mean radius.
-    """
-    stack = geometry.stack_length_m
-    yoke_len = 2.0 * math.pi * geometry.stator_yoke_mean_radius_m / geometry.stator_teeth_count
-    yoke_area = geometry.stator_yoke_thickness * 1e-3 * stack
-    tooth_chord = 2.0 * geometry.bore_radius_m * math.sin(math.radians(geometry.stator_tooth_arc) / 2.0)
-    pole_len = geometry.stator_pole_height * 1e-3
-    pole_area = tooth_chord * stack
-    rotor_len = 2.0 * math.pi * geometry.rotor_yoke_mean_radius_m / geometry.rotor_poles_count
-    rotor_area = geometry.rotor_yoke_thickness_m * stack
-    specs: dict[str, tuple[float, float]] = {}
-    for eid in IRON_ELEMENT_IDS:
-        if eid.startswith("sy"):
-            specs[eid] = (yoke_len, yoke_area)
-        elif eid.startswith("sp"):
-            specs[eid] = (pole_len, pole_area)
-        else:
-            specs[eid] = (rotor_len, rotor_area)
-    return specs
-
-
 def pm_area_m2(geometry: MotorGeometry) -> float:
     return geometry.pm_width * 1e-3 * geometry.stack_length_m
 
@@ -485,10 +502,8 @@ def airgap_reluctance(geometry: MotorGeometry, angle: float | np.ndarray) -> flo
     """
     gap = geometry.airgap_length * 1e-3
     area = np.asarray(gap_area_m2(geometry, angle))
-    aligned_area = gap_area_m2(geometry, geometry.aligned_angle_deg)
     permeance = MU0 * area / gap
-    floor = FRINGING_PERMEANCE_FRACTION * MU0 * aligned_area / gap
-    reluctance = 1.0 / np.maximum(permeance, floor)
+    reluctance = 1.0 / np.maximum(permeance, geometry.gap_floor_permeance)
     return float(reluctance) if np.ndim(angle) == 0 else reluctance
 
 
@@ -501,10 +516,9 @@ def reluctances_from_geometry(
     recoil permeability; the gap uses the overlap model.
     """
     mu_iron = MU0 * materials.iron_relative_permeability
-    paths = iron_path_specs(geometry)
 
     def iron(eid: str) -> float:
-        length, area = paths[eid]
+        length, area = geometry.iron_path(eid)
         return length / (mu_iron * area)
 
     return ReluctanceSet(
@@ -520,6 +534,28 @@ def pm_reluctance(geometry: MotorGeometry, materials: MaterialSet) -> float:
     """Magnet reluctance, A/Wb, at its recoil permeability."""
     mu_pm = MU0 * materials.pm_relative_permeability
     return geometry.pm_length * 1e-3 / (mu_pm * pm_area_m2(geometry))
+
+
+def largest_reluctances(
+    geometry: MotorGeometry, materials: MaterialSet, iron_permeability: float
+) -> dict[str, float]:
+    """Each lumped reluctance at its largest over the rotor angle, A/Wb,
+    keyed like ReluctanceSet's fields: iron at the given permeability, the
+    air gap on its fringing floor, the magnet at its recoil permeability.
+    inf past the float range."""
+
+    def quotient(numerator: float, denominator: float) -> float:
+        with np.errstate(divide="ignore", over="ignore"):
+            return float(np.float64(numerator) / denominator)
+
+    largest = {}
+    for key, eid in (("r_sy", "sy1"), ("r_sp", "sp1"), ("r_ry", "ry")):
+        length, area = geometry.iron_path(eid)
+        largest[key] = quotient(length, iron_permeability * area)
+    largest["r_g"] = quotient(1.0, geometry.gap_floor_permeance)
+    mu_pm = MU0 * materials.pm_relative_permeability
+    largest["r_pm"] = quotient(geometry.pm_length * 1e-3, mu_pm * pm_area_m2(geometry))
+    return largest
 
 
 def _check_coil_mmf(geometry: MotorGeometry, current: float) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,7 +160,7 @@ class MeshFluxes:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("mesh fluxes must be finite")
 
 
@@ -216,57 +216,105 @@ def _quotient(numerator: int, denominator: int) -> float:
 _QUOTIENTS = np.frompyfunc(_quotient, 2, 1)
 
 
+class _ScaledInts(NamedTuple):
+    """A stack of m float blocks as exact Python ints: block k equals
+    ints[k] * 2**(low - 53) entry by entry, with one low <= 0 for the
+    stack.  A block with a non-finite entry is zeroed and flagged in bad."""
+
+    ints: np.ndarray
+    low: int
+    bad: np.ndarray
+
+    @classmethod
+    def of(cls, blocks: np.ndarray) -> "_ScaledInts":
+        # Every float is M * 2**e with a 53-bit integer mantissa M.
+        mantissa, exponent = np.frexp(blocks)
+        finite = np.isfinite(mantissa)
+        bad = np.zeros(len(blocks), dtype=bool)
+        if not finite.all():
+            bad = ~finite.reshape(len(blocks), -1).all(axis=1)
+            mantissa[bad], exponent[bad] = 0.0, 0
+        low = min(int(exponent.min()), 0)
+        ints = np.left_shift((mantissa * 2.0**53).astype(np.int64), exponent - low, dtype=object)
+        return cls(ints, low, bad)
+
+    def take(self, keep: np.ndarray) -> "_ScaledInts":
+        """The blocks selected by keep, on the same scale."""
+        return _ScaledInts(self.ints[keep], self.low, self.bad[keep])
+
+
+def _scaled_rows(
+    matrices: np.ndarray, rhs: np.ndarray, values: np.ndarray
+) -> tuple[_ScaledInts, _ScaledInts]:
+    """The rows [A_i | -b_i] of (m, n, n) matrices and (m, n) right-hand
+    sides, (m, n, n + 1), and the flux rows [phi | 1] of (m, n) values,
+    (m, n + 1), as exact ints on one power of two."""
+    m, n = rhs.shape
+    work = np.empty((m, n + 1, n + 1))
+    work[:, :n, :n] = matrices
+    np.negative(rhs, out=work[:, :n, n])
+    work[:, n, :n] = values
+    work[:, n, n] = 1.0
+    ints, low, bad = _ScaledInts.of(work)
+    return _ScaledInts(ints[:, :n], low, bad), _ScaledInts(ints[:, n], low, bad)
+
+
+def _flux_rows(values: np.ndarray) -> _ScaledInts:
+    """The rows [phi | 1] of (m, n) fluxes as exact ints, (m, n + 1)."""
+    m, n = values.shape
+    rows = np.empty((m, n + 1))
+    rows[:, :n] = values
+    rows[:, n] = 1.0
+    return _ScaledInts.of(rows)
+
+
+def _rounded_residuals(rows: _ScaledInts, fluxes: _ScaledInts) -> tuple[np.ndarray, dict[int, str]]:
+    """Residuals A@phi - b of m systems from their augmented rows and
+    flux rows, each entry exact and rounded once.
+
+    One object-array matmul gives every row's residual as an exact
+    integer over a power of two, and Python's int / int rounds it once,
+    correctly, and an exact cancellation to +0.0.  The rows and the
+    fluxes may sit on different scales: the quotient is the same
+    rational, and so the same float, on any scale.
+
+    Returns the (m, n) residuals, and the reason for each system index
+    whose residual is not a finite float (a non-finite input, or an entry
+    beyond the float range); the failing entries hold NaN.
+    """
+    numerators = np.matmul(rows.ints, fluxes.ints[..., None])[..., 0]
+    residual = _QUOTIENTS(numerators, 1 << (106 - rows.low - fluxes.low)).astype(float)
+    bad = rows.bad | fluxes.bad
+    residual[bad] = math.nan
+    failures = {}
+    for k in np.flatnonzero(np.isnan(residual).any(axis=1)).tolist():
+        why = "an input is not finite" if bad[k] else "an entry is beyond the float range"
+        failures[k] = f"exact residual is not a finite float: {why}"
+    return residual, failures
+
+
 def _exact_residuals(
     matrices: np.ndarray, values: np.ndarray, rhs: np.ndarray
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Residuals A@phi - b of m stacked systems, each entry exact and
-    rounded once.
-
-    Every float is M * 2**e with a 53-bit integer mantissa M (np.frexp).
-    A chunk's augmented rows [A_i | -b_i] and flux rows [phi | 1] are
-    scaled together to Python ints times one power of two, so one
-    object-array matmul gives every row's residual as an exact integer
-    over a power of two; Python's int / int rounds it once, correctly,
-    and an exact cancellation to +0.0.  This shares no code with
-    srmec.exact, so the audit's check of one against the other stays
-    independent.
+    rounded once (see _rounded_residuals), in chunks of RESIDUAL_CHUNK
+    systems.  This shares no code with srmec.exact, so the audit's check
+    of one against the other stays independent.
 
     Args:
         matrices: (m, n, n); values and rhs: (m, n).
 
     Returns:
         (m, n) residuals, and the reason for each system index whose
-        residual is not a finite float (a non-finite input, or an entry
-        beyond the float range); the failing entries hold NaN.
+        residual is not a finite float; the failing entries hold NaN.
     """
-    m, n = rhs.shape
-    out = np.empty((m, n))
+    out = np.empty(rhs.shape)
     failures: dict[int, str] = {}
-    for start in range(0, m, RESIDUAL_CHUNK):
-        stop = min(start + RESIDUAL_CHUNK, m)
-        # Rows 0..n-1 of each system are [A_i | -b_i]; row n is [phi | 1].
-        work = np.empty((stop - start, n + 1, n + 1))
-        work[:, :n, :n] = matrices[start:stop]
-        np.negative(rhs[start:stop], out=work[:, :n, n])
-        work[:, n, :n] = values[start:stop]
-        work[:, n, n] = 1.0
-        mantissa, exponent = np.frexp(work)
-        # A system with a non-finite input computes on zeros and fails.
-        bad = ~np.isfinite(mantissa).all(axis=(1, 2))
-        if bad.any():
-            mantissa[bad], exponent[bad] = 0.0, 0
-        # Every entry is its int times 2**(low - 53), with low <= 0.
-        low = min(int(exponent.min()), 0)
-        mantissa *= 2.0**53
-        ints = np.left_shift(mantissa.astype(np.int64), exponent - low, dtype=object)
-        numerators = np.matmul(ints[:, :n], ints[:, n, :, None])[..., 0]
-        denominator = 1 << (106 - 2 * low)
-        rounded = out[start:stop]
-        rounded[...] = _QUOTIENTS(numerators, denominator)
-        rounded[bad] = math.nan
-        for k in np.flatnonzero(np.isnan(rounded).any(axis=1)).tolist():
-            why = "an input is not finite" if bad[k] else "an entry is beyond the float range"
-            failures[start + k] = f"exact residual is not a finite float: {why}"
+    for start in range(0, len(rhs), RESIDUAL_CHUNK):
+        chunk = slice(start, start + RESIDUAL_CHUNK)
+        rows = _scaled_rows(matrices[chunk], rhs[chunk], values[chunk])
+        out[chunk], chunk_failures = _rounded_residuals(*rows)
+        failures.update({start + k: why for k, why in chunk_failures.items()})
     return out, failures
 
 
@@ -331,13 +379,13 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
     passes whose residuals are evaluated exactly, so the returned fluxes
     are the correctly rounded solution even when the PM reluctance
     dwarfs every iron reluctance.  A stack takes one pass: one condition
-    estimate over its distinct matrices, one batched LAPACK solve, and
-    REFINEMENT_STEPS passes that each measure the exact residual of
-    every system still being refined at once.  A system whose residual
-    is exactly zero stops refining.  Every system of a stack gets the
-    bits it gets alone.  A system whose 2-norm condition number exceeds
-    CONDITION_LIMIT is refused, and so is a nonzero right-hand side
-    wholly below SMALLEST_RHS.
+    estimate over its distinct matrices, one batched LAPACK solve, and,
+    per chunk of RESIDUAL_CHUNK systems, REFINEMENT_STEPS passes that
+    each measure the exact residual of every system still being refined
+    at once.  A system whose residual is exactly zero stops refining.
+    Every system of a stack gets the bits it gets alone.  A system whose
+    2-norm condition number exceeds CONDITION_LIMIT is refused, and so is
+    a nonzero right-hand side wholly below SMALLEST_RHS.
 
     Args:
         system: assembled mesh system or stack.
@@ -380,20 +428,31 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
             except np.linalg.LinAlgError as exc:
                 failures[k] = f"singular system: {exc}"
 
+    # Refinement runs chunk by chunk, which bounds the Python ints alive
+    # at once.  A chunk's rows [A | -b] become ints once, with its first
+    # fluxes; later passes scale only their new fluxes.  LAPACK solves
+    # each system alone, so the chunking moves no bits.
     values = np.full(rhs.shape, math.nan)
-    for _ in range(REFINEMENT_STEPS):
-        values[index] = x
-        residual, residual_failures = _exact_residuals(a, x, b)
-        refine = residual.any(axis=1)
-        for j, reason in residual_failures.items():
-            failures.setdefault(int(index[j]), reason)
-            refine[j] = False
-        if not refine.all():
-            index, a, b, x, residual = index[refine], a[refine], b[refine], x[refine], residual[refine]
-            if not index.size:
-                break
-        x = x - np.linalg.solve(a, residual[..., None])[..., 0]
-    values[index] = x
+    for start in range(0, len(index), RESIDUAL_CHUNK):
+        chunk = slice(start, start + RESIDUAL_CHUNK)
+        where, a_k, x_k = index[chunk], a[chunk], x[chunk]
+        rows, fluxes = _scaled_rows(a_k, b[chunk], x_k)
+        for step in range(REFINEMENT_STEPS):
+            if step:
+                fluxes = _flux_rows(x_k)
+            values[where] = x_k
+            residual, residual_failures = _rounded_residuals(rows, fluxes)
+            refine = residual.any(axis=1)
+            for j, reason in residual_failures.items():
+                failures.setdefault(int(where[j]), reason)
+                refine[j] = False
+            if not refine.all():
+                where, a_k, x_k, residual = where[refine], a_k[refine], x_k[refine], residual[refine]
+                rows = rows.take(refine)
+                if not where.size:
+                    break
+            x_k = x_k - np.linalg.solve(a_k, residual[..., None])[..., 0]
+        values[where] = x_k
 
     if failures:
         raise SolveError(_failure_message(system.label, batch, failures))
@@ -588,6 +647,6 @@ def kirchhoff_residual(system: MeshSystem, fluxes: MeshFluxes) -> float:
         raise ValueError(
             f"flux vector has length {fluxes.values.shape[-1]}, system has {system.n} meshes"
         )
-    defect = np.max(np.abs(_exact_residual_vector(system, fluxes.values)))
-    scale = max(float(np.max(np.abs(system.rhs))), RESIDUAL_FLOOR)
+    defect = np.abs(_exact_residual_vector(system, fluxes.values)).max()
+    scale = max(float(np.abs(system.rhs).max()), RESIDUAL_FLOOR)
     return float(defect / scale)

@@ -59,7 +59,6 @@ from .motor import (
     MotorGeometry,
     OperatingPoint,
     airgap_reluctance,
-    iron_path_specs,
     pm_area_m2,
     pm_reluctance,
     solve_superposition,
@@ -267,8 +266,7 @@ def _element_areas(geometry: MotorGeometry, gap_reluctance: float) -> np.ndarray
     """Cross-section areas per element in ELEMENT_ORDER; the gap area
     follows the gap reluctance."""
     areas = np.empty(len(ELEMENT_ORDER))
-    for eid, (_, area) in iron_path_specs(geometry).items():
-        areas[_ELEMENT_INDEX[eid]] = area
+    areas[_IRON_SLOTS] = geometry.iron_paths[1]
     # The fringing floor keeps gap reluctance finite at unalignment; the
     # same effective area keeps densities consistent with it.
     areas[_GAP_SLOTS] = geometry.airgap_length * 1e-3 / (MU0 * gap_reluctance)
@@ -297,20 +295,29 @@ def _guarded_solve(
     catches an overflowed element whose solve stays finite.  Large
     batches are solved by elimination without pivoting, which the grid's
     strictly diagonally dominant mesh matrices allow; small ones by
-    LAPACK, which is cheaper per call."""
-    count = math.prod(np.broadcast_shapes(matrices.shape[:-2], rhs.shape[:-2]))
+    LAPACK, which is cheaper per call.  A batch whose whole solution and
+    diagonal are finite returns at once; only a failing one is searched
+    system by system."""
+    batch = matrices.shape[:-2]
+    if rhs.shape[:-2] != batch:
+        batch = np.broadcast_shapes(batch, rhs.shape[:-2])
+    count = math.prod(batch)
+    diagonal = np.diagonal(matrices, axis1=-2, axis2=-1)
     try:
         if count >= ELIMINATION_MIN_SYSTEMS:
             solved = TOPOLOGY.solve(matrices, rhs)
         else:
             solved = np.linalg.solve(matrices, rhs)
-        bad = ~np.all(np.isfinite(solved), axis=(-2, -1))
     except np.linalg.LinAlgError:
         sign, logdet = np.linalg.slogdet(matrices)
         bad = (sign == 0) | ~np.isfinite(logdet)
         if not bad.any():
             bad[...] = True
-    bad = bad | ~np.all(np.isfinite(np.diagonal(matrices, axis1=-2, axis2=-1)), axis=-1)
+    else:
+        if np.isfinite(solved).all() and np.isfinite(diagonal).all():
+            return solved
+        bad = ~np.all(np.isfinite(solved), axis=(-2, -1))
+    bad = bad | ~np.all(np.isfinite(diagonal), axis=-1)
     bad = bad.reshape(-1, len(systems)).any(axis=0)
     if bad.any():
         failing = named(systems[bad])
@@ -326,10 +333,10 @@ def _condition_bound(matrices: np.ndarray) -> np.ndarray:
     diagonally dominant (..., n, n) matrices (Varah, Linear Algebra
     Appl. 11, 1975): ||A||_2 <= ||A||_inf, and no eigenvalue lies below
     the smallest row margin a_ii - sum_{j != i} |a_ij|.  Infinite where
-    that margin is not positive."""
-    rows = np.abs(matrices).sum(axis=-1)
-    margin = (2.0 * np.diagonal(matrices, axis1=-2, axis2=-1) - rows).min(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    that margin is not positive, or overflows to inf or NaN."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rows = np.abs(matrices).sum(axis=-1)
+        margin = (2.0 * np.diagonal(matrices, axis1=-2, axis2=-1) - rows).min(axis=-1)
         return np.where(margin > 0.0, rows.max(axis=-1) / margin, np.inf)
 
 
@@ -352,6 +359,14 @@ def _refuse_ill_conditioned(
             f"at {len(named_points)} {qualifier}operating point(s): "
             f"{_describe_points(named_points)}"
         )
+
+
+def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) of a 1-D array, without the
+    sort for the single value of a one-point grid (every `srmec solve`)."""
+    if values.size == 1:
+        return values.copy(), np.zeros(1, dtype=np.intp)
+    return np.unique(values, return_inverse=True)
 
 
 # Halvings of a Newton step before the line search keeps the shortest
@@ -393,7 +408,7 @@ def solve_nonlinear_grid(
         raise ValueError("currents must hold at least one value")
     if angles.size == 0:
         raise ValueError("angles must hold at least one value")
-    if np.any(currents < 0.0):
+    if (currents < 0.0).any():
         raise ValueError("currents must be nonnegative")
     n_c, n_a = currents.size, angles.size
 
@@ -406,8 +421,8 @@ def solve_nonlinear_grid(
     # requested point to its system; current_of and gap_of map each
     # system to its entries of unique_currents and unique_gaps.
     gap_r = np.asarray(airgap_reluctance(geometry, angles), dtype=float).reshape(n_a)
-    unique_currents, current_index = np.unique(currents, return_inverse=True)
-    unique_gaps, gap_index = np.unique(gap_r, return_inverse=True)
+    unique_currents, current_index = _unique(currents)
+    unique_gaps, gap_index = _unique(gap_r)
     index = (current_index.reshape(n_c, 1) * unique_gaps.size + gap_index.reshape(n_a)).ravel()
     current_of = np.repeat(np.arange(unique_currents.size), unique_gaps.size)
     gap_of = np.tile(np.arange(unique_gaps.size), unique_currents.size)
@@ -417,9 +432,7 @@ def solve_nonlinear_grid(
         requested = np.stack(np.meshgrid(currents, angles, indexing="ij"), axis=-1).reshape(-1, 2)
         return tuple((float(i), float(a)) for i, a in requested[np.isin(index, systems)])
 
-    iron_paths = iron_path_specs(geometry)
-    iron_lengths = np.array([iron_paths[eid][0] for eid in IRON_ELEMENT_IDS])
-    iron_areas = np.array([iron_paths[eid][1] for eid in IRON_ELEMENT_IDS])
+    iron_lengths, iron_areas = geometry.iron_paths
 
     # Fixed (non-iron) element values: gap per system, magnets constant.
     values = np.empty((n_s, len(ELEMENT_ORDER)))
@@ -474,10 +487,10 @@ def solve_nonlinear_grid(
             vals_a[:, _IRON_SLOTS] = iron_lengths / (chord * iron_areas)
         chords, rhs_a = TOPOLOGY.assemble(vals_a, sources[idx])
         trial = _guarded_solve(chords, rhs_a[..., None], idx, named)[..., 0]
-        scale = np.maximum(np.max(np.abs(trial), axis=-1), 1e-300)
-        change = np.max(np.abs(trial - flux_a), axis=-1) / scale
+        scale = np.maximum(np.abs(trial).max(axis=-1), 1e-300)
+        change = np.abs(trial - flux_a).max(axis=-1) / scale
         iterations[idx] += 1
-        last_change = float(np.max(change))
+        last_change = float(change.max())
         recent.append(last_change)
         moving = change > TOLERANCE
         stepped = ~moving & (iterations[idx] > 1)
@@ -494,13 +507,12 @@ def solve_nonlinear_grid(
         vals_a[:, _IRON_SLOTS] = iron_lengths / (differential * iron_areas)
         residual = mmf_residual(flux_a, fixed_a, rhs_a)
         step = _guarded_solve(TOPOLOGY.stamp(vals_a), -residual[..., None], idx, named)[..., 0]
-        base = np.max(np.abs(residual), axis=-1)
+        base = np.abs(residual).max(axis=-1)
         tried = flux_a + step
         pending = np.arange(idx.size)
         for halving in range(1, _MAX_HALVINGS + 1):
-            norm = np.max(
-                np.abs(mmf_residual(tried[pending], fixed_a[pending], rhs_a[pending])), axis=-1
-            )
+            trial_residual = mmf_residual(tried[pending], fixed_a[pending], rhs_a[pending])
+            norm = np.abs(trial_residual).max(axis=-1)
             pending = pending[~(norm < base[pending])]
             if pending.size == 0:
                 break
@@ -528,8 +540,8 @@ def solve_nonlinear_grid(
     # Converged systems are held to the single-point solve's limit too.
     _refuse_ill_conditioned(matrix, all_systems, named)
 
-    residual_num = np.max(np.abs(np.einsum("...ij,...j->...i", matrix, total) - rhs), axis=-1)
-    residual_den = np.maximum(np.max(np.abs(rhs), axis=-1), 1e-300)
+    residual_num = np.abs(np.einsum("...ij,...j->...i", matrix, total) - rhs).max(axis=-1)
+    residual_den = np.maximum(np.abs(rhs).max(axis=-1), 1e-300)
     return NonlinearGridResult(
         currents=currents,
         angles=angles,
@@ -538,7 +550,7 @@ def solve_nonlinear_grid(
         system_mesh_fluxes=total,
         system_matrices=matrix,
         system_iterations=iterations,
-        max_residual=float(np.max(residual_num / residual_den)),
+        max_residual=float((residual_num / residual_den).max()),
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -26,7 +27,6 @@ from .motor import (
     MU0,
     MaterialSet,
     MotorGeometry,
-    iron_path_specs,
     pm_reluctance,
     pole_flux,
     sources_for,
@@ -169,13 +169,25 @@ def linkage_bound(
     (iron at its largest chord permeability) or a magnet can take.
     """
     turns = float(geometry.turns_per_pole)
-    length, area = iron_path_specs(geometry)["sp1"]
+    length, area = geometry.iron_path("sp1")
     least = min(
         length / (max(curve.initial_permeability, MU0) * area), pm_reluctance(geometry, materials)
     )
     # Two coils and three magnets; N * i may pass the float range here.
     mmf = 2.0 * turns * current + 3.0 * sources_for(geometry, materials, 0.0).f_pm
     return SERIES_COILS * turns * (mmf / least)
+
+
+def check_linkage(
+    geometry: MotorGeometry, materials: MaterialSet, curve: BhCurve, current: float
+) -> None:
+    """Raise ValueError unless linkage_bound at this current leaves a
+    factor 2 of float headroom for the rounding of the solve itself."""
+    if not linkage_bound(geometry, materials, curve, current) <= sys.float_info.max / 2.0:
+        raise ValueError(
+            f"turns_per_pole = {float(geometry.turns_per_pole):.6g} at {current:g} A "
+            "could overflow the flux linkage"
+        )
 
 
 def _trapezoid(currents: np.ndarray, linkages: np.ndarray) -> np.ndarray:
@@ -296,7 +308,9 @@ def torque_angle_sweeps(
     curve that follows from the W'(0, theta) = 0 convention (magnet
     cogging is outside this energy account; see the module docstring).
     A non-convergent operating point aborts every curve with the
-    failing (current, angle) points identified in the error.
+    failing (current, angle) points identified in the error.  Currents
+    whose flux linkage could overflow (check_linkage) are refused before
+    any solve.
     """
     for current in currents:
         if not (math.isfinite(current) and current >= 0.0):
@@ -305,6 +319,7 @@ def torque_angle_sweeps(
     excited = [current for current in currents if current != 0.0]
     grids = {}
     if excited:
+        check_linkage(geometry, materials, curve, max(excited))
         rows = np.array([np.linspace(0.0, current, current_points) for current in excited])
         result = solve_nonlinear_grid(geometry, materials, curve, rows.ravel(), angles)
         logger.info(

@@ -15,6 +15,7 @@ import pytest
 from srmec.cli import main, solve_record_text
 from srmec.config import (
     DEFAULT_SWEEP_CURRENTS,
+    RELUCTANCE_CEILING,
     ConfigError,
     RunConfig,
     config_hash,
@@ -22,8 +23,8 @@ from srmec.config import (
     load_config,
 )
 from srmec.metrics import comparison_table, load_motor_records
-from srmec.motor import MaterialSet, MotorGeometry, OperatingPoint
-from srmec.saturation import BhCurve
+from srmec.motor import ELEMENT_ORDER, TOPOLOGY, MaterialSet, MotorGeometry, OperatingPoint
+from srmec.saturation import BhCurve, _condition_bound
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -49,6 +50,17 @@ class TestLoadConfig:
         assert config.sweep_currents == DEFAULT_SWEEP_CURRENTS
         assert config.current_points == 33
         assert config.angle_step_deg == 0.25
+
+    def test_default_config_is_built_once_and_shared(self):
+        assert load_config(None) is load_config(None) is default_config()
+
+    def test_a_config_file_builds_its_own_config(self, tmp_path):
+        # Even a file that sets nothing resolves to a fresh, equal config.
+        path = write_config(tmp_path, "[geometry]\n")
+        first, second = load_config(path), load_config(path)
+        assert first == second == default_config()
+        assert first is not second and first is not default_config()
+        assert first.geometry is not default_config().geometry
 
     def test_file_overrides_selected_keys(self, tmp_path):
         path = write_config(
@@ -170,6 +182,46 @@ angle_step_deg = 0.5
         with pytest.raises(ConfigError, match=message):
             RunConfig(geometry=MotorGeometry(turns_per_pole=10**156), materials=materials)
         RunConfig(geometry=MotorGeometry(turns_per_pole=10**156), materials=materials, sweep_currents=(0.01,))
+
+    @pytest.mark.parametrize(
+        "geometry, materials, refused",
+        [
+            (
+                {"stack_length": 1e-300},
+                {},
+                "[geometry] stator_outer_diameter = 140, stator_yoke_thickness = 4.72, "
+                "stator_pole_height = 16.12, airgap_length = 0.3, stator_tooth_arc = 4.87, "
+                "rotor_pole_arc = 5.06, stack_length = 1e-300 make the air-gap reluctance inf A/Wb",
+            ),
+            (
+                {"pm_length": 1e100, "pm_width": 1e-200},
+                {},
+                "[geometry] pm_length = 1e+100, pm_width = 1e-200, stack_length = 20 with "
+                "[materials] pm_relative_permeability = 1.05 "
+                "make the magnet reluctance 3.7894e+307 A/Wb",
+            ),
+            (
+                {},
+                {"pm_remanence": 1e308},
+                "[geometry] pm_length = 5 with [materials] pm_remanence = 1e+308, "
+                "pm_relative_permeability = 1.05 make the magnet MMF inf At",
+            ),
+        ],
+        ids=["thin_stack", "huge_thin_magnet", "huge_remanence"],
+    )
+    def test_derived_values_past_the_float_range_are_refused_by_key(
+        self, geometry, materials, refused
+    ):
+        with pytest.raises(ConfigError) as info:
+            RunConfig(geometry=MotorGeometry(**geometry), materials=MaterialSet(**materials))
+        assert str(info.value).startswith(refused + ", past the ")
+
+    def test_reluctance_ceiling_leaves_a_mesh_matrix_room_to_double(self):
+        # Every element at the ceiling: each entry, doubled, and the
+        # grid's condition bound stay finite.
+        matrix = TOPOLOGY.stamp(np.full(len(ELEMENT_ORDER), RELUCTANCE_CEILING))
+        assert np.isfinite(2.0 * np.abs(matrix).sum(axis=-1)).all()
+        assert np.isfinite(_condition_bound(matrix))
 
     def test_grid_bound_is_checked_against_the_angle_count(self):
         # 2,200 points fit at the default 80 angles, not at 160.
@@ -530,6 +582,37 @@ class TestSweepCommand:
             "srmec: error: [geometry] turns_per_pole = 1e+300 with [sweep] currents up to 8 A "
             "could overflow the flux linkage\n"
         ) in err
+        assert "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (
+                "[geometry]\nstack_length = 1e-300\n",
+                "stack_length = 1e-300 make the air-gap reluctance inf A/Wb",
+            ),
+            (
+                "[geometry]\npm_length = 1e100\npm_width = 1e-200\n",
+                "pm_length = 1e+100, pm_width = 1e-200, stack_length = 20 with [materials] "
+                "pm_relative_permeability = 1.05 make the magnet reluctance 3.7894e+307 A/Wb",
+            ),
+        ],
+        ids=["thin_stack", "huge_thin_magnet"],
+    )
+    def test_derived_values_past_the_float_range_exit_2_before_the_manifest(
+        self, tmp_path, capsys, command, text, named
+    ):
+        # Both once wrote the manifest, printed numpy RuntimeWarnings (an
+        # error under this suite's filter) and exited 3 naming no key: a
+        # "singular or non-finite" system, and a condition number of
+        # 1.005e+301 whose cheap bound overflowed.
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "srmec: error: [geometry] " in err and named in err
         assert "Warning" not in err
         assert not out.exists()
 

@@ -1,6 +1,7 @@
 """Tests for the machine-specific circuit construction and closed forms."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from srmec.exact import solve_exact
 from srmec.fidelity import sample_regime_case
 from srmec.motor import (
+    FRINGING_PERMEANCE_FRACTION,
+    IRON_ELEMENT_IDS,
     MU0,
     TOPOLOGY,
     BranchFluxes,
@@ -26,6 +29,8 @@ from srmec.motor import (
     closed_form_branch_fluxes,
     closed_form_mesh_fluxes,
     composite_reluctances,
+    gap_area_m2,
+    largest_reluctances,
     regime_check,
     reluctances_from_geometry,
     solve_flux,
@@ -60,9 +65,8 @@ def between(low, high):
 
 
 @st.composite
-def designs(draw):
-    """(reluctances, sources) of a random valid design at a random
-    current and rotor angle.  Lengths are drawn as fractions of the
+def geometries(draw):
+    """A random valid geometry.  Lengths are drawn as fractions of the
     outer radius that always leave a rotor core and a narrow gap, arcs
     as fractions of their pitch, so every draw passes the validators."""
     diameter = draw(between(40.0, 400.0))
@@ -84,6 +88,14 @@ def designs(draw):
         stator_teeth_count=teeth,
         rotor_poles_count=poles,
     )
+    return geometry
+
+
+@st.composite
+def designs(draw):
+    """(reluctances, sources) of a random valid design at a random
+    current and rotor angle."""
+    geometry = draw(geometries())
     materials = MaterialSet(
         iron_relative_permeability=draw(between(1.0, 20000.0)),
         pm_remanence=draw(between(0.0, 1.6)),
@@ -407,6 +419,86 @@ class TestRandomDesigns:
         coil, pm = solution.coil_mesh_fluxes, solution.pm_mesh_fluxes
         bound = 1.01 * shift + 2.01 * np.finfo(float).eps * (np.abs(coil) + np.abs(pm))
         assert np.all(np.abs(solution.mesh_fluxes - (coil + pm)) <= bound)
+
+
+def per_call_iron_paths(geometry):
+    """The iron path table as it was computed on every call before the
+    geometry kept it: {element id: (length m, area m^2)}."""
+    stack = geometry.stack_length_m
+    yoke_len = 2.0 * math.pi * geometry.stator_yoke_mean_radius_m / geometry.stator_teeth_count
+    yoke_area = geometry.stator_yoke_thickness * 1e-3 * stack
+    tooth_chord = 2.0 * geometry.bore_radius_m * math.sin(math.radians(geometry.stator_tooth_arc) / 2.0)
+    pole_len = geometry.stator_pole_height * 1e-3
+    pole_area = tooth_chord * stack
+    rotor_len = 2.0 * math.pi * geometry.rotor_yoke_mean_radius_m / geometry.rotor_poles_count
+    rotor_area = geometry.rotor_yoke_thickness_m * stack
+    specs = {}
+    for eid in IRON_ELEMENT_IDS:
+        if eid.startswith("sy"):
+            specs[eid] = (yoke_len, yoke_area)
+        elif eid.startswith("sp"):
+            specs[eid] = (pole_len, pole_area)
+        else:
+            specs[eid] = (rotor_len, rotor_area)
+    return specs
+
+
+class TestGeometryConstants:
+    """The constants a geometry keeps for its solves equal, bit for bit,
+    the expressions each call evaluated before."""
+
+    @design_settings
+    @given(geometries())
+    def test_gap_floor_is_the_per_call_floor(self, geometry):
+        gap = geometry.airgap_length * 1e-3
+        aligned_area = gap_area_m2(geometry, geometry.aligned_angle_deg)
+        floor = FRINGING_PERMEANCE_FRACTION * MU0 * aligned_area / gap
+        assert type(geometry.gap_floor_permeance) is float
+        assert geometry.gap_floor_permeance == floor
+
+    @design_settings
+    @given(geometries())
+    def test_iron_table_is_the_per_call_table(self, geometry):
+        specs = per_call_iron_paths(geometry)
+        lengths, areas = geometry.iron_paths
+        assert lengths.tobytes() == np.array([specs[eid][0] for eid in IRON_ELEMENT_IDS]).tobytes()
+        assert areas.tobytes() == np.array([specs[eid][1] for eid in IRON_ELEMENT_IDS]).tobytes()
+        for eid in IRON_ELEMENT_IDS:
+            assert geometry.iron_path(eid) == specs[eid]
+            assert all(type(value) is float for value in geometry.iron_path(eid))
+
+    def test_constants_are_kept_per_instance_and_read_only(self):
+        geometry = MotorGeometry()
+        assert geometry.iron_paths is geometry.iron_paths
+        assert not geometry.iron_paths.flags.writeable
+        with pytest.raises(ValueError):
+            geometry.iron_paths[1, 0] = 1.0
+        # A changed design computes its own; equal designs stay equal.
+        longer = replace(geometry, stack_length=2.0 * geometry.stack_length)
+        assert np.array_equal(longer.iron_paths[1], 2.0 * geometry.iron_paths[1])
+        assert longer.gap_floor_permeance == 2.0 * geometry.gap_floor_permeance
+        assert MotorGeometry() == geometry and hash(MotorGeometry()) == hash(geometry)
+
+    def test_largest_reluctances_are_the_solved_ones_at_their_extremes(self):
+        geometry, materials = default_pair()
+        iron = MU0 * materials.iron_relative_permeability
+        largest = largest_reluctances(geometry, materials, iron)
+        # At unalignment the gap sits on its fringing floor.
+        linear = reluctances_from_geometry(geometry, materials, geometry.unaligned_angle_deg)
+        assert largest == {
+            "r_sy": linear.r_sy,
+            "r_sp": linear.r_sp,
+            "r_ry": linear.r_ry,
+            "r_g": linear.r_g,
+            "r_pm": linear.r_pm,
+        }
+        assert all(r <= largest["r_g"] for r in airgap_reluctance(geometry, np.linspace(0.0, 20.0, 81)))
+
+    def test_largest_reluctances_overflow_to_inf_without_a_warning(self):
+        thin = MotorGeometry(stack_length=1e-300)
+        largest = largest_reluctances(thin, MaterialSet(), MU0)
+        assert largest["r_g"] == largest["r_pm"] == math.inf
+        assert math.isfinite(largest_reluctances(thin, MaterialSet(), 1.0)["r_sy"])
 
 
 class TestClosedForms:

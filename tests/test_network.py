@@ -30,6 +30,9 @@ from srmec.network import (
     SolveError,
     _exact_residual_vector,
     _exact_residuals,
+    _flux_rows,
+    _rounded_residuals,
+    _scaled_rows,
     assemble_mesh_system,
     compile_topology,
     kirchhoff_residual,
@@ -621,6 +624,129 @@ class TestVectorisedResidual:
         assert sorted(int(k) for k in re.findall(r"at batch index (\d+)", message)) == [over, nan]
 
 
+def joint_scale_residuals(matrices, values, rhs):
+    """The exact residuals as computed before the rows and fluxes kept
+    separate scales: each chunk's [A_i | -b_i] and [phi | 1] rows scaled
+    together to ints times one power of two."""
+    m, n = rhs.shape
+    out = np.empty((m, n))
+    failures = {}
+    for start in range(0, m, RESIDUAL_CHUNK):
+        stop = min(start + RESIDUAL_CHUNK, m)
+        work = np.empty((stop - start, n + 1, n + 1))
+        work[:, :n, :n] = matrices[start:stop]
+        np.negative(rhs[start:stop], out=work[:, :n, n])
+        work[:, n, :n] = values[start:stop]
+        work[:, n, n] = 1.0
+        mantissa, exponent = np.frexp(work)
+        bad = ~np.isfinite(mantissa).all(axis=(1, 2))
+        if bad.any():
+            mantissa[bad], exponent[bad] = 0.0, 0
+        low = min(int(exponent.min()), 0)
+        mantissa *= 2.0**53
+        ints = np.left_shift(mantissa.astype(np.int64), exponent - low, dtype=object)
+        numerators = np.matmul(ints[:, :n], ints[:, n, :, None])[..., 0]
+        rounded = out[start:stop]
+        for index, numerator in np.ndenumerate(numerators):
+            try:
+                rounded[index] = numerator / (1 << (106 - 2 * low))
+            except OverflowError:
+                rounded[index] = math.nan
+        rounded[bad] = math.nan
+        for k in np.flatnonzero(np.isnan(rounded).any(axis=1)).tolist():
+            why = "an input is not finite" if bad[k] else "an entry is beyond the float range"
+            failures[start + k] = f"exact residual is not a finite float: {why}"
+    return out, failures
+
+
+def extreme_floats(rng, shape):
+    """Signed floats over the whole range: subnormals, zeros, values near
+    the top, and a few infinities and NaNs."""
+    mantissa = rng.choice([-1.0, 1.0], size=shape) * (1.0 + rng.random(shape))
+    with np.errstate(over="ignore"):
+        values = np.ldexp(mantissa, rng.integers(-1075, 1024, size=shape))
+    special = rng.random(shape)
+    values[special < 0.02] = 0.0
+    values[(special >= 0.02) & (special < 0.025)] = math.nan
+    values[(special >= 0.025) & (special < 0.03)] = math.inf
+    return values
+
+
+def split_scale_residuals(matrices, values, rhs, rng):
+    """The exact residuals as solve_linear's later passes take them: each
+    chunk's rows scaled beside other fluxes, here powers of two over the
+    whole float range, and the fluxes on a scale of their own."""
+    out, failures = np.empty(rhs.shape), {}
+    others = np.ldexp(1.0, rng.integers(-1074, 1000, size=rhs.shape))
+    for start in range(0, len(rhs), RESIDUAL_CHUNK):
+        chunk = slice(start, start + RESIDUAL_CHUNK)
+        rows, _ = _scaled_rows(matrices[chunk], rhs[chunk], others[chunk])
+        out[chunk], chunk_failures = _rounded_residuals(rows, _flux_rows(values[chunk]))
+        failures.update({start + k: why for k, why in chunk_failures.items()})
+    return out, failures
+
+
+class TestSplitScaleResiduals:
+    """Rows and fluxes scaled together, as in a chunk's first pass, or
+    apart, as in its later ones, give the residuals and the failure
+    reasons of the joint scale: each quotient is the same rational."""
+
+    @staticmethod
+    def assert_as_joint_scale(matrices, values, rhs, rng):
+        want_residuals, want_failures = joint_scale_residuals(matrices, values, rhs)
+        for got_residuals, got_failures in (
+            _exact_residuals(matrices, values, rhs),
+            split_scale_residuals(matrices, values, rhs, rng),
+        ):
+            assert got_residuals.tobytes() == want_residuals.tobytes()
+            assert got_failures == want_failures
+        return want_residuals, want_failures
+
+    @pytest.mark.parametrize("decades", [10, 100, 300], ids=["moderate", "wide", "extreme"])
+    def test_random_stacks_equal_the_joint_scale(self, decades):
+        rng = np.random.default_rng(decades)
+        m, n = RESIDUAL_CHUNK + 72, 4
+        # Each system has its own magnitude, spread over some decades.
+        centre = rng.integers(-900, 900, size=(m, 1))
+        spread = rng.integers(-decades, decades, size=(m, n * n + 2 * n))
+        exponents = np.clip(centre + spread, -1075, 1023)
+        signed = rng.choice([-1.0, 1.0], size=exponents.shape) * (1.0 + rng.random(exponents.shape))
+        draws = np.ldexp(signed, exponents)
+        matrices, values, rhs = draws[:, : n * n].reshape(m, n, n), draws[:, n * n : -n], draws[:, -n:]
+        # Ten systems that cancel exactly: small integers times powers of two.
+        matrices[:10] = np.ldexp(rng.integers(-9, 10, size=(10, n, n)), -500)
+        values[:10] = np.ldexp(rng.integers(-9, 10, size=(10, n)), 400)
+        rhs[:10] = np.einsum("kij,kj->ki", matrices[:10], values[:10])
+        residuals, _ = self.assert_as_joint_scale(matrices, values, rhs, rng)
+        assert not residuals[:10].any()
+
+    def test_extreme_and_non_finite_entries_fail_as_on_the_joint_scale(self):
+        rng = np.random.default_rng(5)
+        m, n = 2 * RESIDUAL_CHUNK + 5, 3
+        matrices = extreme_floats(rng, (m, n, n))
+        values, rhs = extreme_floats(rng, (m, n)), extreme_floats(rng, (m, n))
+        _, failures = self.assert_as_joint_scale(matrices, values, rhs, rng)
+        assert set(failures.values()) == {
+            "exact residual is not a finite float: an input is not finite",
+            "exact residual is not a finite float: an entry is beyond the float range",
+        }
+        assert 0 < len(failures) < m
+
+    def test_rows_kept_across_passes_give_the_residuals_of_their_subset(self):
+        # solve_linear scales a chunk's rows once, with its first fluxes,
+        # and keeps the systems still refining: the kept rows give each
+        # subset's residuals at new fluxes on their own scale.
+        rng = np.random.default_rng(17)
+        matrices, rhs = audit_systems(1, 40)
+        values = rng.uniform(-1.0, 1.0, size=rhs.shape) * 10.0 ** rng.integers(-12, 2, size=(40, 1))
+        rows, _ = _scaled_rows(matrices, rhs, rng.uniform(-1e-3, 1e-3, size=rhs.shape))
+        keep = rng.random(40) < 0.5
+        got, failures = _rounded_residuals(rows.take(keep), _flux_rows(values[keep]))
+        want, _ = joint_scale_residuals(matrices[keep], values[keep], rhs[keep])
+        assert failures == {}
+        assert got.tobytes() == want.tobytes()
+
+
 def audit_systems(stream, count):
     """count stamped audit systems of one sampling stream."""
     threshold = (BASE_THRESHOLD, STRONG_THRESHOLD)[stream]
@@ -640,6 +766,14 @@ class TestStackedSolve:
         for k in range(100):
             alone = solve_linear(MeshSystem(matrices[k], rhs[k])).values
             assert stacked[k].tobytes() == alone.tobytes()
+
+    def test_stack_of_several_chunks_equals_batch_of_one_solves(self):
+        # Refinement runs chunk by chunk; a system's bits do not depend on
+        # its chunk.
+        matrices, rhs = audit_systems(1, RESIDUAL_CHUNK + 20)
+        stacked = solve_linear(MeshSystem(matrices, rhs, "audit stack")).values
+        for k in range(len(rhs)):
+            assert stacked[k].tobytes() == solve_linear(MeshSystem(matrices[k], rhs[k])).values.tobytes()
 
     def test_three_right_hand_sides_of_one_matrix(self):
         matrices, _ = audit_systems(0, 1)

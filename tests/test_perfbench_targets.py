@@ -40,9 +40,33 @@ def test_traced_solve_counts_its_grid_points(tracing, capsys):
     with tracing.Instrumentation(tracer):
         assert tracer.run_op(main, ["solve"]) == 0
     assert "iterations = " in capsys.readouterr().out
+    # The harness credits a points op with its one grid call's points.
+    assert tracer.ops[-1].layers["saturation.grid"].calls == 1
     counts = tracer.ops[-1].counts
-    assert counts["saturation.points"] >= 1
+    assert counts["saturation.points"] == 1
     assert counts["saturation.point_iters"] >= counts["saturation.points"]
+
+
+def test_solve_evaluates_the_gap_model_at_most_twice(monkeypatch, capsys):
+    # Once for the grid and once for the record's regime check.  The
+    # aligned-gap floor is a constant of the geometry, computed on the
+    # first solve of a design and kept, so warm up first.
+    import srmec.motor
+
+    assert main(["solve"]) == 0
+    calls = []
+    gap_area_m2 = srmec.motor.gap_area_m2
+
+    def counted(*args):
+        calls.append(args)
+        return gap_area_m2(*args)
+
+    monkeypatch.setattr(srmec.motor, "gap_area_m2", counted)
+    for argv in (["solve"], ["solve", "--current", "3", "--angle", "4.5"], ["solve", "--angle", "0"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) <= 2, argv
+    capsys.readouterr()
 
 
 def test_traced_sweep_counts_every_grid_point(tracing, tmp_path, capsys):

@@ -400,6 +400,48 @@ class TestNonlinearGrid:
         with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(4 A, 0 deg\)$"):
             _guarded_solve(matrices, rhs, np.arange(2), named)
 
+    def test_non_finite_diagonal_of_a_lone_system_names_its_point(self):
+        # A one-point grid, as in every `srmec solve`: the batch of one
+        # solves finite, and only the diagonal check refuses it.
+        values = np.full((1, len(ELEMENT_ORDER)), 1e6)
+        values[0, ELEMENT_ORDER.index("sy5")] = np.inf
+        matrices = TOPOLOGY.stamp(values)
+        rhs = np.ones((1, matrices.shape[-1], 1))
+        assert np.all(np.isfinite(np.linalg.solve(matrices, rhs)))
+
+        def named(failing):
+            assert failing.tolist() == [0]
+            return ((4.0, 3.0),)
+
+        with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(4 A, 3 deg\)$"):
+            _guarded_solve(matrices, rhs, np.arange(1), named)
+
+    def test_non_finite_diagonal_names_its_point_in_an_eliminated_batch(self):
+        m = ELIMINATION_MIN_SYSTEMS
+        values = np.full((m, len(ELEMENT_ORDER)), 1e6)
+        values[m - 2, ELEMENT_ORDER.index("sy5")] = np.inf
+        matrices = TOPOLOGY.stamp(values)
+        rhs = np.ones((m, matrices.shape[-1], 1))
+        points = np.stack([np.arange(m, dtype=float), np.zeros(m)], axis=-1)
+
+        def named(failing):
+            return tuple(map(tuple, points[failing]))
+
+        with pytest.raises(SolveError, match=rf"at 1 operating point\(s\): \({m - 2} A, 0 deg\)$"):
+            _guarded_solve(matrices, rhs, np.arange(m), named)
+
+    def test_overflowing_condition_bound_refuses_without_a_warning(self, materials, curve):
+        # The magnet reluctance (3.8e307 A/Wb) fits a float, but the
+        # bound's doubled diagonal does not: the bound reads inf, and the
+        # exact condition number refuses the system.
+        values = np.full((1, len(ELEMENT_ORDER)), 1e6)
+        values[0, ELEMENT_ORDER.index("pm3")] = 1e308
+        assert _condition_bound(TOPOLOGY.stamp(values)).tolist() == [math.inf]
+        huge_magnet = MotorGeometry(pm_length=1e100, pm_width=1e-200)
+        refused = r"^condition number 1\.005e\+301 exceeds limit .* \(8 A, 10 deg\)$"
+        with pytest.raises(SolveError, match=refused):
+            solve_nonlinear_grid(huge_magnet, materials, curve, [8.0], [ALIGNED])
+
     def test_stall_at_an_ill_conditioned_system_reports_its_conditioning(self, materials, curve):
         # A near-zero magnet width puts the condition number near 1e13,
         # where rounding alone keeps the trial change above tolerance.

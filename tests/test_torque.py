@@ -21,6 +21,7 @@ from srmec.torque import (
     linkage_bound,
     static_torque,
     torque_angle_sweep,
+    torque_angle_sweeps,
     torque_component_sweeps,
     torque_components,
 )
@@ -318,6 +319,28 @@ class TestLinkageBound:
         large = linkage_bound(MotorGeometry(turns_per_pole=10**101), materials, curve, 8.0)
         assert large == pytest.approx(100.0 * small, rel=1e-12)
         assert linkage_bound(MotorGeometry(turns_per_pole=10**300), materials, curve, 8.0) == math.inf
+
+    def test_sweeps_refuse_an_overflowing_linkage_before_the_grid(self, materials, curve, monkeypatch):
+        # Refused by name, before any grid solve and without a numpy
+        # overflow warning (which the suite turns into an error).
+        import srmec.torque
+
+        def no_grid(*args):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(srmec.torque, "solve_nonlinear_grid", no_grid)
+        geometry = MotorGeometry(turns_per_pole=10**300)
+        refused = r"^turns_per_pole = 1e\+300 at 2 A could overflow the flux linkage$"
+        with pytest.raises(ValueError, match=refused):
+            torque_angle_sweeps(geometry, materials, curve, (0.0, 1.0, 2.0), 3, 5.0)
+
+    def test_sweeps_check_the_largest_current_only_after_the_grid_size(self, materials, curve):
+        geometry = MotorGeometry(turns_per_pole=10**300)
+        with pytest.raises(ValueError, match="current_points must be >= 2"):
+            torque_angle_sweeps(geometry, materials, curve, (2.0,), 1, 5.0)
+        # Zero current solves nothing, so nothing can overflow.
+        (zero,) = torque_angle_sweeps(geometry, materials, curve, (0.0,), 3, 5.0)
+        assert np.all(zero.samples == 0.0)
 
 
 class TestTorqueAngleSweep:
