@@ -231,7 +231,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="srmec",
         description="Magnetic-circuit analysis toolkit for a hybrid-excited "
@@ -279,13 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--out", type=Path, default=Path("."), help="directory for the CSV")
     compare.set_defaults(func=cmd_compare)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built on first use and shared by every later main()
-    call: parsing leaves the parser unchanged."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,7 +21,15 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .motor import ELEMENT_ORDER, MU0, MaterialSet, MotorGeometry, largest_reluctances
+from .motor import (
+    ELEMENT_ORDER,
+    MU0,
+    MaterialSet,
+    MotorGeometry,
+    dominance_ratios,
+    reluctance_range,
+    sources_for,
+)
 from .saturation import BhCurve
 from .torque import DEFAULT_ANGLE_STEP_DEG, DEFAULT_CURRENT_POINTS, check_linkage, sweep_angles
 
@@ -42,17 +50,20 @@ _SECTION_KEYS = {
 # grid's condition bound doubles a diagonal: past this, a lumped
 # reluctance leaves a mesh system no float headroom.
 RELUCTANCE_CEILING = sys.float_info.max / (2 * len(ELEMENT_ORDER))
+# Below the least normal float a reluctance has lost bits, or vanished.
+RELUCTANCE_FLOOR = sys.float_info.min
 # The derived values RunConfig bounds, by ReluctanceSet and SourceSet
 # field name: what each is, and the keys it is computed from, which a
 # refusal names.
 _BORE_KEYS = ("stator_outer_diameter", "stator_yoke_thickness", "stator_pole_height")
+_IRON = ("stack_length", "iron_relative_permeability")
 _DERIVED = {
     "f_pm": ("magnet MMF", ("pm_length", "pm_remanence", "pm_relative_permeability")),
-    "r_sy": ("stator yoke reluctance", _BORE_KEYS[:2] + ("stator_teeth_count", "stack_length")),
-    "r_sp": ("stator pole reluctance", _BORE_KEYS + ("stator_tooth_arc", "stack_length")),
+    "r_sy": ("stator yoke reluctance", _BORE_KEYS[:2] + ("stator_teeth_count",) + _IRON),
+    "r_sp": ("stator pole reluctance", _BORE_KEYS + ("stator_tooth_arc",) + _IRON),
     "r_ry": (
         "rotor yoke reluctance",
-        _BORE_KEYS + ("airgap_length", "rotor_pole_height", "rotor_poles_count", "stack_length"),
+        _BORE_KEYS + ("airgap_length", "rotor_pole_height", "rotor_poles_count") + _IRON,
     ),
     "r_g": (
         "air-gap reluctance",
@@ -62,6 +73,16 @@ _DERIVED = {
         "magnet reluctance", ("pm_length", "pm_width", "stack_length", "pm_relative_permeability")
     ),
 }
+# A regime ratio of the solve record divides the magnet reluctance by a
+# sum of others, and so comes from the keys of all of them.
+for _ratio, _terms in (
+    ("pm_over_two_poles", ("r_sp", "r_pm")),
+    ("pm_over_pole_plus_yoke", ("r_sp", "r_sy", "r_pm")),
+    ("three_pm_over_excited_loop", ("r_sy", "r_g", "r_ry", "r_pm")),
+    ("pm_over_yoke", ("r_sy", "r_pm")),
+):
+    _keys = dict.fromkeys(key for term in _terms for key in _DERIVED[term][1])
+    _DERIVED[_ratio] = (f"regime ratio {_ratio}", tuple(_keys))
 
 
 class ConfigError(ValueError):
@@ -94,23 +115,31 @@ class RunConfig:
             sweep_angles(self.geometry, self.current_points, self.angle_step_deg)
         except ValueError as error:
             raise ConfigError(f"[sweep] {error}") from None
-        # Values derived from several keys would otherwise overflow only
-        # after the manifest is written.  Iron is bounded as the linear
-        # model takes it and as every saturating solve on the default
-        # curve starts it; the states a solve reaches from there are the
-        # solve's to refuse, by point.
+        # Values derived from several keys would otherwise overflow or
+        # vanish only after the manifest is written.  Iron is bounded as
+        # the linear model takes it and as every saturating solve starts
+        # it (the states a solve reaches from there are the solve's to
+        # refuse, by point), each reluctance at its extremes over angle.
         curve = BhCurve.default()
-        iron = min(MU0 * self.materials.iron_relative_permeability, curve.initial_permeability)
-        values = {"f_pm": self.materials.coercivity * self.geometry.pm_length * 1e-3}
-        values.update(largest_reluctances(self.geometry, self.materials, iron))
-        for field, value in values.items():
-            what, keys = _DERIVED[field]
-            unit = "At" if field == "f_pm" else "A/Wb"
-            ceiling = sys.float_info.max if field == "f_pm" else RELUCTANCE_CEILING
-            if not value <= ceiling:
+        try:
+            f_pm = sources_for(self.geometry, self.materials, 0.0).f_pm
+        except ValueError:  # a magnet MMF past the float range
+            f_pm = math.inf
+        iron = (MU0 * self.materials.iron_relative_permeability, curve.initial_permeability)
+        ranges = reluctance_range(self.geometry, self.materials, iron).items()
+        # Least divisors, floored (the floor is checked first): ratios at their largest.
+        ratios = dominance_ratios(**{f: max(low, RELUCTANCE_FLOOR) for f, (low, _) in ranges})
+        limits = {"f_pm": (f_pm, f_pm, " At", 0.0, sys.float_info.max)}
+        for field, (low, high) in ranges:
+            limits[field] = (low, high, " A/Wb", RELUCTANCE_FLOOR, RELUCTANCE_CEILING)
+        limits.update((name, (r, r, "", 0.0, sys.float_info.max)) for name, r in ratios.items())
+        for field, (what, keys) in _DERIVED.items():
+            low, high, unit, floor, ceiling = limits[field]
+            if not (high <= ceiling and low >= floor):
+                value, side, limit = (low, "below", floor) if high <= ceiling else (high, "past", ceiling)
                 raise ConfigError(
-                    f"{self._named(keys)} make the {what} {value:.6g} {unit}, "
-                    f"past the {ceiling:.6g} {unit} a solve can take"
+                    f"{self._named(keys)} make the {what} {value:.6g}{unit}, "
+                    f"{side} the {limit:.6g}{unit} a solve can take"
                 )
         # The sweep's linkage grows as turns squared times current, and
         # bounds the coil MMF 2*N*i too.

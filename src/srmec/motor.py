@@ -192,37 +192,34 @@ class MotorGeometry:
         return FRINGING_PERMEANCE_FRACTION * MU0 * aligned_area / (self.airgap_length * 1e-3)
 
     @cached_property
-    def iron_paths(self) -> np.ndarray:
-        """Read-only (2, len(IRON_ELEMENT_IDS)) table: path length (m, row
-        0) and cross-section (m^2, row 1) of each iron element, in
-        IRON_ELEMENT_IDS order.
+    def element_paths(self) -> np.ndarray:
+        """Read-only (2, len(ELEMENT_ORDER)) table: path length (m, row 0)
+        and cross-section (m^2, row 1) of each element by its
+        ELEMENT_RELUCTANCE_KEY; the gap's area follows the angle, so is NaN.
 
         Yoke segments span one stator tooth pitch at the yoke mean radius;
         pole paths run radially over the tooth height with the tooth-chord
         cross section; the rotor return spans one rotor pole pitch at the
-        rotor yoke mean radius.
+        rotor yoke mean radius; magnets run their length over width x stack.
         """
         stack = self.stack_length_m
         tooth_chord = 2.0 * self.bore_radius_m * math.sin(math.radians(self.stator_tooth_arc) / 2.0)
-        by_kind = {
-            "sy": (
+        by_key = {
+            "r_sy": (
                 2.0 * math.pi * self.stator_yoke_mean_radius_m / self.stator_teeth_count,
                 self.stator_yoke_thickness * 1e-3 * stack,
             ),
-            "sp": (self.stator_pole_height * 1e-3, tooth_chord * stack),
-            "ry": (
+            "r_sp": (self.stator_pole_height * 1e-3, tooth_chord * stack),
+            "r_ry": (
                 2.0 * math.pi * self.rotor_yoke_mean_radius_m / self.rotor_poles_count,
                 self.rotor_yoke_thickness_m * stack,
             ),
+            "r_g": (self.airgap_length * 1e-3, math.nan),
+            "r_pm": (self.pm_length * 1e-3, self.pm_width * 1e-3 * stack),
         }
-        table = np.array([by_kind[eid[:2]] for eid in IRON_ELEMENT_IDS]).T.copy()
+        table = np.array([by_key[ELEMENT_RELUCTANCE_KEY[eid]] for eid in ELEMENT_ORDER]).T.copy()
         table.flags.writeable = False
         return table
-
-    def iron_path(self, eid: str) -> tuple[float, float]:
-        """(path length m, cross-section m^2) of one iron element."""
-        length, area = self.iron_paths[:, IRON_ELEMENT_IDS.index(eid)].tolist()
-        return length, area
 
 
 @dataclass(frozen=True)
@@ -418,6 +415,7 @@ ELEMENT_RELUCTANCE_KEY: Mapping[str, str] = {
 }
 ELEMENT_ORDER: tuple[str, ...] = tuple(ELEMENT_RELUCTANCE_KEY)
 IRON_ELEMENT_IDS: tuple[str, ...] = ("sy1", "sy2", "sy3", "sy4a", "sy4b", "sy5", "sp1", "sp2", "ry")
+IRON_SLOTS = np.array([ELEMENT_ORDER.index(eid) for eid in IRON_ELEMENT_IDS])
 SOURCE_ORDER: tuple[str, ...] = ("coil1", "coil2", "mag1", "mag2", "mag3")
 
 MESH_SPECS: tuple[MeshSpec, ...] = (
@@ -470,10 +468,6 @@ def source_values(s: SourceSet) -> np.ndarray:
 # --- geometry -> reluctances -----------------------------------------------
 
 
-def pm_area_m2(geometry: MotorGeometry) -> float:
-    return geometry.pm_width * 1e-3 * geometry.stack_length_m
-
-
 def gap_area_m2(geometry: MotorGeometry, angle: float | np.ndarray) -> float | np.ndarray:
     """Gap overlap area at a rotor angle (deg), trapezoidal model.
 
@@ -507,6 +501,25 @@ def airgap_reluctance(geometry: MotorGeometry, angle: float | np.ndarray) -> flo
     return float(reluctance) if np.ndim(angle) == 0 else reluctance
 
 
+def element_reluctances(
+    geometry: MotorGeometry,
+    materials: MaterialSet,
+    iron_permeability: float,
+    gap_reluctance: float | np.ndarray,
+) -> np.ndarray:
+    """Per-element reluctances l/(mu*A), A/Wb, in ELEMENT_ORDER from the
+    geometry's element_paths: iron at the given permeability (H/m), the
+    magnets at their recoil permeability, the air gaps at the given
+    reluctance: (n_elements,), or (n, n_elements) for (n,) gap
+    reluctances.  inf and 0 past the float range, without a warning."""
+    lengths, areas = geometry.element_paths
+    permeability = np.full(lengths.shape, MU0 * materials.pm_relative_permeability)
+    permeability[IRON_SLOTS] = iron_permeability
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = lengths / (permeability * areas)
+    return np.where(np.isnan(areas), np.asarray(gap_reluctance)[..., None], values)
+
+
 def reluctances_from_geometry(
     geometry: MotorGeometry, materials: MaterialSet, angle: float
 ) -> ReluctanceSet:
@@ -516,51 +529,28 @@ def reluctances_from_geometry(
     recoil permeability; the gap uses the overlap model.
     """
     mu_iron = MU0 * materials.iron_relative_permeability
-
-    def iron(eid: str) -> float:
-        length, area = geometry.iron_path(eid)
-        return length / (mu_iron * area)
-
-    return ReluctanceSet(
-        r_sy=iron("sy1"),
-        r_sp=iron("sp1"),
-        r_ry=iron("ry"),
-        r_g=airgap_reluctance(geometry, angle),
-        r_pm=pm_reluctance(geometry, materials),
-    )
+    values = element_reluctances(geometry, materials, mu_iron, airgap_reluctance(geometry, angle))
+    return ReluctanceSet(**dict(zip(ELEMENT_RELUCTANCE_KEY.values(), values.tolist())))
 
 
-def pm_reluctance(geometry: MotorGeometry, materials: MaterialSet) -> float:
-    """Magnet reluctance, A/Wb, at its recoil permeability."""
-    mu_pm = MU0 * materials.pm_relative_permeability
-    return geometry.pm_length * 1e-3 / (mu_pm * pm_area_m2(geometry))
-
-
-def largest_reluctances(
-    geometry: MotorGeometry, materials: MaterialSet, iron_permeability: float
-) -> dict[str, float]:
-    """Each lumped reluctance at its largest over the rotor angle, A/Wb,
-    keyed like ReluctanceSet's fields: iron at the given permeability, the
-    air gap on its fringing floor, the magnet at its recoil permeability.
-    inf past the float range."""
-
-    def quotient(numerator: float, denominator: float) -> float:
-        with np.errstate(divide="ignore", over="ignore"):
-            return float(np.float64(numerator) / denominator)
-
-    largest = {}
-    for key, eid in (("r_sy", "sy1"), ("r_sp", "sp1"), ("r_ry", "ry")):
-        length, area = geometry.iron_path(eid)
-        largest[key] = quotient(length, iron_permeability * area)
-    largest["r_g"] = quotient(1.0, geometry.gap_floor_permeance)
-    mu_pm = MU0 * materials.pm_relative_permeability
-    largest["r_pm"] = quotient(geometry.pm_length * 1e-3, mu_pm * pm_area_m2(geometry))
-    return largest
+def reluctance_range(
+    geometry: MotorGeometry, materials: MaterialSet, iron_permeabilities: tuple[float, float]
+) -> dict[str, tuple[float, float]]:
+    """(smallest, largest) of each lumped reluctance over the rotor angle,
+    A/Wb, keyed like ReluctanceSet's fields: iron at the greater and the
+    lesser of two permeabilities, the gap at alignment and on its
+    fringing floor.  0 and inf past the float range, without a warning."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        aligned = airgap_reluctance(geometry, geometry.aligned_angle_deg)
+        floor = np.float64(1.0) / geometry.gap_floor_permeance
+    smallest = element_reluctances(geometry, materials, max(iron_permeabilities), aligned)
+    largest = element_reluctances(geometry, materials, min(iron_permeabilities), floor)
+    return dict(zip(ELEMENT_RELUCTANCE_KEY.values(), zip(smallest.tolist(), largest.tolist())))
 
 
 def _check_coil_mmf(geometry: MotorGeometry, current: float) -> None:
     """Mesh 1 carries both coils' N*i, so 2*N*i must be a finite float."""
-    if not math.isfinite(2.0 * geometry.turns_per_pole * current):
+    if not math.isfinite(2.0 * (geometry.turns_per_pole * current)):
         raise ValueError(f"phase current {current!r} A overflows the coil MMF")
 
 

@@ -349,24 +349,42 @@ def _exact_residual_vector(system: MeshSystem, values: np.ndarray) -> np.ndarray
     return residual.reshape(batch + (system.n,))
 
 
+def condition_bound(matrices: np.ndarray) -> np.ndarray:
+    """Upper bound on the 2-norm condition number of symmetric, strictly
+    diagonally dominant (..., n, n) matrices, without an SVD (Varah,
+    Linear Algebra Appl. 11, 1975): ||A||_2 <= ||A||_inf, and no
+    eigenvalue lies below the smallest row margin a_ii - sum_{j != i}
+    |a_ij|.  Infinite where that margin is not positive, or overflows to
+    inf or NaN.  Every matrix MeshStamps.stamp builds is symmetric."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rows = np.abs(matrices).sum(axis=-1)
+        margin = (2.0 * np.diagonal(matrices, axis1=-2, axis2=-1) - rows).min(axis=-1)
+        return np.where(margin > 0.0, rows.max(axis=-1) / margin, np.inf)
+
+
 def _refusals(matrices: np.ndarray) -> dict[int, str]:
     """Why each refused matrix of an (m, n, n) stack is refused, by index.
 
-    One condition estimate covers the stack; only when it fails is each
-    matrix estimated alone."""
+    Exactly symmetric matrices that condition_bound holds to
+    CONDITION_LIMIT pass; the rest share one condition estimate, and
+    only when it fails is each estimated alone."""
+    symmetric = (matrices == np.swapaxes(matrices, -1, -2)).all(axis=(-2, -1))
+    screened = np.flatnonzero(~(symmetric & (condition_bound(matrices) <= CONDITION_LIMIT)))
+    if not screened.size:
+        return {}
     try:
-        conditions = np.linalg.cond(matrices).tolist()
+        conditions = np.linalg.cond(matrices[screened]).tolist()
     except np.linalg.LinAlgError as exc:
         if len(matrices) == 1:
             return {0: f"condition estimate failed: {exc}"}
         return {
             k: reason
-            for k, matrix in enumerate(matrices)
-            for reason in _refusals(matrix[None]).values()
+            for k in screened.tolist()
+            for reason in _refusals(matrices[k : k + 1]).values()
         }
     return {
         k: f"condition number {c:.3e} exceeds limit {CONDITION_LIMIT:.3e}"
-        for k, c in enumerate(conditions)
+        for k, c in zip(screened.tolist(), conditions)
         if not (math.isfinite(c) and c <= CONDITION_LIMIT)
     }
 
@@ -379,10 +397,11 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
     passes whose residuals are evaluated exactly, so the returned fluxes
     are the correctly rounded solution even when the PM reluctance
     dwarfs every iron reluctance.  A stack takes one pass: one condition
-    estimate over its distinct matrices, one batched LAPACK solve, and,
-    per chunk of RESIDUAL_CHUNK systems, REFINEMENT_STEPS passes that
-    each measure the exact residual of every system still being refined
-    at once.  A system whose residual is exactly zero stops refining.
+    estimate over the distinct matrices the bound does not clear, one
+    batched LAPACK solve, and, per chunk of RESIDUAL_CHUNK systems,
+    REFINEMENT_STEPS passes that each measure the exact residual of every
+    system still being refined at once.  A system whose residual is
+    exactly zero stops refining.
     Every system of a stack gets the bits it gets alone.  A system whose
     2-norm condition number exceeds CONDITION_LIMIT is refused, and so is
     a nonzero right-hand side wholly below SMALLEST_RHS.

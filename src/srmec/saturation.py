@@ -51,7 +51,7 @@ import numpy as np
 
 from .motor import (
     ELEMENT_ORDER,
-    IRON_ELEMENT_IDS,
+    IRON_SLOTS,
     MU0,
     TOPOLOGY,
     FluxSolution,
@@ -59,18 +59,12 @@ from .motor import (
     MotorGeometry,
     OperatingPoint,
     airgap_reluctance,
-    pm_area_m2,
-    pm_reluctance,
+    element_reluctances,
     solve_superposition,
     source_values,
     sources_for,
 )
-from .network import CONDITION_LIMIT, SolveError
-
-_ELEMENT_INDEX = {eid: k for k, eid in enumerate(ELEMENT_ORDER)}
-_IRON_SLOTS = np.array([_ELEMENT_INDEX[eid] for eid in IRON_ELEMENT_IDS])
-_GAP_SLOTS = np.array([_ELEMENT_INDEX["g1"], _ELEMENT_INDEX["g2"]])
-_PM_SLOTS = np.array([_ELEMENT_INDEX[eid] for eid in ("pm1", "pm2", "pm3")])
+from .network import CONDITION_LIMIT, SolveError, condition_bound
 
 # Newton controls: the relative flux change an undamped chord solve
 # would still make for a point to count as converged, and the cap on
@@ -262,18 +256,6 @@ class NonlinearGridResult:
         return self.system_iterations[self.system_index]
 
 
-def _element_areas(geometry: MotorGeometry, gap_reluctance: float) -> np.ndarray:
-    """Cross-section areas per element in ELEMENT_ORDER; the gap area
-    follows the gap reluctance."""
-    areas = np.empty(len(ELEMENT_ORDER))
-    areas[_IRON_SLOTS] = geometry.iron_paths[1]
-    # The fringing floor keeps gap reluctance finite at unalignment; the
-    # same effective area keeps densities consistent with it.
-    areas[_GAP_SLOTS] = geometry.airgap_length * 1e-3 / (MU0 * gap_reluctance)
-    areas[_PM_SLOTS] = pm_area_m2(geometry)
-    return areas
-
-
 # Batches of at least this many systems go to TOPOLOGY.solve, smaller
 # ones to np.linalg.solve.  Measured crossover for the one-column Newton
 # passes: LAPACK costs about 9 us per call plus 0.5 us per system, the
@@ -328,18 +310,6 @@ def _guarded_solve(
     return solved
 
 
-def _condition_bound(matrices: np.ndarray) -> np.ndarray:
-    """Upper bound on the 2-norm condition number of symmetric, strictly
-    diagonally dominant (..., n, n) matrices (Varah, Linear Algebra
-    Appl. 11, 1975): ||A||_2 <= ||A||_inf, and no eigenvalue lies below
-    the smallest row margin a_ii - sum_{j != i} |a_ij|.  Infinite where
-    that margin is not positive, or overflows to inf or NaN."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rows = np.abs(matrices).sum(axis=-1)
-        margin = (2.0 * np.diagonal(matrices, axis1=-2, axis2=-1) - rows).min(axis=-1)
-        return np.where(margin > 0.0, rows.max(axis=-1) / margin, np.inf)
-
-
 def _refuse_ill_conditioned(
     matrices: np.ndarray, systems: np.ndarray, named: _PointNamer, qualifier: str = ""
 ) -> None:
@@ -347,7 +317,7 @@ def _refuse_ill_conditioned(
     mesh matrix has a condition number above CONDITION_LIMIT, the
     single-point solve's limit.  np.linalg.cond runs only where the
     cheap bound exceeds the limit."""
-    screened = ~(_condition_bound(matrices) <= CONDITION_LIMIT)
+    screened = ~(condition_bound(matrices) <= CONDITION_LIMIT)
     if not screened.any():
         return
     condition = np.linalg.cond(matrices[screened])
@@ -432,29 +402,23 @@ def solve_nonlinear_grid(
         requested = np.stack(np.meshgrid(currents, angles, indexing="ij"), axis=-1).reshape(-1, 2)
         return tuple((float(i), float(a)) for i, a in requested[np.isin(index, systems)])
 
-    iron_lengths, iron_areas = geometry.iron_paths
-
-    # Fixed (non-iron) element values: gap per system, magnets constant.
-    values = np.empty((n_s, len(ELEMENT_ORDER)))
-    values[:, _GAP_SLOTS[0]] = unique_gaps[gap_of]
-    values[:, _GAP_SLOTS[1]] = unique_gaps[gap_of]
-    values[:, _PM_SLOTS] = pm_reluctance(geometry, materials)
+    iron_lengths, iron_areas = geometry.element_paths[:, IRON_SLOTS]
+    values = element_reluctances(geometry, materials, curve.initial_permeability, unique_gaps[gap_of])
     sources = np.array(
         [source_values(sources_for(geometry, materials, float(i))) for i in unique_currents]
     )[current_of]
 
     def iron_densities(flux: np.ndarray) -> np.ndarray:
-        return TOPOLOGY.element_fluxes(flux)[:, _IRON_SLOTS] / iron_areas
+        return TOPOLOGY.element_fluxes(flux)[:, IRON_SLOTS] / iron_areas
 
     def mmf_residual(flux: np.ndarray, vals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """R(phi) phi - F per system: iron drops l*H(B) off the curve."""
         branch = TOPOLOGY.element_fluxes(flux)
         drops = vals * branch
-        density = branch[:, _IRON_SLOTS] / iron_areas
-        drops[:, _IRON_SLOTS] = iron_lengths * np.copysign(curve.field_magnitude(density), density)
+        density = branch[:, IRON_SLOTS] / iron_areas
+        drops[:, IRON_SLOTS] = iron_lengths * np.copysign(curve.field_magnitude(density), density)
         return drops @ TOPOLOGY.incidence - rhs
 
-    values[:, _IRON_SLOTS] = iron_lengths / (curve.initial_permeability * iron_areas)
     matrix, rhs = TOPOLOGY.assemble(values, sources)
     all_systems = np.arange(n_s)
     # Trailing singleton keeps the batched solve in the matrix signature
@@ -476,48 +440,49 @@ def solve_nonlinear_grid(
     # overshoot.
     recent: list[float] = []
     last_change = math.inf
-    for _ in range(MAX_ITERATIONS):
-        idx = np.flatnonzero(active)
-        flux_a = fluxes[idx]
-        chord = np.asarray(curve.chord_permeability(iron_densities(flux_a)))
-        vals_a = values[idx]
-        # A zero or subnormal chord is an infinite reluctance, refused by
-        # point below.
-        with np.errstate(divide="ignore", over="ignore"):
-            vals_a[:, _IRON_SLOTS] = iron_lengths / (chord * iron_areas)
-        chords, rhs_a = TOPOLOGY.assemble(vals_a, sources[idx])
-        trial = _guarded_solve(chords, rhs_a[..., None], idx, named)[..., 0]
-        scale = np.maximum(np.abs(trial).max(axis=-1), 1e-300)
-        change = np.abs(trial - flux_a).max(axis=-1) / scale
-        iterations[idx] += 1
-        last_change = float(change.max())
-        recent.append(last_change)
-        moving = change > TOLERANCE
-        stepped = ~moving & (iterations[idx] > 1)
-        matrix[idx[stepped]] = chords[stepped]
-        active[idx[~moving]] = False
-        if not moving.any():
-            break
-        # Only the moving systems' arrays are kept or rebuilt from here,
-        # which bounds the pass's peak memory by the trial solve's.
-        idx, chords, flux_a, rhs_a = idx[moving], chords[moving], flux_a[moving], rhs_a[moving]
-        fixed_a = values[idx]
-        differential = np.asarray(curve.differential_permeability(iron_densities(flux_a)))
-        vals_a = fixed_a.copy()
-        vals_a[:, _IRON_SLOTS] = iron_lengths / (differential * iron_areas)
-        residual = mmf_residual(flux_a, fixed_a, rhs_a)
-        step = _guarded_solve(TOPOLOGY.stamp(vals_a), -residual[..., None], idx, named)[..., 0]
-        base = np.abs(residual).max(axis=-1)
-        tried = flux_a + step
-        pending = np.arange(idx.size)
-        for halving in range(1, _MAX_HALVINGS + 1):
-            trial_residual = mmf_residual(tried[pending], fixed_a[pending], rhs_a[pending])
-            norm = np.abs(trial_residual).max(axis=-1)
-            pending = pending[~(norm < base[pending])]
-            if pending.size == 0:
+    # A zero or subnormal chord is an infinite reluctance, and a value
+    # past the float range an infinite one: the guarded solves refuse
+    # both by point.
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(MAX_ITERATIONS):
+            idx = np.flatnonzero(active)
+            flux_a = fluxes[idx]
+            chord = np.asarray(curve.chord_permeability(iron_densities(flux_a)))
+            vals_a = values[idx]
+            vals_a[:, IRON_SLOTS] = iron_lengths / (chord * iron_areas)
+            chords, rhs_a = TOPOLOGY.assemble(vals_a, sources[idx])
+            trial = _guarded_solve(chords, rhs_a[..., None], idx, named)[..., 0]
+            scale = np.maximum(np.abs(trial).max(axis=-1), 1e-300)
+            change = np.abs(trial - flux_a).max(axis=-1) / scale
+            iterations[idx] += 1
+            last_change = float(change.max())
+            recent.append(last_change)
+            moving = change > TOLERANCE
+            stepped = ~moving & (iterations[idx] > 1)
+            matrix[idx[stepped]] = chords[stepped]
+            active[idx[~moving]] = False
+            if not moving.any():
                 break
-            tried[pending] = flux_a[pending] + 0.5**halving * step[pending]
-        fluxes[idx] = tried
+            # Only the moving systems' arrays are kept or rebuilt from here,
+            # which bounds the pass's peak memory by the trial solve's.
+            idx, chords, flux_a, rhs_a = idx[moving], chords[moving], flux_a[moving], rhs_a[moving]
+            fixed_a = values[idx]
+            differential = np.asarray(curve.differential_permeability(iron_densities(flux_a)))
+            vals_a = fixed_a.copy()
+            vals_a[:, IRON_SLOTS] = iron_lengths / (differential * iron_areas)
+            residual = mmf_residual(flux_a, fixed_a, rhs_a)
+            step = _guarded_solve(TOPOLOGY.stamp(vals_a), -residual[..., None], idx, named)[..., 0]
+            base = np.abs(residual).max(axis=-1)
+            tried = flux_a + step
+            pending = np.arange(idx.size)
+            for halving in range(1, _MAX_HALVINGS + 1):
+                trial_residual = mmf_residual(tried[pending], fixed_a[pending], rhs_a[pending])
+                norm = np.abs(trial_residual).max(axis=-1)
+                pending = pending[~(norm < base[pending])]
+                if pending.size == 0:
+                    break
+                tried[pending] = flux_a[pending] + 0.5**halving * step[pending]
+            fluxes[idx] = tried
     if active.any():
         # The loop ran out with exactly these systems moving, so the last
         # pass's chord systems are theirs.  Past the single-point solve's
@@ -566,7 +531,8 @@ def solve_nonlinear(
     frozen final matrix: the refined linear path gives the coil/magnet
     split and measures the reported residual in exact arithmetic.
     flux_densities are the total solution's element fluxes over their
-    cross-sections.
+    cross-sections; the gap's is l/(mu0*r_g), the effective area of its
+    fringing-floored reluctance.
     """
     operating_point.validate_for(geometry)
     current, angle = operating_point.phase_current, operating_point.rotor_angle
@@ -576,10 +542,11 @@ def solve_nonlinear(
         sources_for(geometry, materials, current),
         label="saturated srm mesh system",
     )
-    areas = _element_areas(geometry, grid.gap_reluctances[0])
+    lengths, areas = geometry.element_paths
+    areas = np.divide(lengths, MU0 * grid.gap_reluctances[0], out=areas.copy(), where=np.isnan(areas))
     densities = TOPOLOGY.element_fluxes(split.mesh_fluxes) / areas
     return replace(
         split,
         iterations=int(grid.iterations[0, 0]),
-        flux_densities={eid: float(densities[_ELEMENT_INDEX[eid]]) for eid in ELEMENT_ORDER},
+        flux_densities=dict(zip(ELEMENT_ORDER, densities.tolist())),
     )

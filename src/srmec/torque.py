@@ -24,10 +24,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .motor import (
+    ELEMENT_ORDER,
     MU0,
     MaterialSet,
     MotorGeometry,
-    pm_reluctance,
+    element_reluctances,
     pole_flux,
     sources_for,
 )
@@ -169,13 +170,11 @@ def linkage_bound(
     (iron at its largest chord permeability) or a magnet can take.
     """
     turns = float(geometry.turns_per_pole)
-    length, area = geometry.iron_path("sp1")
-    least = min(
-        length / (max(curve.initial_permeability, MU0) * area), pm_reluctance(geometry, materials)
-    )
+    values = element_reluctances(geometry, materials, max(curve.initial_permeability, MU0), math.nan)
+    least = float(min(values[ELEMENT_ORDER.index("sp1")], values[ELEMENT_ORDER.index("pm1")]))
     # Two coils and three magnets; N * i may pass the float range here.
     mmf = 2.0 * turns * current + 3.0 * sources_for(geometry, materials, 0.0).f_pm
-    return SERIES_COILS * turns * (mmf / least)
+    return SERIES_COILS * turns * (mmf / least) if least > 0.0 else math.inf
 
 
 def check_linkage(

@@ -1,16 +1,24 @@
 """Tests for configuration loading and the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import logging
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from srmec.cli import main, solve_record_text
 from srmec.config import (
@@ -24,7 +32,8 @@ from srmec.config import (
 )
 from srmec.metrics import comparison_table, load_motor_records
 from srmec.motor import ELEMENT_ORDER, TOPOLOGY, MaterialSet, MotorGeometry, OperatingPoint
-from srmec.saturation import BhCurve, _condition_bound
+from srmec.network import condition_bound
+from srmec.saturation import BhCurve
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -183,6 +192,13 @@ angle_step_deg = 0.5
             RunConfig(geometry=MotorGeometry(turns_per_pole=10**156), materials=materials)
         RunConfig(geometry=MotorGeometry(turns_per_pole=10**156), materials=materials, sweep_currents=(0.01,))
 
+    def test_turns_near_the_float_limit_are_held_to_the_linkage_bound(self):
+        # 2.0 * N overflows, so N * 0 A must be taken first: the magnet
+        # MMF, computed at 0 A, is finite, and the linkage is refused.
+        message = re.escape("[geometry] turns_per_pole = 1e+308 with [sweep] currents up to 8 A")
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(geometry=MotorGeometry(turns_per_pole=10**308), materials=MaterialSet())
+
     @pytest.mark.parametrize(
         "geometry, materials, refused",
         [
@@ -206,8 +222,17 @@ angle_step_deg = 0.5
                 "[geometry] pm_length = 5 with [materials] pm_remanence = 1e+308, "
                 "pm_relative_permeability = 1.05 make the magnet MMF inf At",
             ),
+            (
+                # Its solve record once read regime_pm_over_two_poles = inf.
+                {"stator_pole_height": 1e-9},
+                {"iron_relative_permeability": 1e300},
+                "[geometry] stator_outer_diameter = 140, stator_yoke_thickness = 4.72, "
+                "stator_pole_height = 1e-09, stator_tooth_arc = 4.87, stack_length = 20, "
+                "pm_length = 5, pm_width = 5 with [materials] iron_relative_permeability = 1e+300, "
+                "pm_relative_permeability = 1.05 make the regime ratio pm_over_two_poles inf",
+            ),
         ],
-        ids=["thin_stack", "huge_thin_magnet", "huge_remanence"],
+        ids=["thin_stack", "huge_thin_magnet", "huge_remanence", "overflowing_regime_ratio"],
     )
     def test_derived_values_past_the_float_range_are_refused_by_key(
         self, geometry, materials, refused
@@ -216,12 +241,65 @@ angle_step_deg = 0.5
             RunConfig(geometry=MotorGeometry(**geometry), materials=MaterialSet(**materials))
         assert str(info.value).startswith(refused + ", past the ")
 
+    @pytest.mark.parametrize(
+        "geometry, materials, refused",
+        [
+            (
+                {"pm_length": 1e-100, "pm_width": 1e300},
+                {},
+                "[geometry] pm_length = 1e-100, pm_width = 1e+300, stack_length = 20 with "
+                "[materials] pm_relative_permeability = 1.05 make the magnet reluctance 0 A/Wb, "
+                "below the 2.22507e-308 A/Wb",
+            ),
+            (
+                {"stack_length": 1e300, "stator_outer_diameter": 1e100},
+                {},
+                "[geometry] stator_outer_diameter = 1e+100, stator_yoke_thickness = 4.72, "
+                "stator_pole_height = 16.12, stator_tooth_arc = 4.87, stack_length = 1e+300 with "
+                "[materials] iron_relative_permeability = 4000 make the stator pole reluctance "
+                "0 A/Wb, below the 2.22507e-308 A/Wb",
+            ),
+            (
+                {"stator_pole_height": 1e-200},
+                {"iron_relative_permeability": 1e200},
+                "[geometry] stator_outer_diameter = 140, stator_yoke_thickness = 4.72, "
+                "stator_pole_height = 1e-200, stator_tooth_arc = 4.87, stack_length = 20 with "
+                "[materials] iron_relative_permeability = 1e+200 make the stator pole reluctance "
+                "0 A/Wb, below the 2.22507e-308 A/Wb",
+            ),
+        ],
+        ids=["vanishing_magnet", "vast_stack", "vanishing_pole"],
+    )
+    def test_derived_values_below_the_float_range_are_refused_by_key(
+        self, geometry, materials, refused
+    ):
+        # Each once crashed in the linkage bound with a ZeroDivisionError
+        # (the second after a numpy overflow warning), or was refused by
+        # the linear reluctance set after the solve's manifest.
+        with pytest.raises(ConfigError) as info:
+            RunConfig(geometry=MotorGeometry(**geometry), materials=MaterialSet(**materials))
+        assert str(info.value).startswith(refused)
+
+    def test_iron_refusal_names_the_iron_permeability(self):
+        # Iron is bounded at the lesser of mu0 * mu_r and the curve's
+        # initial permeability, so mu_r = 1 pushes a thin stack's yoke
+        # past the ceiling that the default mu_r leaves it under.
+        thin = MotorGeometry(stack_length=1.9085e-298)
+        RunConfig(geometry=thin, materials=MaterialSet())
+        with pytest.raises(ConfigError) as info:
+            RunConfig(geometry=thin, materials=MaterialSet(iron_relative_permeability=1.0))
+        assert str(info.value).startswith(
+            "[geometry] stator_outer_diameter = 140, stator_yoke_thickness = 4.72, "
+            "stator_teeth_count = 16, stack_length = 1.9085e-298 with "
+            "[materials] iron_relative_permeability = 1 make the stator yoke reluctance "
+        )
+
     def test_reluctance_ceiling_leaves_a_mesh_matrix_room_to_double(self):
         # Every element at the ceiling: each entry, doubled, and the
         # grid's condition bound stay finite.
         matrix = TOPOLOGY.stamp(np.full(len(ELEMENT_ORDER), RELUCTANCE_CEILING))
         assert np.isfinite(2.0 * np.abs(matrix).sum(axis=-1)).all()
-        assert np.isfinite(_condition_bound(matrix))
+        assert np.isfinite(condition_bound(matrix))
 
     def test_grid_bound_is_checked_against_the_angle_count(self):
         # 2,200 points fit at the default 80 angles, not at 160.
@@ -616,6 +694,41 @@ class TestSweepCommand:
         assert "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (
+                "[geometry]\npm_length = 1e-100\npm_width = 1e300\n",
+                "make the magnet reluctance 0 A/Wb, below the",
+            ),
+            (
+                "[geometry]\nstack_length = 1e300\nstator_outer_diameter = 1e100\n",
+                "make the stator pole reluctance 0 A/Wb, below the",
+            ),
+            (
+                "[geometry]\nstator_pole_height = 1e-200\n"
+                "[materials]\niron_relative_permeability = 1e200\n",
+                "make the stator pole reluctance 0 A/Wb, below the",
+            ),
+        ],
+        ids=["vanishing_magnet", "vast_stack", "vanishing_pole"],
+    )
+    def test_vanishing_reluctances_exit_2_before_the_manifest(
+        self, tmp_path, capsys, command, text, named
+    ):
+        # The first two once ended in a ZeroDivisionError traceback
+        # (exit 1) in both commands, the second after a numpy overflow
+        # warning; the third made `solve` write its manifest and exit 2
+        # naming no key, and its `sweep` passed.
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "srmec: error: [geometry] " in err and named in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", [4126, 10**30])
     def test_oversized_grid_exits_2_before_the_manifest(self, tmp_path, capsys, monkeypatch, points):
         # 4,126 points x 80 angles is the first grid over 33 x 10,000;
@@ -758,3 +871,105 @@ class TestProcessState:
             out = tmp_path / f"alone{k}"
             stdout = run_alone([*argv, str(out)])
             assert (stdout, data_files(out)) == together[k], argv[0]
+
+
+# The fuzzed keys: every geometry and materials key, each drawn over
+# the whole float range (1e-300 to 1e300) or, for counts, up to 10**300.
+FUZZ_KEYS = tuple(
+    (section, f.name) for section, cls in (("geometry", MotorGeometry), ("materials", MaterialSet))
+    for f in fields(cls)
+)
+FUZZ_INTS = {"turns_per_pole", "stator_teeth_count", "rotor_poles_count"}
+FUZZ_SWEEP = "[sweep]\ncurrents = 2, 8\ncurrent_points = 3\nangle_step_deg = 5\n"
+extreme_floats = st.one_of(
+    st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+extreme_ints = st.one_of(
+    st.integers(min_value=0, max_value=300).map(lambda e: 10**e),
+    st.integers(min_value=1, max_value=10**300),
+)
+
+
+@st.composite
+def extreme_settings(draw):
+    """One or two geometry or materials keys at extreme values:
+    {(section, key): value}."""
+    keys = draw(st.lists(st.sampled_from(FUZZ_KEYS), min_size=1, max_size=2, unique=True))
+    return {key: draw(extreme_ints if key[1] in FUZZ_INTS else extreme_floats) for key in keys}
+
+
+def fuzz_config_text(values) -> str:
+    lines = []
+    for section in ("geometry", "materials"):
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {value!r}" for (where, key), value in values.items() if where == section)
+    return "\n".join(lines) + "\n" + FUZZ_SWEEP
+
+
+def run_recorded(argv):
+    """main(argv) with its stdout and every warning it raised recorded."""
+    stdout = io.StringIO()
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        contextlib.redirect_stdout(stdout),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, stdout.getvalue(), caught
+
+
+def assert_finite_numbers(text: str) -> None:
+    for token in re.split(r"[\s,=]+", text):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), token
+
+
+def check_cli_boundary(values) -> None:
+    """The four promises of the CLI boundary for one config, in `solve`
+    and a tiny `sweep`: exit 0, 2 or 3; exit 2 before the manifest; no
+    numpy warning (MotorGeometry's own wide-gap warning is allowed); and
+    no nan or inf in the outputs of a run that succeeds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.cfg"
+        config.write_text(fuzz_config_text(values))
+        for command in ("solve", "sweep"):
+            out = Path(tmp) / command
+            code, stdout, caught = run_recorded([command, "--config", str(config), "--out", str(out)])
+            assert code in (0, 2, 3), (command, code)
+            if code == 2:
+                assert not out.exists(), command
+            for caught_warning in caught:
+                assert caught_warning.category is UserWarning, (command, str(caught_warning.message))
+                assert "lumped gap model degrades" in str(caught_warning.message)
+            if code == 0:
+                assert_finite_numbers(stdout)
+                for written in out.iterdir():
+                    if written.name != "manifest.json":
+                        assert_finite_numbers(written.read_text())
+
+
+class TestCliBoundaryFuzz:
+    """Extreme config values end in a result, a named refusal or a named
+    solve failure, never in a crash, a warning or a non-finite output."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(extreme_settings())
+    # Reproducers that once crashed or were refused after the manifest.
+    @example({("geometry", "pm_length"): 1e-100, ("geometry", "pm_width"): 1e300})
+    @example({("geometry", "stack_length"): 1e300, ("geometry", "stator_outer_diameter"): 1e100})
+    @example(
+        {("geometry", "stator_pole_height"): 1e-200, ("materials", "iron_relative_permeability"): 1e200}
+    )
+    # A saturated pass whose stamp overflows once warned before its exit 3.
+    @example(
+        {("geometry", "stator_yoke_thickness"): 1e-299, ("materials", "iron_relative_permeability"): 1e300}
+    )
+    # Only the gap's effective area may be computed from its reluctance.
+    @example({("geometry", "stator_outer_diameter"): 2.3e299})
+    def test_extreme_keys_end_in_a_named_exit(self, values):
+        check_cli_boundary(values)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from srmec.exact import solve_exact
 from srmec.fidelity import sample_regime_case
 from srmec.motor import (
+    ELEMENT_ORDER,
     FRINGING_PERMEANCE_FRACTION,
     IRON_ELEMENT_IDS,
     MU0,
@@ -29,9 +30,10 @@ from srmec.motor import (
     closed_form_branch_fluxes,
     closed_form_mesh_fluxes,
     composite_reluctances,
+    element_reluctances,
     gap_area_m2,
-    largest_reluctances,
     regime_check,
+    reluctance_range,
     reluctances_from_geometry,
     solve_flux,
     source_values,
@@ -107,6 +109,14 @@ def designs(draw):
     s = sources_for(geometry, materials, current)
     assume(s.f_e > 0.0 or s.f_pm > 0.0)
     return r, s
+
+
+@st.composite
+def designs_at_a_permeability(draw):
+    """(geometry, materials, iron permeability H/m, gap reluctance A/Wb)."""
+    materials = MaterialSet(pm_relative_permeability=draw(between(1.0, 1.3)))
+    iron = MU0 * draw(between(1.0, 20000.0))
+    return draw(geometries()), materials, iron, draw(between(1e3, 1e9))
 
 
 # Reproducible draws, and no shrink or explain phase: a failure is
@@ -421,9 +431,10 @@ class TestRandomDesigns:
         assert np.all(np.abs(solution.mesh_fluxes - (coil + pm)) <= bound)
 
 
-def per_call_iron_paths(geometry):
-    """The iron path table as it was computed on every call before the
-    geometry kept it: {element id: (length m, area m^2)}."""
+def per_call_element_paths(geometry):
+    """The element path table as it was computed on every call before the
+    geometry kept it (iron paths, and the magnet's length and area):
+    {element id: (length m, area m^2)}, the gap's area NaN."""
     stack = geometry.stack_length_m
     yoke_len = 2.0 * math.pi * geometry.stator_yoke_mean_radius_m / geometry.stator_teeth_count
     yoke_area = geometry.stator_yoke_thickness * 1e-3 * stack
@@ -432,14 +443,19 @@ def per_call_iron_paths(geometry):
     pole_area = tooth_chord * stack
     rotor_len = 2.0 * math.pi * geometry.rotor_yoke_mean_radius_m / geometry.rotor_poles_count
     rotor_area = geometry.rotor_yoke_thickness_m * stack
+    pm_area = geometry.pm_width * 1e-3 * geometry.stack_length_m
     specs = {}
-    for eid in IRON_ELEMENT_IDS:
+    for eid in ELEMENT_ORDER:
         if eid.startswith("sy"):
             specs[eid] = (yoke_len, yoke_area)
         elif eid.startswith("sp"):
             specs[eid] = (pole_len, pole_area)
-        else:
+        elif eid == "ry":
             specs[eid] = (rotor_len, rotor_area)
+        elif eid.startswith("g"):
+            specs[eid] = (geometry.airgap_length * 1e-3, math.nan)
+        else:
+            specs[eid] = (geometry.pm_length * 1e-3, pm_area)
     return specs
 
 
@@ -458,47 +474,73 @@ class TestGeometryConstants:
 
     @design_settings
     @given(geometries())
-    def test_iron_table_is_the_per_call_table(self, geometry):
-        specs = per_call_iron_paths(geometry)
-        lengths, areas = geometry.iron_paths
-        assert lengths.tobytes() == np.array([specs[eid][0] for eid in IRON_ELEMENT_IDS]).tobytes()
-        assert areas.tobytes() == np.array([specs[eid][1] for eid in IRON_ELEMENT_IDS]).tobytes()
-        for eid in IRON_ELEMENT_IDS:
-            assert geometry.iron_path(eid) == specs[eid]
-            assert all(type(value) is float for value in geometry.iron_path(eid))
+    def test_element_table_is_the_per_call_table(self, geometry):
+        specs = per_call_element_paths(geometry)
+        lengths, areas = geometry.element_paths
+        assert lengths.tobytes() == np.array([specs[eid][0] for eid in ELEMENT_ORDER]).tobytes()
+        assert areas.tobytes() == np.array([specs[eid][1] for eid in ELEMENT_ORDER]).tobytes()
+
+    @design_settings
+    @given(designs_at_a_permeability())
+    def test_element_reluctances_are_the_per_call_reluctances(self, design):
+        # l/(mu A) as each element's caller once evaluated it: iron at the
+        # given permeability, the magnet at its recoil permeability.
+        geometry, materials, iron, gap = design
+        specs = per_call_element_paths(geometry)
+        mu_pm = MU0 * materials.pm_relative_permeability
+        expected = []
+        for eid in ELEMENT_ORDER:
+            length, area = specs[eid]
+            if eid in IRON_ELEMENT_IDS:
+                expected.append(length / (iron * area))
+            elif eid.startswith("g"):
+                expected.append(gap)
+            else:
+                expected.append(geometry.pm_length * 1e-3 / (mu_pm * area))
+        values = element_reluctances(geometry, materials, iron, gap)
+        assert values.tobytes() == np.array(expected).tobytes()
+        gaps = element_reluctances(geometry, materials, iron, np.array([gap, 2.0 * gap]))
+        assert gaps.shape == (2, len(ELEMENT_ORDER))
+        assert gaps[0].tobytes() == values.tobytes()
 
     def test_constants_are_kept_per_instance_and_read_only(self):
         geometry = MotorGeometry()
-        assert geometry.iron_paths is geometry.iron_paths
-        assert not geometry.iron_paths.flags.writeable
+        assert geometry.element_paths is geometry.element_paths
+        assert not geometry.element_paths.flags.writeable
         with pytest.raises(ValueError):
-            geometry.iron_paths[1, 0] = 1.0
+            geometry.element_paths[1, 0] = 1.0
         # A changed design computes its own; equal designs stay equal.
         longer = replace(geometry, stack_length=2.0 * geometry.stack_length)
-        assert np.array_equal(longer.iron_paths[1], 2.0 * geometry.iron_paths[1])
+        gap = np.isin(ELEMENT_ORDER, ("g1", "g2"))
+        assert np.isnan(longer.element_paths[1][gap]).all()
+        assert np.array_equal(longer.element_paths[1][~gap], 2.0 * geometry.element_paths[1][~gap])
         assert longer.gap_floor_permeance == 2.0 * geometry.gap_floor_permeance
         assert MotorGeometry() == geometry and hash(MotorGeometry()) == hash(geometry)
 
-    def test_largest_reluctances_are_the_solved_ones_at_their_extremes(self):
+    def test_reluctance_range_is_the_solved_reluctances_at_their_extremes(self):
         geometry, materials = default_pair()
-        iron = MU0 * materials.iron_relative_permeability
-        largest = largest_reluctances(geometry, materials, iron)
-        # At unalignment the gap sits on its fringing floor.
-        linear = reluctances_from_geometry(geometry, materials, geometry.unaligned_angle_deg)
-        assert largest == {
-            "r_sy": linear.r_sy,
-            "r_sp": linear.r_sp,
-            "r_ry": linear.r_ry,
-            "r_g": linear.r_g,
-            "r_pm": linear.r_pm,
+        linear = MU0 * materials.iron_relative_permeability
+        ranges = reluctance_range(geometry, materials, (linear, linear))
+        # At alignment the gap is least, at unalignment on its floor.
+        smallest = reluctances_from_geometry(geometry, materials, geometry.aligned_angle_deg)
+        largest = reluctances_from_geometry(geometry, materials, geometry.unaligned_angle_deg)
+        assert ranges == {
+            key: (getattr(smallest, key), getattr(largest, key))
+            for key in ("r_sy", "r_sp", "r_ry", "r_g", "r_pm")
         }
-        assert all(r <= largest["r_g"] for r in airgap_reluctance(geometry, np.linspace(0.0, 20.0, 81)))
+        gaps = airgap_reluctance(geometry, np.linspace(0.0, 20.0, 81))
+        assert ranges["r_g"][0] == gaps.min() and ranges["r_g"][1] == gaps.max()
+        # Iron takes the greater permeability at its smallest.
+        low, high = reluctance_range(geometry, materials, (MU0, linear))["r_sy"]
+        assert low == smallest.r_sy and high == pytest.approx(4000.0 * low)
 
-    def test_largest_reluctances_overflow_to_inf_without_a_warning(self):
+    def test_reluctance_range_passes_the_float_range_without_a_warning(self):
         thin = MotorGeometry(stack_length=1e-300)
-        largest = largest_reluctances(thin, MaterialSet(), MU0)
-        assert largest["r_g"] == largest["r_pm"] == math.inf
-        assert math.isfinite(largest_reluctances(thin, MaterialSet(), 1.0)["r_sy"])
+        ranges = reluctance_range(thin, MaterialSet(), (MU0, MU0))
+        assert ranges["r_g"][1] == ranges["r_pm"][1] == math.inf
+        assert math.isfinite(reluctance_range(thin, MaterialSet(), (1.0, 1.0))["r_sy"][1])
+        vanishing = MotorGeometry(pm_length=1e-100, pm_width=1e300)
+        assert reluctance_range(vanishing, MaterialSet(), (MU0, MU0))["r_pm"] == (0.0, 0.0)
 
 
 class TestClosedForms:

@@ -20,6 +20,7 @@ from srmec.motor import (
     source_values,
 )
 from srmec.network import (
+    CONDITION_LIMIT,
     RESIDUAL_CHUNK,
     MeshFluxes,
     MeshSpec,
@@ -34,6 +35,7 @@ from srmec.network import (
     _rounded_residuals,
     _scaled_rows,
     assemble_mesh_system,
+    condition_bound,
     compile_topology,
     kirchhoff_residual,
     solve_linear,
@@ -396,6 +398,49 @@ class TestSolveLinear:
         sys_ = MeshSystem(matrix=np.array([[matrix]]), rhs=np.array([rhs]), label="odd net")
         with np.errstate(over="ignore"), pytest.raises(SolveError, match="odd net: exact residual"):
             solve_linear(sys_)
+
+
+class TestConditionScreen:
+    """solve_linear estimates a condition number (an SVD) only for the
+    matrices that the symmetric diagonal-dominance bound leaves."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def counted(matrices, *args):
+            calls.append(np.shape(matrices))
+            return cond(matrices, *args)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        return calls
+
+    def test_a_symmetric_dominant_stack_runs_no_svd(self, svd_calls):
+        rng = np.random.default_rng(4)
+        matrices = TOPOLOGY.stamp(10.0 ** rng.uniform(3.0, 6.0, (1000, len(ELEMENT_ORDER))))
+        assert (condition_bound(matrices) <= CONDITION_LIMIT).all()
+        solve_linear(MeshSystem(matrices, np.ones((1000, len(MESH_SPECS)))))
+        assert svd_calls == []
+
+    def test_asymmetric_or_non_dominant_matrices_get_their_exact_condition_number(self, svd_calls):
+        dominant = [[4.0, -1.0], [-1.0, 4.0]]
+        asymmetric = [[4.0, -1.0], [-1.5, 4.0]]
+        non_dominant = [[1.0, 1.0], [1.0, 1.0 + 1e-13]]
+        matrices = np.array([dominant, asymmetric, non_dominant])
+        # The asymmetric matrix has a finite bound, which holds only for
+        # symmetric ones.
+        assert np.isfinite(condition_bound(matrices)).tolist() == [True, True, False]
+        exact = np.linalg.cond(matrices[2])
+        svd_calls.clear()
+        assert exact > CONDITION_LIMIT
+        refused = re.escape(f"condition number {exact:.3e} exceeds limit") + ".* at batch index 2$"
+        with pytest.raises(SolveError, match=refused):
+            solve_linear(MeshSystem(matrices, np.ones((3, 2))))
+        assert svd_calls == [(2, 2, 2)]
+        # Asymmetric but well conditioned: estimated, and solved.
+        solve_linear(MeshSystem(matrices[1], np.ones(2)))
+        assert svd_calls[1:] == [(1, 2, 2)]
 
 
 class TestKirchhoffResidual:

@@ -21,12 +21,11 @@ from srmec.motor import (
     sources_for,
 )
 from srmec import saturation
-from srmec.network import CONDITION_LIMIT, MeshStamps, SolveError
+from srmec.network import CONDITION_LIMIT, MeshStamps, SolveError, condition_bound
 from srmec.saturation import (
     ELIMINATION_MIN_SYSTEMS,
     BhCurve,
     NonConvergenceError,
-    _condition_bound,
     _guarded_solve,
     solve_nonlinear,
     solve_nonlinear_grid,
@@ -436,7 +435,7 @@ class TestNonlinearGrid:
         # exact condition number refuses the system.
         values = np.full((1, len(ELEMENT_ORDER)), 1e6)
         values[0, ELEMENT_ORDER.index("pm3")] = 1e308
-        assert _condition_bound(TOPOLOGY.stamp(values)).tolist() == [math.inf]
+        assert condition_bound(TOPOLOGY.stamp(values)).tolist() == [math.inf]
         huge_magnet = MotorGeometry(pm_length=1e100, pm_width=1e-200)
         refused = r"^condition number 1\.005e\+301 exceeds limit .* \(8 A, 10 deg\)$"
         with pytest.raises(SolveError, match=refused):
@@ -598,14 +597,14 @@ class TestConditionGuard:
         for decades in (0.01, 2, 6, 12):
             values = 1e6 * 10.0 ** rng.uniform(-decades / 2, decades / 2, (5000, len(ELEMENT_ORDER)))
             matrices = TOPOLOGY.assemble(values, np.zeros((5000, len(TOPOLOGY.source_ids))))[0]
-            assert np.all(_condition_bound(matrices) >= np.linalg.cond(matrices))
+            assert np.all(condition_bound(matrices) >= np.linalg.cond(matrices))
 
     def test_bound_screens_the_default_grid_without_exact_condition_numbers(
         self, geometry, materials, curve
     ):
         currents = np.linspace(0.0, 8.0, DEFAULT_CURRENT_POINTS)
         grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles_for_period(geometry))
-        assert _condition_bound(grid.matrices).max() < 1e4 < CONDITION_LIMIT
+        assert condition_bound(grid.matrices).max() < 1e4 < CONDITION_LIMIT
 
     def test_converged_ill_conditioned_points_are_refused(self, materials, curve):
         # With 1e-8 mm magnets the 1 A points converge, but their systems'
@@ -618,7 +617,7 @@ class TestConditionGuard:
 
     def test_non_dominant_matrix_gets_an_infinite_bound(self):
         matrix = np.array([[1.0, -2.0], [-2.0, 5.0]])
-        assert _condition_bound(matrix) == np.inf
+        assert condition_bound(matrix) == np.inf
 
 
 GRID_FIELDS = ("mesh_fluxes", "matrices", "iterations")

@@ -320,6 +320,19 @@ class TestLinkageBound:
         assert large == pytest.approx(100.0 * small, rel=1e-12)
         assert linkage_bound(MotorGeometry(turns_per_pole=10**300), materials, curve, 8.0) == math.inf
 
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            {"pm_length": 1e-100, "pm_width": 1e300},
+            {"stack_length": 1e300, "stator_outer_diameter": 1e100},
+        ],
+        ids=["vanishing_magnet", "vanishing_pole"],
+    )
+    def test_a_vanishing_least_reluctance_bounds_nothing(self, materials, curve, geometry):
+        # The magnet's or the pole's reluctance underflows to zero: inf,
+        # where it once divided by zero.
+        assert linkage_bound(MotorGeometry(**geometry), materials, curve, 8.0) == math.inf
+
     def test_sweeps_refuse_an_overflowing_linkage_before_the_grid(self, materials, curve, monkeypatch):
         # Refused by name, before any grid solve and without a numpy
         # overflow warning (which the suite turns into an error).
