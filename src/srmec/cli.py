@@ -32,7 +32,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, config_hash, load_config
 from .fidelity import DEFAULT_SAMPLES, DEFAULT_SEED, audit_notes, run_fidelity_audit
 from .metrics import MotorDataError, comparison_table, load_motor_records
-from .motor import OperatingPoint, regime_check, reluctances_from_geometry
+from .motor import OperatingPoint, branch_flux_values, regime_check, reluctances_from_geometry
 from .network import SolveError
 from .saturation import BhCurve, NonConvergenceError, solve_nonlinear
 from .torque import TorqueCurve, torque_component_sweeps
@@ -99,30 +99,24 @@ def solve_record_text(config: RunConfig, point: OperatingPoint) -> str:
     curve = BhCurve.default()
     solution = solve_nonlinear(config.geometry, config.materials, curve, point)
     report = regime_check(reluctances_from_geometry(config.geometry, config.materials, angle_deg))
+    parts = ("", "coil_", "pm_")
+    mesh = np.array([solution.mesh_fluxes, solution.coil_mesh_fluxes, solution.pm_mesh_fluxes])
     lines = [
         f"current_a = {_fmt(current)}",
         f"rotor_angle_deg = {_fmt(angle_deg)}",
         f"iterations = {solution.iterations}",
         f"residual = {_fmt(solution.residual)}",
     ]
-    for label, vector in (
-        ("mesh_flux", solution.mesh_fluxes),
-        ("coil_mesh_flux", solution.coil_mesh_fluxes),
-        ("pm_mesh_flux", solution.pm_mesh_fluxes),
-    ):
-        lines.extend(f"{label}_{k + 1}_wb = {_fmt(vector[k])}" for k in range(len(vector)))
-    for label, branches in (
-        ("branch", solution.branches),
-        ("coil_branch", solution.coil_branches),
-        ("pm_branch", solution.pm_branches),
-    ):
-        lines.append(f"{label}_yoke_wb = {_fmt(branches.phi_sy)}")
-        lines.append(f"{label}_pole_wb = {_fmt(branches.phi_sp)}")
-        lines.append(f"{label}_gap_wb = {_fmt(branches.phi_g)}")
+    for part, vector in zip(parts, mesh.tolist()):
+        lines.extend(f"{part}mesh_flux_{k}_wb = {value:.17g}" for k, value in enumerate(vector, 1))
+    for part, (yoke, pole, gap) in zip(parts, branch_flux_values(mesh).tolist()):
+        lines.append(f"{part}branch_yoke_wb = {yoke:.17g}")
+        lines.append(f"{part}branch_pole_wb = {pole:.17g}")
+        lines.append(f"{part}branch_gap_wb = {gap:.17g}")
     for element, density in sorted((solution.flux_densities or {}).items()):
-        lines.append(f"flux_density_{element}_t = {_fmt(density)}")
+        lines.append(f"flux_density_{element}_t = {density:.17g}")
     for name, ratio in sorted(report.ratios.items()):
-        lines.append(f"regime_{name} = {_fmt(ratio)}")
+        lines.append(f"regime_{name} = {ratio:.17g}")
     lines.append(f"regime_all_pass = {str(report.all_pass).lower()}")
     return "\n".join(lines) + "\n"
 
@@ -131,6 +125,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     angle = args.angle if args.angle is not None else config.geometry.aligned_angle_deg
     # Refused before the manifest, which would list a record never written.
+    config.check_solve_record()
     point = OperatingPoint(phase_current=args.current, rotor_angle=angle)
     point.validate_for(config.geometry)
     if args.out is not None:
@@ -169,12 +164,12 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 def torque_curve_csv_text(total: TorqueCurve, coil: TorqueCurve) -> str:
     lines = ["angle_deg,torque_nm,torque_coil_nm,torque_pm_nm"]
-    for k in range(total.angles.size):
-        torque = float(total.samples[k])
-        coil_part = float(coil.samples[k])
-        lines.append(
-            f"{_fmt(total.angles[k])},{_fmt(torque)},{_fmt(coil_part)},{_fmt(torque - coil_part)}"
+    lines.extend(
+        f"{angle:.17g},{torque:.17g},{coil_part:.17g},{torque - coil_part:.17g}"
+        for angle, torque, coil_part in zip(
+            total.angles.tolist(), total.samples.tolist(), coil.samples.tolist()
         )
+    )
     return "\n".join(lines) + "\n"
 
 

@@ -54,7 +54,7 @@ RELUCTANCE_CEILING = sys.float_info.max / (2 * len(ELEMENT_ORDER))
 RELUCTANCE_FLOOR = sys.float_info.min
 # The derived values RunConfig bounds, by ReluctanceSet and SourceSet
 # field name: what each is, and the keys it is computed from, which a
-# refusal names.
+# refusal names (iron_relative_permeability only where it sets the iron).
 _BORE_KEYS = ("stator_outer_diameter", "stator_yoke_thickness", "stator_pole_height")
 _IRON = ("stack_length", "iron_relative_permeability")
 _DERIVED = {
@@ -116,41 +116,73 @@ class RunConfig:
         except ValueError as error:
             raise ConfigError(f"[sweep] {error}") from None
         # Values derived from several keys would otherwise overflow or
-        # vanish only after the manifest is written.  Iron is bounded as
-        # the linear model takes it and as every saturating solve starts
-        # it (the states a solve reaches from there are the solve's to
-        # refuse, by point), each reluctance at its extremes over angle.
-        curve = BhCurve.default()
-        try:
-            f_pm = sources_for(self.geometry, self.materials, 0.0).f_pm
-        except ValueError:  # a magnet MMF past the float range
-            f_pm = math.inf
-        iron = (MU0 * self.materials.iron_relative_permeability, curve.initial_permeability)
-        ranges = reluctance_range(self.geometry, self.materials, iron).items()
-        # Least divisors, floored (the floor is checked first): ratios at their largest.
-        ratios = dominance_ratios(**{f: max(low, RELUCTANCE_FLOOR) for f, (low, _) in ranges})
-        limits = {"f_pm": (f_pm, f_pm, " At", 0.0, sys.float_info.max)}
-        for field, (low, high) in ranges:
-            limits[field] = (low, high, " A/Wb", RELUCTANCE_FLOOR, RELUCTANCE_CEILING)
-        limits.update((name, (r, r, "", 0.0, sys.float_info.max)) for name, r in ratios.items())
-        for field, (what, keys) in _DERIVED.items():
-            low, high, unit, floor, ceiling = limits[field]
-            if not (high <= ceiling and low >= floor):
-                value, side, limit = (low, "below", floor) if high <= ceiling else (high, "past", ceiling)
-                raise ConfigError(
-                    f"{self._named(keys)} make the {what} {value:.6g}{unit}, "
-                    f"{side} the {limit:.6g}{unit} a solve can take"
-                )
+        # vanish only after the manifest is written.
+        self._refuse_derived(linear=False)
         # The sweep's linkage grows as turns squared times current, and
         # bounds the coil MMF 2*N*i too.
         top = max(self.sweep_currents)
         try:
-            check_linkage(self.geometry, self.materials, curve, top)
+            check_linkage(self.geometry, self.materials, BhCurve.default(), top)
         except ValueError:
             raise ConfigError(
                 f"[geometry] turns_per_pole = {float(self.geometry.turns_per_pole):.6g} with "
                 f"[sweep] currents up to {top:g} A could overflow the flux linkage"
             ) from None
+
+    def check_solve_record(self) -> None:
+        """Refuse by key what only `srmec solve`'s record reads: the
+        linear model's iron and its regime ratios.  A sweep reads neither."""
+        if self._solve_record_refusal:
+            raise ConfigError(self._solve_record_refusal)
+
+    @functools.cached_property
+    def _solve_record_refusal(self) -> str:
+        """check_solve_record's message, or "" if it passes: computed on
+        the first check and kept (frozen fields never change it)."""
+        try:
+            self._refuse_derived(linear=True)
+        except ConfigError as error:
+            return str(error)
+        return ""
+
+    def _refuse_derived(self, linear: bool) -> None:
+        """Raise ConfigError naming the keys of the first derived value
+        past what a solve can take, each reluctance at its extremes over
+        angle.  Every command's values: the magnet MMF, and the iron as
+        every saturating solve starts it, at the curve's initial
+        permeability (the states a solve reaches from there are the
+        solve's to refuse, by point).  The linear model's (linear=True):
+        its iron at mu0 * iron_relative_permeability and its regime
+        ratios at their largest."""
+        limits = {}
+        if linear:
+            iron = MU0 * self.materials.iron_relative_permeability
+        else:
+            iron = BhCurve.default().initial_permeability
+            try:
+                f_pm = sources_for(self.geometry, self.materials, 0.0).f_pm
+            except ValueError:  # a magnet MMF past the float range
+                f_pm = math.inf
+            limits["f_pm"] = (f_pm, f_pm, " At", 0.0, sys.float_info.max)
+        ranges = reluctance_range(self.geometry, self.materials, (iron, iron)).items()
+        for field, (low, high) in ranges:
+            limits[field] = (low, high, " A/Wb", RELUCTANCE_FLOOR, RELUCTANCE_CEILING)
+        if linear:
+            # Least divisors, floored (the floor is checked first): ratios at their largest.
+            ratios = dominance_ratios(**{f: max(low, RELUCTANCE_FLOOR) for f, (low, _) in ranges})
+            limits.update((name, (r, r, "", 0.0, sys.float_info.max)) for name, r in ratios.items())
+        for field, (what, keys) in _DERIVED.items():
+            if field not in limits:
+                continue
+            low, high, unit, floor, ceiling = limits[field]
+            if not (high <= ceiling and low >= floor):
+                value, side, limit = (low, "below", floor) if high <= ceiling else (high, "past", ceiling)
+                if not linear:
+                    keys = tuple(key for key in keys if key != "iron_relative_permeability")
+                raise ConfigError(
+                    f"{self._named(keys)} make the {what} {value:.6g}{unit}, "
+                    f"{side} the {limit:.6g}{unit} a solve can take"
+                )
 
     def _named(self, keys: tuple[str, ...]) -> str:
         """'[section] key = value, ...' for geometry and materials keys."""

@@ -53,6 +53,7 @@ from .motor import (
     ELEMENT_ORDER,
     IRON_SLOTS,
     MU0,
+    SOURCE_ORDER,
     TOPOLOGY,
     FluxSolution,
     MaterialSet,
@@ -61,7 +62,6 @@ from .motor import (
     airgap_reluctance,
     element_reluctances,
     solve_superposition,
-    source_values,
     sources_for,
 )
 from .network import CONDITION_LIMIT, SolveError, condition_bound
@@ -126,14 +126,17 @@ class BhCurve:
     def linear(cls, relative_permeability: float) -> "BhCurve":
         """Synthetic constant-permeability curve covering |B| <= 1e6 T.
 
-        The huge span keeps every realistic solve on the table, so chord
-        lookups return exactly mu0*mu_r and the saturating solver
-        reduces to the linear one.
+        The huge span keeps every realistic solve on the table.  The
+        field points are powers of two, so initial_permeability is
+        exactly mu0*mu_r and chord lookups agree with it to rounding: the
+        saturating solver converges on its first pass and keeps its
+        initial matrix, so it reduces to the linear one bit for bit.
         """
         if relative_permeability <= 0.0:
             raise ValueError("relative permeability must be positive")
-        h_top = 1e6 / (MU0 * relative_permeability)
-        return cls(field_points=(0.5 * h_top, h_top), density_points=(0.5e6, 1e6))
+        mu = MU0 * relative_permeability
+        h_top = math.ldexp(1.0, math.frexp(1e6 / mu)[1])
+        return cls(field_points=(0.5 * h_top, h_top), density_points=(0.5 * h_top * mu, h_top * mu))
 
     @property
     def initial_permeability(self) -> float:
@@ -145,16 +148,23 @@ class BhCurve:
         b = np.abs(np.asarray(density, dtype=float))
         h_tab, b_tab = self._h_tab, self._b_tab
         h = np.interp(b, b_tab, h_tab)
-        # Past the float range H is inf, whose zero chord the grid refuses.
-        with np.errstate(over="ignore"):
-            h = np.where(b > b_tab[-1], h_tab[-1] + (b - b_tab[-1]) / MU0, h)
+        past = b > b_tab[-1]
+        if past.any():
+            # Past the float range H is inf, whose zero chord the grid refuses.
+            with np.errstate(over="ignore"):
+                h = np.where(past, h_tab[-1] + (b - b_tab[-1]) / MU0, h)
         return float(h) if np.ndim(density) == 0 else h
 
     def chord_permeability(self, density: float | np.ndarray) -> float | np.ndarray:
         """B/H(B) in H/m; the initial-slope permeability at B = 0."""
         b = np.abs(np.asarray(density, dtype=float))
         h = np.asarray(self.field_magnitude(b))
-        mu = np.where(b > 0.0, b / np.where(h > 0.0, h, 1.0), self.initial_permeability)
+        if (h > 0.0).all():
+            # Then every density is positive too: H is 0 at B = 0 and NaN
+            # at NaN.  A subnormal B on a steep curve can round H to 0.
+            mu = b / h
+        else:
+            mu = np.where(b > 0.0, b / np.where(h > 0.0, h, 1.0), self.initial_permeability)
         return float(mu) if np.ndim(density) == 0 else mu
 
     def differential_permeability(self, density: float | np.ndarray) -> float | np.ndarray:
@@ -218,11 +228,13 @@ class NonlinearGridResult:
 
     system_index ((n_currents, n_angles), ints) maps every requested
     point to its system, and the system_* arrays hold one row per
-    distinct system: mesh_fluxes (n_systems, 5), the total fluxes
-    solved on matrices, the converged (n_systems, 5, 5) mesh matrices;
-    iterations, the Newton passes per system.  The properties of the
-    same names without the prefix gather a field over the requested
-    grid when read, e.g. mesh_fluxes (n_currents, n_angles, 5).
+    distinct system: matrices, the converged (n_systems, 5, 5) mesh
+    matrices; mesh_fluxes (n_systems, 5), the total fluxes, each the
+    solve of its system's matrix (see solve_nonlinear_grid for when it
+    is kept from the pass that froze the system); iterations, the Newton
+    passes per system.  The properties of the same names without the
+    prefix gather a field over the requested grid when read, e.g.
+    mesh_fluxes (n_currents, n_angles, 5).
     gap_reluctances (n_angles,) is the air-gap reluctance at each
     requested angle.  max_residual is the worst relative Kirchhoff
     residual of the final systems.  solve_superposition on a matrix
@@ -261,6 +273,9 @@ class NonlinearGridResult:
 # passes: LAPACK costs about 9 us per call plus 0.5 us per system, the
 # elimination about 80 us per call plus 0.17 us per system.
 ELIMINATION_MIN_SYSTEMS = 192
+
+# The coil entries of SOURCE_ORDER, which carry N*i; the rest carry f_pm.
+_COIL_SOURCES = np.array([source.startswith("coil") for source in SOURCE_ORDER])
 
 # Names the requested (current, angle) points, in request order, whose
 # system is among the given system indices.
@@ -363,7 +378,11 @@ def solve_nonlinear_grid(
     nothing.  Every system starts with its iron at the curve's initial
     permeability and takes Newton passes through assembly and solves
     batched over the still-moving subset; a system that reaches
-    tolerance freezes and drops out of the batch.
+    tolerance freezes and drops out of the batch.  A system's fluxes are
+    the solve of its frozen matrix, kept from the pass that froze it
+    while every trial solve took the route of the full batch (always
+    for a grid under ELIMINATION_MIN_SYSTEMS systems); a grid that mixed
+    routes solves every frozen matrix once more at the end.
 
     Raises ValueError if currents or angles is empty or a current is
     negative.  Raises NonConvergenceError if any system is still moving
@@ -394,9 +413,8 @@ def solve_nonlinear_grid(
     unique_currents, current_index = _unique(currents)
     unique_gaps, gap_index = _unique(gap_r)
     index = (current_index.reshape(n_c, 1) * unique_gaps.size + gap_index.reshape(n_a)).ravel()
-    current_of = np.repeat(np.arange(unique_currents.size), unique_gaps.size)
-    gap_of = np.tile(np.arange(unique_gaps.size), unique_currents.size)
-    n_s = current_of.size
+    n_s = unique_currents.size * unique_gaps.size
+    current_of, gap_of = np.divmod(np.arange(n_s), unique_gaps.size)
 
     def named(systems: np.ndarray) -> tuple[tuple[float, float], ...]:
         requested = np.stack(np.meshgrid(currents, angles, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -404,9 +422,11 @@ def solve_nonlinear_grid(
 
     iron_lengths, iron_areas = geometry.element_paths[:, IRON_SLOTS]
     values = element_reluctances(geometry, materials, curve.initial_permeability, unique_gaps[gap_of])
-    sources = np.array(
-        [source_values(sources_for(geometry, materials, float(i))) for i in unique_currents]
-    )[current_of]
+    # sources_for refuses an MMF past the float range; the largest
+    # current has the largest, and every current shares f_pm.
+    f_pm = sources_for(geometry, materials, float(unique_currents[-1])).f_pm
+    coil_mmf = geometry.turns_per_pole * unique_currents
+    sources = np.where(_COIL_SOURCES, coil_mmf[current_of, None], f_pm)
 
     def iron_densities(flux: np.ndarray) -> np.ndarray:
         return TOPOLOGY.element_fluxes(flux)[:, IRON_SLOTS] / iron_areas
@@ -424,6 +444,10 @@ def solve_nonlinear_grid(
     # Trailing singleton keeps the batched solve in the matrix signature
     # on every numpy version.
     fluxes = _guarded_solve(matrix, rhs[..., None], all_systems, named)[..., 0]
+    # Whether every trial solve took the route of the full batch (see
+    # the end).
+    eliminated = n_s >= ELIMINATION_MIN_SYSTEMS
+    routes_agree = True
     active = np.ones(n_s, dtype=bool)
     iterations = np.zeros(n_s, dtype=int)
     # Convergence is judged before stepping, on the flux change a full
@@ -452,6 +476,7 @@ def solve_nonlinear_grid(
             vals_a[:, IRON_SLOTS] = iron_lengths / (chord * iron_areas)
             chords, rhs_a = TOPOLOGY.assemble(vals_a, sources[idx])
             trial = _guarded_solve(chords, rhs_a[..., None], idx, named)[..., 0]
+            routes_agree &= (idx.size >= ELIMINATION_MIN_SYSTEMS) == eliminated
             scale = np.maximum(np.abs(trial).max(axis=-1), 1e-300)
             change = np.abs(trial - flux_a).max(axis=-1) / scale
             iterations[idx] += 1
@@ -460,6 +485,7 @@ def solve_nonlinear_grid(
             moving = change > TOLERANCE
             stepped = ~moving & (iterations[idx] > 1)
             matrix[idx[stepped]] = chords[stepped]
+            fluxes[idx[stepped]] = trial[stepped]
             active[idx[~moving]] = False
             if not moving.any():
                 break
@@ -500,8 +526,15 @@ def solve_nonlinear_grid(
             failing_points=failing,
         )
 
-    # The final solve on the frozen systems.
-    total = _guarded_solve(matrix, rhs[..., None], all_systems, named)[..., 0]
+    # A frozen system's fluxes are its initial solution or the trial it
+    # froze on, so the solve of its frozen matrix; a solve rounds the same
+    # alone or in any batch of one route, and the trial and final
+    # right-hand sides are the same bits.  A grid whose trial batches fell
+    # below ELIMINATION_MIN_SYSTEMS while its full batch did not mixed
+    # routes: it solves the frozen systems again.
+    total = fluxes
+    if not routes_agree:
+        total = _guarded_solve(matrix, rhs[..., None], all_systems, named)[..., 0]
     # Converged systems are held to the single-point solve's limit too.
     _refuse_ill_conditioned(matrix, all_systems, named)
 

@@ -222,17 +222,8 @@ angle_step_deg = 0.5
                 "[geometry] pm_length = 5 with [materials] pm_remanence = 1e+308, "
                 "pm_relative_permeability = 1.05 make the magnet MMF inf At",
             ),
-            (
-                # Its solve record once read regime_pm_over_two_poles = inf.
-                {"stator_pole_height": 1e-9},
-                {"iron_relative_permeability": 1e300},
-                "[geometry] stator_outer_diameter = 140, stator_yoke_thickness = 4.72, "
-                "stator_pole_height = 1e-09, stator_tooth_arc = 4.87, stack_length = 20, "
-                "pm_length = 5, pm_width = 5 with [materials] iron_relative_permeability = 1e+300, "
-                "pm_relative_permeability = 1.05 make the regime ratio pm_over_two_poles inf",
-            ),
         ],
-        ids=["thin_stack", "huge_thin_magnet", "huge_remanence", "overflowing_regime_ratio"],
+        ids=["thin_stack", "huge_thin_magnet", "huge_remanence"],
     )
     def test_derived_values_past_the_float_range_are_refused_by_key(
         self, geometry, materials, refused
@@ -255,20 +246,11 @@ angle_step_deg = 0.5
                 {"stack_length": 1e300, "stator_outer_diameter": 1e100},
                 {},
                 "[geometry] stator_outer_diameter = 1e+100, stator_yoke_thickness = 4.72, "
-                "stator_pole_height = 16.12, stator_tooth_arc = 4.87, stack_length = 1e+300 with "
-                "[materials] iron_relative_permeability = 4000 make the stator pole reluctance "
-                "0 A/Wb, below the 2.22507e-308 A/Wb",
-            ),
-            (
-                {"stator_pole_height": 1e-200},
-                {"iron_relative_permeability": 1e200},
-                "[geometry] stator_outer_diameter = 140, stator_yoke_thickness = 4.72, "
-                "stator_pole_height = 1e-200, stator_tooth_arc = 4.87, stack_length = 20 with "
-                "[materials] iron_relative_permeability = 1e+200 make the stator pole reluctance "
-                "0 A/Wb, below the 2.22507e-308 A/Wb",
+                "stator_pole_height = 16.12, stator_tooth_arc = 4.87, stack_length = 1e+300 "
+                "make the stator pole reluctance 0 A/Wb, below the 2.22507e-308 A/Wb",
             ),
         ],
-        ids=["vanishing_magnet", "vast_stack", "vanishing_pole"],
+        ids=["vanishing_magnet", "vast_stack"],
     )
     def test_derived_values_below_the_float_range_are_refused_by_key(
         self, geometry, materials, refused
@@ -280,14 +262,47 @@ angle_step_deg = 0.5
             RunConfig(geometry=MotorGeometry(**geometry), materials=MaterialSet(**materials))
         assert str(info.value).startswith(refused)
 
-    def test_iron_refusal_names_the_iron_permeability(self):
-        # Iron is bounded at the lesser of mu0 * mu_r and the curve's
-        # initial permeability, so mu_r = 1 pushes a thin stack's yoke
-        # past the ceiling that the default mu_r leaves it under.
-        thin = MotorGeometry(stack_length=1.9085e-298)
-        RunConfig(geometry=thin, materials=MaterialSet())
+    @pytest.mark.parametrize(
+        "geometry, materials, refused",
+        [
+            (
+                # Its solve record once read regime_pm_over_two_poles = inf.
+                {"stator_pole_height": 1e-9},
+                {"iron_relative_permeability": 1e300},
+                "[geometry] stator_outer_diameter = 140, stator_yoke_thickness = 4.72, "
+                "stator_pole_height = 1e-09, stator_tooth_arc = 4.87, stack_length = 20, "
+                "pm_length = 5, pm_width = 5 with [materials] iron_relative_permeability = 1e+300, "
+                "pm_relative_permeability = 1.05 make the regime ratio pm_over_two_poles inf, past the ",
+            ),
+            (
+                {"stator_pole_height": 1e-200},
+                {"iron_relative_permeability": 1e200},
+                "[geometry] stator_outer_diameter = 140, stator_yoke_thickness = 4.72, "
+                "stator_pole_height = 1e-200, stator_tooth_arc = 4.87, stack_length = 20 with "
+                "[materials] iron_relative_permeability = 1e+200 make the stator pole reluctance "
+                "0 A/Wb, below the 2.22507e-308 A/Wb",
+            ),
+        ],
+        ids=["overflowing_regime_ratio", "vanishing_pole"],
+    )
+    def test_linear_model_values_are_refused_for_the_solve_record_only(
+        self, geometry, materials, refused
+    ):
+        # A sweep reads neither the linear iron nor the regime ratios.
+        config = RunConfig(geometry=MotorGeometry(**geometry), materials=MaterialSet(**materials))
         with pytest.raises(ConfigError) as info:
-            RunConfig(geometry=thin, materials=MaterialSet(iron_relative_permeability=1.0))
+            config.check_solve_record()
+        assert str(info.value).startswith(refused)
+
+    def test_iron_refusal_names_the_iron_permeability(self):
+        # The solve record's iron is at mu0 * mu_r, so mu_r = 1 pushes a
+        # thin stack's yoke past the ceiling that the default mu_r, and
+        # the curve's initial permeability, leave it under.
+        thin = MotorGeometry(stack_length=1.9085e-298)
+        RunConfig(geometry=thin, materials=MaterialSet()).check_solve_record()
+        config = RunConfig(geometry=thin, materials=MaterialSet(iron_relative_permeability=1.0))
+        with pytest.raises(ConfigError) as info:
+            config.check_solve_record()
         assert str(info.value).startswith(
             "[geometry] stator_outer_diameter = 140, stator_yoke_thickness = 4.72, "
             "stator_teeth_count = 16, stack_length = 1.9085e-298 with "
@@ -706,27 +721,49 @@ class TestSweepCommand:
                 "[geometry]\nstack_length = 1e300\nstator_outer_diameter = 1e100\n",
                 "make the stator pole reluctance 0 A/Wb, below the",
             ),
-            (
-                "[geometry]\nstator_pole_height = 1e-200\n"
-                "[materials]\niron_relative_permeability = 1e200\n",
-                "make the stator pole reluctance 0 A/Wb, below the",
-            ),
         ],
-        ids=["vanishing_magnet", "vast_stack", "vanishing_pole"],
+        ids=["vanishing_magnet", "vast_stack"],
     )
     def test_vanishing_reluctances_exit_2_before_the_manifest(
         self, tmp_path, capsys, command, text, named
     ):
-        # The first two once ended in a ZeroDivisionError traceback
-        # (exit 1) in both commands, the second after a numpy overflow
-        # warning; the third made `solve` write its manifest and exit 2
-        # naming no key, and its `sweep` passed.
+        # Both once ended in a ZeroDivisionError traceback (exit 1) in
+        # both commands, the second after a numpy overflow warning.
         config = write_config(tmp_path, text)
         out = tmp_path / "o"
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "srmec: error: [geometry] " in err and named in err
         assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
+    def test_a_linear_model_refusal_leaves_the_sweep_alone(self, tmp_path):
+        # A vanishing pole under a vast mu_r leaves the linear model's
+        # pole reluctance 0: `solve` once wrote its manifest and exited 2
+        # naming no key, and `sweep`, which never reads mu_r, was refused
+        # by name until the bound moved to `solve`.
+        config = write_config(
+            tmp_path,
+            "[geometry]\nstator_pole_height = 1e-200\n"
+            "[materials]\niron_relative_permeability = 1e200\n" + FUZZ_SWEEP,
+        )
+        out = tmp_path / "sweep"
+        code, stdout, caught = run_recorded(["sweep", "--config", str(config), "--out", str(out)])
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert_finite_numbers(stdout)
+        for written in out.iterdir():
+            assert_finite_numbers(written.read_text())
+        out = tmp_path / "solve"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+        assert (
+            "srmec: error: [geometry] stator_outer_diameter = 140, stator_yoke_thickness = 4.72, "
+            "stator_pole_height = 1e-200, stator_tooth_arc = 4.87, stack_length = 20 with "
+            "[materials] iron_relative_permeability = 1e+200 make the stator pole reluctance "
+            "0 A/Wb, below the 2.22507e-308 A/Wb a solve can take\n"
+        ) in stderr.getvalue()
         assert not out.exists()
 
     @pytest.mark.parametrize("points", [4126, 10**30])

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srmec.motor import (
     ELEMENT_ORDER,
@@ -31,6 +33,7 @@ from srmec.saturation import (
     solve_nonlinear_grid,
 )
 from srmec.torque import DEFAULT_CURRENT_POINTS, angles_for_period
+from test_motor import between, design_settings, geometries
 
 ALIGNED = 10.0
 
@@ -206,18 +209,122 @@ class TestBhCurveLookup:
             BhCurve.linear(0.0)
 
 
+def reference_field_magnitude(curve, density):
+    """field_magnitude as first written: the mu0 extension evaluated
+    over every density, past the table or not."""
+    b = np.abs(np.asarray(density, dtype=float))
+    h_tab = np.concatenate(([0.0], curve.field_points))
+    b_tab = np.concatenate(([0.0], curve.density_points))
+    h = np.interp(b, b_tab, h_tab)
+    with np.errstate(over="ignore"):
+        h = np.where(b > b_tab[-1], h_tab[-1] + (b - b_tab[-1]) / MU0, h)
+    return float(h) if np.ndim(density) == 0 else h
+
+
+def reference_chord_permeability(curve, density):
+    """chord_permeability as first written: one guarded expression for
+    every density."""
+    b = np.abs(np.asarray(density, dtype=float))
+    h = np.asarray(reference_field_magnitude(curve, b))
+    mu = np.where(b > 0.0, b / np.where(h > 0.0, h, 1.0), curve.initial_permeability)
+    return float(mu) if np.ndim(density) == 0 else mu
+
+
+@st.composite
+def curves_and_densities(draw):
+    """(curve, density): the packaged curve or a linear one up to
+    mu_r = 1e9 (steep enough that a subnormal B rounds H to 0), and a
+    scalar or array of signed densities at 0, subnormals, knots, between
+    knots, past the table, +-inf and NaN."""
+    curve = draw(
+        st.one_of(
+            st.just(BhCurve.default()),
+            st.floats(min_value=0.0, max_value=9.0).map(lambda e: BhCurve.linear(10.0**e)),
+        )
+    )
+    knots = (0.0,) + curve.density_points
+    top = knots[-1]
+    magnitudes = st.one_of(
+        st.sampled_from([0.0, math.inf, math.nan, 5e-324]),
+        st.floats(min_value=5e-324, max_value=2.2250738585072009e-308),
+        st.sampled_from(knots),
+        st.integers(min_value=0, max_value=len(knots) - 2).flatmap(
+            lambda k: st.floats(min_value=knots[k], max_value=knots[k + 1])
+        ),
+        st.floats(min_value=top, max_value=1.7e308),
+    )
+    signed = st.tuples(magnitudes, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+    if draw(st.booleans()):
+        return curve, draw(signed)
+    return curve, np.array(draw(st.lists(signed, min_size=1, max_size=12)))
+
+
+def same_bits(got, want) -> bool:
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestLeanLookups:
+    @design_settings
+    @given(curves_and_densities())
+    def test_lookups_equal_the_guarded_expressions_bit_for_bit(self, drawn):
+        curve, density = drawn
+        # inf/inf is NaN, with an invalid-value warning, in both forms.
+        with np.errstate(invalid="ignore"):
+            assert same_bits(curve.field_magnitude(density), reference_field_magnitude(curve, density))
+            assert same_bits(
+                curve.chord_permeability(density), reference_chord_permeability(curve, density)
+            )
+
+
+@st.composite
+def linear_designs(draw):
+    """(geometry, materials, operating point): a random valid design at a
+    random current and rotor angle.  mu_r is drawn through its exponent,
+    which spreads its mantissa bits."""
+    geometry = draw(geometries())
+    materials = MaterialSet(
+        iron_relative_permeability=draw(between(0.0, 4.3).map(lambda e: 10.0**e)),
+        pm_remanence=draw(between(0.0, 1.6)),
+        pm_relative_permeability=draw(between(1.0, 1.3)),
+    )
+    angle = draw(st.floats(min_value=0.0, max_value=geometry.period_deg, exclude_max=True))
+    return geometry, materials, OperatingPoint(draw(between(0.0, 50.0)), angle)
+
+
 class TestSolveNonlinear:
-    def test_linear_curve_reduces_to_linear_solver(self, geometry, materials):
-        lin_curve = BhCurve.linear(materials.iron_relative_permeability)
-        for current in (0.0, 3.0, 8.0):
-            point = OperatingPoint(current, ALIGNED)
-            sol = solve_nonlinear(geometry, materials, lin_curve, point)
+    @settings(design_settings, max_examples=100)
+    @given(linear_designs())
+    # The default design at alignment.
+    @example((MotorGeometry(), MaterialSet(), OperatingPoint(0.0, ALIGNED)))
+    @example((MotorGeometry(), MaterialSet(), OperatingPoint(3.0, ALIGNED)))
+    @example((MotorGeometry(), MaterialSet(), OperatingPoint(8.0, ALIGNED)))
+    # The linear curve's chord at this mu_r once sat 1 ulp off mu0 * mu_r.
+    @example(
+        (
+            MotorGeometry(),
+            MaterialSet(iron_relative_permeability=20.791888640730125),
+            OperatingPoint(8.0, ALIGNED),
+        )
+    )
+    def test_linear_curve_reduces_to_linear_solver(self, design):
+        geometry, materials, point = design
+        curve = BhCurve.linear(materials.iron_relative_permeability)
+        try:
             ref = solve_flux(
                 reluctances_from_geometry(geometry, materials, point.rotor_angle),
-                sources_for(geometry, materials, current),
+                sources_for(geometry, materials, point.phase_current),
             )
-            assert sol.mesh_fluxes == pytest.approx(ref.mesh_fluxes, rel=1e-9)
-            assert sol.iterations == 1
+        except SolveError as error:
+            # A right-hand side too small to round exactly: both refuse it.
+            assert "too small to round exactly" in str(error)
+            with pytest.raises(SolveError, match="too small to round exactly"):
+                solve_nonlinear(geometry, materials, curve, point)
+            return
+        sol = solve_nonlinear(geometry, materials, curve, point)
+        assert sol.iterations == 1
+        for name in ("mesh_fluxes", "coil_mesh_fluxes", "pm_mesh_fluxes"):
+            assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert sol.residual == ref.residual
 
     def test_unsaturated_currents_match_initial_chord_solve(
         self, geometry, materials, curve, aligned_solutions
@@ -499,6 +606,13 @@ class TestNonlinearGrid:
                 geometry, materials, curve, np.array([-1.0]), np.array([0.0])
             )
 
+    def test_grid_refuses_a_coil_mmf_past_the_float_range_at_any_current(
+        self, geometry, materials, curve
+    ):
+        # Two coils of 140 turns at 1e308 A: the largest current names it.
+        with pytest.raises(ValueError, match=r"phase current 1e\+308 A overflows the coil MMF"):
+            solve_nonlinear_grid(geometry, materials, curve, [1.0, 1e308], [0.0])
+
     @pytest.mark.parametrize("currents, angles, name", [([], [0.0], "currents"), ([1.0], [], "angles")])
     def test_grid_rejects_an_empty_axis(self, geometry, materials, curve, currents, angles, name):
         with pytest.raises(ValueError, match=f"^{name} must hold at least one value$"):
@@ -545,6 +659,23 @@ class TestFrozenSystems:
         solved = TOPOLOGY.solve(grid.matrices, rhs)
         assert solved[..., 0].tobytes() == grid.mesh_fluxes.tobytes()
 
+    @pytest.mark.parametrize(
+        "currents, angles",
+        [([8.0], [ALIGNED]), ([1.0, 5.5, 8.0], [0.0, 3.0, 8.5, ALIGNED])],
+        ids=["one_point", "3x4"],
+    )
+    def test_kept_solutions_are_the_final_solves(self, geometry, materials, curve, currents, angles):
+        # Below the elimination threshold every solve is LAPACK's, so the
+        # grid keeps each system's solution from the pass that froze it:
+        # the initial one after one pass, else the chord trial's.
+        grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
+        assert grid.distinct_systems < ELIMINATION_MIN_SYSTEMS
+        assert grid.system_iterations.max() > 1
+        sources = np.array([source_values(sources_for(geometry, materials, i)) for i in currents])
+        rhs = (sources @ TOPOLOGY.rhs_pattern)[:, None, :, None]
+        solved = np.linalg.solve(grid.matrices, rhs)
+        assert solved[..., 0].tobytes() == grid.mesh_fluxes.tobytes()
+
 
 class CountingSolves:
     """Records the batch shape of every elimination and LAPACK call."""
@@ -572,9 +703,10 @@ class TestSolveSelection:
         grid = solve_nonlinear_grid(geometry, materials, curve, [8.0], [ALIGNED])
         assert grid.iterations[0, 0] > 1
         assert calls.elimination == []
-        # The initial solve, a trial solve per pass, a Newton step on
-        # every pass but the converging one, and the final solve.
-        assert len(calls.lapack) == 2 * grid.iterations[0, 0] + 1
+        # The initial solve, a trial solve per pass and a Newton step on
+        # every pass but the converging one: the frozen trial's solution
+        # is the final one, so there is no final solve.
+        assert len(calls.lapack) == 2 * grid.iterations[0, 0]
 
     def test_default_grid_eliminates_its_large_batches(self, geometry, materials, curve, monkeypatch):
         calls = CountingSolves(monkeypatch)
