@@ -127,18 +127,22 @@ def _eliminate(work: np.ndarray, first: int, stacked: bool) -> tuple[np.ndarray,
     systems = np.arange(k)
     # After step col, every entry below the pivots is a minor of the
     # scaled matrix, so dividing by the previous pivot is exact
-    # (Sylvester's identity).
+    # (Sylvester's identity); before the first pivot it is 1.
     previous = np.ones(k, dtype=object)
     for col in range(n):
-        # Any nonzero pivot keeps the elimination exact; each system
-        # takes the largest in magnitude, as in partial pivoting.
-        pivot_row = col + np.abs(work[:, col:, col]).argmax(axis=1)
-        pivot = work[systems, pivot_row, col]
-        dead = pivot == 0
-        if dead.any():
-            name = f"system {first + int(dead.argmax())} of the stack" if stacked else "matrix"
-            raise ValueError(f"{name} is singular: no pivot in column {col}")
-        if (pivot_row != col).any():
+        # Any nonzero pivot keeps the elimination exact, and the Cramer
+        # pair (numerators, positive determinant) does not depend on the
+        # row order, so rows are swapped only in a column where some
+        # system's diagonal pivot is zero.  There each system takes the
+        # largest pivot in magnitude, as in partial pivoting.
+        pivot = work[:, col, col]
+        if (pivot == 0).any():
+            pivot_row = col + np.abs(work[:, col:, col]).argmax(axis=1)
+            pivot = work[systems, pivot_row, col]
+            dead = pivot == 0
+            if dead.any():
+                name = f"system {first + int(dead.argmax())} of the stack" if stacked else "matrix"
+                raise ValueError(f"{name} is singular: no pivot in column {col}")
             line = work[systems, pivot_row]
             work[systems, pivot_row] = work[:, col]
             work[:, col] = line
@@ -146,7 +150,8 @@ def _eliminate(work: np.ndarray, first: int, stacked: bool) -> tuple[np.ndarray,
         below = work[:, col + 1 :, col + 1 :]
         below *= pivot[:, None, None]
         below -= work[:, col + 1 :, col : col + 1] * work[:, col : col + 1, col + 1 :]
-        below //= previous[:, None, None]
+        if col:
+            below //= previous[:, None, None]
         previous = pivot
 
     # Back substitution.  The last pivot is the determinant of the

@@ -35,6 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .network import (
+    RESIDUAL_FLOOR,
     MeshFluxes,
     MeshSpec,
     MeshSystem,
@@ -417,6 +418,8 @@ ELEMENT_ORDER: tuple[str, ...] = tuple(ELEMENT_RELUCTANCE_KEY)
 IRON_ELEMENT_IDS: tuple[str, ...] = ("sy1", "sy2", "sy3", "sy4a", "sy4b", "sy5", "sp1", "sp2", "ry")
 IRON_SLOTS = np.array([ELEMENT_ORDER.index(eid) for eid in IRON_ELEMENT_IDS])
 SOURCE_ORDER: tuple[str, ...] = ("coil1", "coil2", "mag1", "mag2", "mag3")
+# The coil entries of SOURCE_ORDER, which carry N*i; the rest carry f_pm.
+COIL_SOURCES = np.array([source.startswith("coil") for source in SOURCE_ORDER])
 
 MESH_SPECS: tuple[MeshSpec, ...] = (
     MeshSpec(
@@ -451,6 +454,10 @@ MESH_SPECS: tuple[MeshSpec, ...] = (
 )
 
 TOPOLOGY = compile_topology(ELEMENT_ORDER, SOURCE_ORDER, MESH_SPECS)
+
+# The entries of SOURCE_ORDER that the total, coil-only and magnet-only
+# parts of a SourceSet keep (SourceSet.parts); the rest are zero.
+_PART_SOURCES = np.array([np.ones_like(COIL_SOURCES), COIL_SOURCES, ~COIL_SOURCES])
 
 
 def element_values(r: ReluctanceSet) -> np.ndarray:
@@ -608,16 +615,25 @@ def solve_superposition(
 
     The matrix is solved in one stacked solve against the total (batch
     index 0), coil-only (1) and magnet-only (2) right-hand sides of s, so
-    each part is itself a valid circuit solution; the residual is that of
-    the total, measured exactly.
+    each part is itself a valid circuit solution.  The residual is that
+    of the total, measured exactly: kirchhoff_residual's relative defect
+    of the exact residual vector that solve_linear's refinement measured
+    at the returned fluxes, or, where the last correction moved them,
+    kirchhoff_residual itself.
     """
-    rhs = np.array([source_values(part) @ TOPOLOGY.rhs_pattern for part in s.parts])
-    total, coil, pm = solve_linear(MeshSystem(matrix, rhs, label)).values
+    rhs = np.where(_PART_SOURCES, source_values(s), 0.0) @ TOPOLOGY.rhs_pattern
+    solved = solve_linear(MeshSystem(matrix, rhs, label))
+    (total, coil, pm), measured = solved.values, solved.residuals[0]
+    if np.isnan(measured).any():
+        residual = kirchhoff_residual(MeshSystem(matrix, rhs[0], label), MeshFluxes(total))
+    else:
+        scale = max(float(np.abs(rhs[0]).max()), RESIDUAL_FLOOR)
+        residual = float(np.abs(measured).max() / scale)
     return FluxSolution(
         mesh_fluxes=total,
         coil_mesh_fluxes=coil,
         pm_mesh_fluxes=pm,
-        residual=kirchhoff_residual(MeshSystem(matrix, rhs[0], label), MeshFluxes(total)),
+        residual=residual,
     )
 
 

@@ -155,9 +155,16 @@ class MeshSystem:
 
 @dataclass(frozen=True)
 class MeshFluxes:
-    """Mesh fluxes in Wb, one per mesh: (n,), or (..., n) for a stack."""
+    """Mesh fluxes in Wb, one per mesh: (n,), or (..., n) for a stack.
+
+    residuals, when solve_linear fills it, is shaped like values and
+    holds each system's exact residual A@phi - b at these fluxes (see
+    _rounded_residuals), or NaN for a system whose residual at them was
+    not measured.  It takes no part in equality.
+    """
 
     values: np.ndarray
+    residuals: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.values).all():
@@ -401,7 +408,11 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
     batched LAPACK solve, and, per chunk of RESIDUAL_CHUNK systems,
     REFINEMENT_STEPS passes that each measure the exact residual of every
     system still being refined at once.  A system whose residual is
-    exactly zero stops refining.
+    exactly zero stops refining.  The residual measured last is that of
+    the returned fluxes wherever refinement stopped at a zero residual
+    or the last correction left the fluxes unchanged; MeshFluxes
+    .residuals carries it there, and NaN elsewhere, so a caller that
+    reports the residual need not measure it again.
     Every system of a stack gets the bits it gets alone.  A system whose
     2-norm condition number exceeds CONDITION_LIMIT is refused, and so is
     a nonzero right-hand side wholly below SMALLEST_RHS.
@@ -411,7 +422,8 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
 
     Returns:
         MeshFluxes solving the system, shaped like its right-hand sides
-        broadcast against its matrices.
+        broadcast against its matrices, with the exact residuals that
+        refinement measured at them.
 
     Raises:
         SolveError: a singular or ill-conditioned matrix, a right-hand
@@ -452,6 +464,8 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
     # fluxes; later passes scale only their new fluxes.  LAPACK solves
     # each system alone, so the chunking moves no bits.
     values = np.full(rhs.shape, math.nan)
+    # A system that stops refining stops at an exactly zero residual.
+    measured = np.zeros(rhs.shape)
     for start in range(0, len(index), RESIDUAL_CHUNK):
         chunk = slice(start, start + RESIDUAL_CHUNK)
         where, a_k, x_k = index[chunk], a[chunk], x[chunk]
@@ -470,12 +484,19 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
                 rows = rows.take(refine)
                 if not where.size:
                     break
-            x_k = x_k - np.linalg.solve(a_k, residual[..., None])[..., 0]
+            residual_at, x_k = x_k, x_k - np.linalg.solve(a_k, residual[..., None])[..., 0]
+        else:
+            # The exact residual depends only on the fluxes' values (a
+            # signed zero adds nothing), so where the last correction
+            # moved no value it is the residual just measured.
+            moved = (x_k != residual_at).any(axis=1)
+            measured[where] = np.where(moved[:, None], math.nan, residual)
         values[where] = x_k
 
     if failures:
         raise SolveError(_failure_message(system.label, batch, failures))
-    return MeshFluxes(values=values.reshape(batch + (n,)))
+    shape = batch + (n,)
+    return MeshFluxes(values=values.reshape(shape), residuals=measured.reshape(shape))
 
 
 @dataclass(frozen=True)

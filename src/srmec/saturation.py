@@ -50,10 +50,10 @@ from importlib import resources
 import numpy as np
 
 from .motor import (
+    COIL_SOURCES,
     ELEMENT_ORDER,
     IRON_SLOTS,
     MU0,
-    SOURCE_ORDER,
     TOPOLOGY,
     FluxSolution,
     MaterialSet,
@@ -143,22 +143,33 @@ class BhCurve:
         """Chord permeability of the first segment (H/m)."""
         return self.density_points[0] / self.field_points[0]
 
-    def field_magnitude(self, density: float | np.ndarray) -> float | np.ndarray:
-        """H (A/m) at a flux-density magnitude; mu0 slope past the table."""
-        b = np.abs(np.asarray(density, dtype=float))
+    def _field(self, b: np.ndarray) -> tuple[np.ndarray, bool]:
+        """H (A/m) at flux-density magnitudes b, and whether any of them
+        lies past the table, where the mu0 slope takes over."""
         h_tab, b_tab = self._h_tab, self._b_tab
         h = np.interp(b, b_tab, h_tab)
         past = b > b_tab[-1]
-        if past.any():
-            # Past the float range H is inf, whose zero chord the grid refuses.
-            with np.errstate(over="ignore"):
-                h = np.where(past, h_tab[-1] + (b - b_tab[-1]) / MU0, h)
+        if not past.any():
+            return h, False
+        # Past the float range H is inf, whose zero chord the grid refuses.
+        with np.errstate(over="ignore"):
+            return np.where(past, h_tab[-1] + (b - b_tab[-1]) / MU0, h), True
+
+    def field_magnitude(self, density: float | np.ndarray) -> float | np.ndarray:
+        """H (A/m) at a flux-density magnitude; mu0 slope past the table."""
+        h, _ = self._field(np.abs(np.asarray(density, dtype=float)))
         return float(h) if np.ndim(density) == 0 else h
 
     def chord_permeability(self, density: float | np.ndarray) -> float | np.ndarray:
-        """B/H(B) in H/m; the initial-slope permeability at B = 0."""
+        """B/H(B) in H/m; the initial-slope permeability at B = 0, and mu0,
+        the limit of the mu0 extension, at an infinite B."""
         b = np.abs(np.asarray(density, dtype=float))
-        h = np.asarray(self.field_magnitude(b))
+        h, past = self._field(b)
+        if past:
+            infinite = np.isinf(b)
+            if infinite.any():
+                # mu0 / 1 in place of inf / inf.
+                b, h = np.where(infinite, MU0, b), np.where(infinite, 1.0, h)
         if (h > 0.0).all():
             # Then every density is positive too: H is 0 at B = 0 and NaN
             # at NaN.  A subnormal B on a steep curve can round H to 0.
@@ -273,9 +284,6 @@ class NonlinearGridResult:
 # passes: LAPACK costs about 9 us per call plus 0.5 us per system, the
 # elimination about 80 us per call plus 0.17 us per system.
 ELIMINATION_MIN_SYSTEMS = 192
-
-# The coil entries of SOURCE_ORDER, which carry N*i; the rest carry f_pm.
-_COIL_SOURCES = np.array([source.startswith("coil") for source in SOURCE_ORDER])
 
 # Names the requested (current, angle) points, in request order, whose
 # system is among the given system indices.
@@ -426,7 +434,7 @@ def solve_nonlinear_grid(
     # current has the largest, and every current shares f_pm.
     f_pm = sources_for(geometry, materials, float(unique_currents[-1])).f_pm
     coil_mmf = geometry.turns_per_pole * unique_currents
-    sources = np.where(_COIL_SOURCES, coil_mmf[current_of, None], f_pm)
+    sources = np.where(COIL_SOURCES, coil_mmf[current_of, None], f_pm)
 
     def iron_densities(flux: np.ndarray) -> np.ndarray:
         return TOPOLOGY.element_fluxes(flux)[:, IRON_SLOTS] / iron_areas

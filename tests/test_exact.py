@@ -314,6 +314,34 @@ def test_singular_system_in_a_stack_named_by_index_and_column():
         solve_exact(matrices, np.ones((310, 3)))
 
 
+def test_zero_pivots_in_a_stack_are_swapped_only_where_needed():
+    # System 1 has a zero leading pivot, and system 3 a zero pivot once
+    # column 0 is eliminated (rows 0 and 1 agree in their first two
+    # entries); systems 0 and 2 need no swap.  Each gives the reference
+    # Fractions alone and in the stack.
+    matrices = [
+        [[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 4.0]],
+        [[0.0, 2.0, 1.0], [3.0, 1.0, 2.0], [1.0, 5.0, 1.0]],
+        [[4.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 4.0]],
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+    ]
+    rhs = [[1.0, 2.0, 3.0], [0.1, -0.2, 0.3], [1e-3, 7.0, -2.0], [3.0, -1.5, 0.25]]
+    expected = [reference_gauss_jordan(m, b) for m, b in zip(matrices, rhs)]
+    assert solve_exact(matrices, rhs).fractions() == expected
+    assert [solve_exact(m, b).fractions() for m, b in zip(matrices, rhs)] == expected
+
+
+def test_singular_system_among_swapped_ones_is_named():
+    # Systems 0 and 2 need a swap in column 1; system 1 has no pivot there.
+    matrices = [
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+        [[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [3.0, 6.0, 1.0]],
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+    ]
+    with pytest.raises(ValueError, match=r"^system 1 of the stack is singular: no pivot in column 1$"):
+        solve_exact(matrices, np.ones((3, 3)))
+
+
 @pytest.mark.parametrize(
     "matrix, rhs, message",
     [

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from srmec import motor, network
 from srmec.exact import solve_exact
-from srmec.fidelity import sample_regime_case
+from srmec.fidelity import run_fidelity_audit, sample_regime_case
 from srmec.motor import (
     ELEMENT_ORDER,
     FRINGING_PERMEANCE_FRACTION,
@@ -36,10 +37,18 @@ from srmec.motor import (
     reluctance_range,
     reluctances_from_geometry,
     solve_flux,
+    solve_superposition,
     source_values,
     sources_for,
 )
-from srmec.network import SMALLEST_RHS, SolveError, kirchhoff_residual, solve_linear
+from srmec.network import (
+    REFINEMENT_STEPS,
+    SMALLEST_RHS,
+    MeshSystem,
+    SolveError,
+    kirchhoff_residual,
+    solve_linear,
+)
 
 # Gap reluctance of the default geometry at alignment, evaluated by hand
 # from the documented overlap model: full overlap 4.87 deg, mean gap
@@ -66,12 +75,25 @@ def between(low, high):
     return st.floats(min_value=low, max_value=high)
 
 
+def decades(low, high):
+    """Floats from low to high drawn through their base-10 exponent, so
+    every decade is drawn and the mantissa bits spread; a plain float
+    range draws mostly from its top decade."""
+    return between(math.log10(low), math.log10(high)).map(lambda e: min(max(10.0**e, low), high))
+
+
+# A current below a milliampere is drawn as zero, so the coil-free case
+# stays among the draws.
+currents = decades(1e-4, 50.0).map(lambda i: 0.0 if i < 1e-3 else i)
+
+
 @st.composite
 def geometries(draw):
     """A random valid geometry.  Lengths are drawn as fractions of the
     outer radius that always leave a rotor core and a narrow gap, arcs
-    as fractions of their pitch, so every draw passes the validators."""
-    diameter = draw(between(40.0, 400.0))
+    as fractions of their pitch, so every draw passes the validators.
+    A value whose range spans a decade is drawn through its exponent."""
+    diameter = draw(decades(40.0, 400.0))
     radius = diameter / 2.0
     teeth = draw(st.integers(min_value=3, max_value=60))
     poles = draw(st.integers(min_value=3, max_value=60))
@@ -79,13 +101,13 @@ def geometries(draw):
         stator_outer_diameter=diameter,
         stator_yoke_thickness=radius * draw(between(0.02, 0.15)),
         stator_pole_height=radius * draw(between(0.05, 0.3)),
-        airgap_length=diameter * draw(between(5e-4, 9.9e-3)),
-        rotor_pole_height=radius * draw(between(0.02, 0.2)),
+        airgap_length=diameter * draw(decades(5e-4, 9.9e-3)),
+        rotor_pole_height=radius * draw(decades(0.02, 0.2)),
         stator_tooth_arc=360.0 / teeth * draw(between(0.05, 0.95)),
         rotor_pole_arc=360.0 / poles * draw(between(0.05, 0.95)),
-        stack_length=draw(between(2.0, 300.0)),
-        pm_width=draw(between(0.5, 30.0)),
-        pm_length=draw(between(0.5, 30.0)),
+        stack_length=draw(decades(2.0, 300.0)),
+        pm_width=draw(decades(0.5, 30.0)),
+        pm_length=draw(decades(0.5, 30.0)),
         turns_per_pole=draw(st.integers(min_value=1, max_value=2000)),
         stator_teeth_count=teeth,
         rotor_poles_count=poles,
@@ -99,11 +121,11 @@ def designs(draw):
     current and rotor angle."""
     geometry = draw(geometries())
     materials = MaterialSet(
-        iron_relative_permeability=draw(between(1.0, 20000.0)),
+        iron_relative_permeability=draw(decades(1.0, 20000.0)),
         pm_remanence=draw(between(0.0, 1.6)),
         pm_relative_permeability=draw(between(1.0, 1.3)),
     )
-    current = draw(between(0.0, 50.0))
+    current = draw(currents)
     angle = draw(st.floats(min_value=0.0, max_value=geometry.period_deg, exclude_max=True))
     r = reluctances_from_geometry(geometry, materials, angle)
     s = sources_for(geometry, materials, current)
@@ -115,8 +137,8 @@ def designs(draw):
 def designs_at_a_permeability(draw):
     """(geometry, materials, iron permeability H/m, gap reluctance A/Wb)."""
     materials = MaterialSet(pm_relative_permeability=draw(between(1.0, 1.3)))
-    iron = MU0 * draw(between(1.0, 20000.0))
-    return draw(geometries()), materials, iron, draw(between(1e3, 1e9))
+    iron = MU0 * draw(decades(1.0, 20000.0))
+    return draw(geometries()), materials, iron, draw(decades(1e3, 1e9))
 
 
 # Reproducible draws, and no shrink or explain phase: a failure is
@@ -429,6 +451,101 @@ class TestRandomDesigns:
         coil, pm = solution.coil_mesh_fluxes, solution.pm_mesh_fluxes
         bound = 1.01 * shift + 2.01 * np.finfo(float).eps * (np.abs(coil) + np.abs(pm))
         assert np.all(np.abs(solution.mesh_fluxes - (coil + pm)) <= bound)
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """Replace owner.name with a wrapper that records each call's
+    arguments in the returned list."""
+    calls, original = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestReportedResidual:
+    """solve_superposition reports the residual that solve_linear's
+    refinement measured, and it is kirchhoff_residual's value bit for
+    bit, measured or not."""
+
+    @settings(design_settings, max_examples=100)
+    @given(designs())
+    def test_reported_residual_is_kirchhoff_residual(self, design):
+        r, s = design
+        system = build_network(r, s)
+        parts = [source_values(part) @ TOPOLOGY.rhs_pattern for part in s.parts]
+        if any(too_small(rhs) for rhs in parts):
+            with pytest.raises(SolveError, match="too small to round exactly"):
+                solve_superposition(system.matrix, s)
+            return
+        solution = solve_superposition(system.matrix, s)
+        expected = kirchhoff_residual(system, MeshFluxes(solution.mesh_fluxes))
+        assert solution.residual.hex() == expected.hex()
+
+    def test_a_moved_total_falls_back_to_kirchhoff_residual(self, monkeypatch):
+        geometry, materials = default_pair()
+        s = sources_for(geometry, materials, 2.0)
+        system = build_network(reluctances_from_geometry(geometry, materials, 10.0), s)
+        plain = solve_superposition(system.matrix, s)
+        solve, corrections = np.linalg.solve, []
+
+        def nudged(a, b):
+            # The initial solve comes first, then one correction per
+            # refinement step; the last one moves the total (the first
+            # system) by a ppm.
+            x = solve(a, b)
+            corrections.append(len(x))
+            if len(corrections) == 1 + REFINEMENT_STEPS:
+                x[0] += 1e-6 * np.abs(plain.mesh_fluxes)[:, None]
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", nudged)
+        kirchhoff = counted(monkeypatch, motor, "kirchhoff_residual")
+        solution = solve_superposition(system.matrix, s)
+        assert len(corrections) == 1 + REFINEMENT_STEPS
+        assert not np.array_equal(solution.mesh_fluxes, plain.mesh_fluxes)
+        assert len(kirchhoff) == 1
+        expected = kirchhoff_residual(system, MeshFluxes(solution.mesh_fluxes))
+        assert solution.residual.hex() == expected.hex()
+        assert solution.residual > plain.residual
+
+    def test_solve_linear_reports_what_it_measured(self):
+        geometry, materials = default_pair()
+        r = reluctances_from_geometry(geometry, materials, 10.0)
+        systems = [build_network(r, sources_for(geometry, materials, i)) for i in (0.0, 2.0, 8.0)]
+        stack = MeshSystem(systems[0].matrix, np.array([system.rhs for system in systems]))
+        fluxes = solve_linear(stack)
+        assert fluxes.residuals.shape == fluxes.values.shape
+        for system, values, residual in zip(systems, fluxes.values, fluxes.residuals):
+            scale = max(float(np.abs(system.rhs).max()), network.RESIDUAL_FLOOR)
+            relative = float(np.abs(residual).max() / scale)
+            assert relative == kirchhoff_residual(system, MeshFluxes(values))
+        # Measured residuals are optional and take no part in equality.
+        assert MeshFluxes(fluxes.values).residuals is None
+        assert MeshFluxes(fluxes.values) == fluxes
+
+    def test_one_solve_measures_each_residual_once(self, monkeypatch):
+        residuals = counted(monkeypatch, network, "_rounded_residuals")
+        kirchhoff = [counted(monkeypatch, owner, "kirchhoff_residual") for owner in (network, motor)]
+        geometry, materials = default_pair()
+        for current, angle in ((0.5, 3.0), (2.0, 10.0), (8.0, 17.5)):
+            s = sources_for(geometry, materials, current)
+            system = build_network(reluctances_from_geometry(geometry, materials, angle), s)
+            residuals.clear()
+            solve_superposition(system.matrix, s)
+            assert len(residuals) == REFINEMENT_STEPS
+        assert kirchhoff == [[], []]
+
+    def test_the_audit_measures_no_extra_residual(self, monkeypatch):
+        # One production solve of one 50-system stream: one chunk, one
+        # residual per refinement step, as before the reported residual
+        # reused the measured one.
+        residuals = counted(monkeypatch, network, "_rounded_residuals")
+        run_fidelity_audit(n_samples=50)
+        assert len(residuals) == REFINEMENT_STEPS
 
 
 def per_call_element_paths(geometry):

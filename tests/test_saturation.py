@@ -223,9 +223,11 @@ def reference_field_magnitude(curve, density):
 
 def reference_chord_permeability(curve, density):
     """chord_permeability as first written: one guarded expression for
-    every density."""
+    every finite density, and mu0, the mu0 extension's limit, at +-inf."""
     b = np.abs(np.asarray(density, dtype=float))
     h = np.asarray(reference_field_magnitude(curve, b))
+    infinite = np.isinf(b)
+    b, h = np.where(infinite, MU0, b), np.where(infinite, 1.0, h)
     mu = np.where(b > 0.0, b / np.where(h > 0.0, h, 1.0), curve.initial_permeability)
     return float(mu) if np.ndim(density) == 0 else mu
 
@@ -268,12 +270,16 @@ class TestLeanLookups:
     @given(curves_and_densities())
     def test_lookups_equal_the_guarded_expressions_bit_for_bit(self, drawn):
         curve, density = drawn
-        # inf/inf is NaN, with an invalid-value warning, in both forms.
-        with np.errstate(invalid="ignore"):
-            assert same_bits(curve.field_magnitude(density), reference_field_magnitude(curve, density))
-            assert same_bits(
-                curve.chord_permeability(density), reference_chord_permeability(curve, density)
-            )
+        # No warning either: the suite turns one into an error.
+        assert same_bits(curve.field_magnitude(density), reference_field_magnitude(curve, density))
+        assert same_bits(curve.chord_permeability(density), reference_chord_permeability(curve, density))
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    @pytest.mark.parametrize("curve", [BhCurve.default(), BhCurve.linear(1e9)])
+    def test_chord_at_infinite_density_is_mu0(self, curve, shape):
+        for sign in (1.0, -1.0):
+            mu = curve.chord_permeability(np.full(shape, sign * math.inf)[()])
+            assert np.all(np.asarray(mu) == MU0) and np.shape(mu) == shape
 
 
 @st.composite

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srmec.config import DEFAULT_SWEEP_CURRENTS
 from srmec.motor import MaterialSet, MotorGeometry, pole_flux
@@ -25,6 +27,7 @@ from srmec.torque import (
     torque_component_sweeps,
     torque_components,
 )
+from test_motor import decades, design_settings, geometries
 
 ALIGNED = 10.0
 
@@ -520,3 +523,54 @@ def test_default_sweep_matches_reference_torques(geometry, materials, curve):
         sweep = torque_angle_sweep(geometry, materials, curve, current)
         assert sweep.stroke_mean_torque == pytest.approx(stroke_mean, rel=1e-6, abs=0.0)
         assert sweep.peak_torque == pytest.approx(peak, rel=1e-6, abs=0.0)
+
+
+def mirrored(samples):
+    """The samples at 2*theta_a - theta, theta_a = period / 2: on a grid of
+    N angles k * step over one period, sample k's mirror is (N - k) mod N."""
+    return np.roll(samples[::-1], 1)
+
+
+@st.composite
+def whole_degree_sweeps(draw):
+    """(geometry, currents, step): a random geometry whose rotor period is
+    a whole number of degrees, two distinct currents, and the smallest
+    whole-degree step that divides the period into at most 30 angles."""
+    geometry = draw(geometries())
+    poles = draw(st.sampled_from([p for p in range(3, 61) if 360 % p == 0]))
+    arc = geometry.rotor_pole_arc / geometry.period_deg * (360.0 / poles)
+    geometry = replace(geometry, rotor_poles_count=poles, rotor_pole_arc=arc)
+    period = 360 // poles
+    step = min(d for d in range(1, period + 1) if period % d == 0 and period // d <= 30)
+    currents = draw(st.lists(decades(0.1, 10.0), min_size=2, max_size=2, unique=True))
+    return geometry, currents, float(step)
+
+
+class TestTorqueIsOddAboutAlignment:
+    """T(theta) = -T(2 theta_a - theta).  The gap model reads the rotor
+    angle only through its distance from alignment, so two mirrored
+    angles whose distances round alike share one system and one
+    coenergy, and their central differences are exact negatives.  On a
+    whole-degree period at a whole or dyadic step every angle and
+    distance is exact, so the curves are odd bit for bit, not to a
+    bound; only the zero samples at the unaligned and aligned angles may
+    differ in the sign of zero, which == ignores."""
+
+    def test_default_sweeps_are_odd(self, sweeps):
+        for swept in sweeps.values():
+            assert np.array_equal(swept.samples, -mirrored(swept.samples))
+
+    def test_default_design_is_odd_at_one_degree_steps(self, geometry, materials, curve):
+        for swept in torque_angle_sweeps(geometry, materials, curve, (2.0, 8.0), angle_step_deg=1.0):
+            assert swept.peak_torque > 0.0
+            assert np.array_equal(swept.samples, -mirrored(swept.samples))
+
+    @settings(design_settings, max_examples=50)
+    @given(whole_degree_sweeps())
+    def test_random_designs_are_odd(self, drawn):
+        geometry, currents, step = drawn
+        curves = torque_angle_sweeps(
+            geometry, MaterialSet(), BhCurve.default(), currents, current_points=3, angle_step_deg=step
+        )
+        for swept in curves:
+            assert np.array_equal(swept.samples, -mirrored(swept.samples))
