@@ -35,12 +35,11 @@ from typing import Mapping
 import numpy as np
 
 from .network import (
-    RESIDUAL_FLOOR,
     MeshFluxes,
     MeshSpec,
     MeshSystem,
     compile_topology,
-    kirchhoff_residual,
+    relative_residual,
     solve_linear,
 )
 
@@ -310,11 +309,6 @@ class SourceSet:
         if not (math.isfinite(self.f_pm) and self.f_pm >= 0):
             raise ValueError(f"f_pm must be nonnegative, got {self.f_pm!r}")
 
-    @property
-    def parts(self) -> tuple["SourceSet", "SourceSet", "SourceSet"]:
-        """The total, coil-only and magnet-only source sets."""
-        return self, SourceSet(f_e=self.f_e, f_pm=0.0), SourceSet(f_e=0.0, f_pm=self.f_pm)
-
 
 @dataclass(frozen=True)
 class CompositeReluctances:
@@ -456,7 +450,7 @@ MESH_SPECS: tuple[MeshSpec, ...] = (
 TOPOLOGY = compile_topology(ELEMENT_ORDER, SOURCE_ORDER, MESH_SPECS)
 
 # The entries of SOURCE_ORDER that the total, coil-only and magnet-only
-# parts of a SourceSet keep (SourceSet.parts); the rest are zero.
+# parts of a SourceSet keep (part_values); the rest are zero.
 _PART_SOURCES = np.array([np.ones_like(COIL_SOURCES), COIL_SOURCES, ~COIL_SOURCES])
 
 
@@ -470,6 +464,12 @@ def source_values(s: SourceSet) -> np.ndarray:
     """Per-source MMFs in SOURCE_ORDER: (n_sources,), or (n, n_sources)
     when the fields of s are (n,) arrays of samples."""
     return np.array([s.f_e, s.f_e, s.f_pm, s.f_pm, s.f_pm]).T
+
+
+def part_values(s: SourceSet) -> np.ndarray:
+    """Per-source MMFs in SOURCE_ORDER of the total, coil-only (f_pm = 0)
+    and magnet-only (f_e = 0) parts of s: (3, n_sources)."""
+    return np.where(_PART_SOURCES, source_values(s), 0.0)
 
 
 # --- geometry -> reluctances -----------------------------------------------
@@ -615,20 +615,14 @@ def solve_superposition(
 
     The matrix is solved in one stacked solve against the total (batch
     index 0), coil-only (1) and magnet-only (2) right-hand sides of s, so
-    each part is itself a valid circuit solution.  The residual is that
-    of the total, measured exactly: kirchhoff_residual's relative defect
-    of the exact residual vector that solve_linear's refinement measured
-    at the returned fluxes, or, where the last correction moved them,
-    kirchhoff_residual itself.
+    each part is itself a valid circuit solution.  The residual is the
+    total's kirchhoff_residual, read by network.relative_residual from
+    the exact residual that solve_linear's refinement measured.
     """
-    rhs = np.where(_PART_SOURCES, source_values(s), 0.0) @ TOPOLOGY.rhs_pattern
+    rhs = part_values(s) @ TOPOLOGY.rhs_pattern
     solved = solve_linear(MeshSystem(matrix, rhs, label))
-    (total, coil, pm), measured = solved.values, solved.residuals[0]
-    if np.isnan(measured).any():
-        residual = kirchhoff_residual(MeshSystem(matrix, rhs[0], label), MeshFluxes(total))
-    else:
-        scale = max(float(np.abs(rhs[0]).max()), RESIDUAL_FLOOR)
-        residual = float(np.abs(measured).max() / scale)
+    total, coil, pm = solved.values
+    residual = relative_residual(MeshSystem(matrix, rhs[0], label), MeshFluxes(total, solved.residuals[0]))
     return FluxSolution(
         mesh_fluxes=total,
         coil_mesh_fluxes=coil,

@@ -160,7 +160,8 @@ class MeshFluxes:
     residuals, when solve_linear fills it, is shaped like values and
     holds each system's exact residual A@phi - b at these fluxes (see
     _rounded_residuals), or NaN for a system whose residual at them was
-    not measured.  It takes no part in equality.
+    not measured; relative_residual reads it.  It takes no part in
+    equality.
     """
 
     values: np.ndarray
@@ -411,8 +412,8 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
     exactly zero stops refining.  The residual measured last is that of
     the returned fluxes wherever refinement stopped at a zero residual
     or the last correction left the fluxes unchanged; MeshFluxes
-    .residuals carries it there, and NaN elsewhere, so a caller that
-    reports the residual need not measure it again.
+    .residuals carries it there, and NaN elsewhere, so relative_residual
+    need not measure it again.
     Every system of a stack gets the bits it gets alone.  A system whose
     2-norm condition number exceeds CONDITION_LIMIT is refused, and so is
     a nonzero right-hand side wholly below SMALLEST_RHS.
@@ -687,6 +688,25 @@ def kirchhoff_residual(system: MeshSystem, fluxes: MeshFluxes) -> float:
         raise ValueError(
             f"flux vector has length {fluxes.values.shape[-1]}, system has {system.n} meshes"
         )
-    defect = np.abs(_exact_residual_vector(system, fluxes.values)).max()
-    scale = max(float(np.abs(system.rhs).max()), RESIDUAL_FLOOR)
-    return float(defect / scale)
+    return _relative_defect(_exact_residual_vector(system, fluxes.values), system.rhs)
+
+
+def relative_residual(system: MeshSystem, fluxes: MeshFluxes) -> float:
+    """kirchhoff_residual(system, fluxes), bit for bit, read from the
+    exact residual that solve_linear measured at these fluxes where it
+    filled fluxes.residuals without NaN, and measured anew elsewhere.
+
+    Args:
+        system: assembled mesh system.
+        fluxes: its mesh fluxes, as solve_linear returned them or not.
+    """
+    measured = fluxes.residuals
+    if measured is None or np.isnan(measured).any():
+        return kirchhoff_residual(system, fluxes)
+    return _relative_defect(measured, system.rhs)
+
+
+def _relative_defect(residual: np.ndarray, rhs: np.ndarray) -> float:
+    """max|residual| / max(max|rhs|, RESIDUAL_FLOOR)."""
+    scale = max(float(np.abs(rhs).max()), RESIDUAL_FLOOR)
+    return float(np.abs(residual).max() / scale)

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from srmec import motor, network
+from srmec import network
 from srmec.exact import solve_exact
 from srmec.fidelity import run_fidelity_audit, sample_regime_case
 from srmec.motor import (
@@ -36,6 +36,7 @@ from srmec.motor import (
     regime_check,
     reluctance_range,
     reluctances_from_geometry,
+    part_values,
     solve_flux,
     solve_superposition,
     source_values,
@@ -71,6 +72,11 @@ def default_pair():
     return MotorGeometry(), MaterialSet()
 
 
+def split(s):
+    """The total, coil-only and magnet-only source sets of s."""
+    return s, SourceSet(f_e=s.f_e, f_pm=0.0), SourceSet(f_e=0.0, f_pm=s.f_pm)
+
+
 def between(low, high):
     return st.floats(min_value=low, max_value=high)
 
@@ -82,9 +88,9 @@ def decades(low, high):
     return between(math.log10(low), math.log10(high)).map(lambda e: min(max(10.0**e, low), high))
 
 
-# A current below a milliampere is drawn as zero, so the coil-free case
-# stays among the draws.
-currents = decades(1e-4, 50.0).map(lambda i: 0.0 if i < 1e-3 else i)
+# Every decade from a milliampere up, and the whole range from zero,
+# whose draws reach subnormal coil MMFs.
+currents = st.one_of(decades(1e-3, 50.0), between(0.0, 50.0))
 
 
 @st.composite
@@ -370,35 +376,27 @@ class TestBranchFluxesAndDecomposition:
 
     def test_split_rhs_equal_object_assembler_bit_for_bit(self):
         # The split solve stamps its right-hand sides through the
-        # topology pattern; they must be the object assembler's exactly.
+        # topology pattern; they must be those of the assembled parts.
         rng = np.random.default_rng([108, 0])
         for _ in range(300):
             r, s = sample_regime_case(rng, 10.0)
-            for part in s.parts:
-                stamped = source_values(part) @ TOPOLOGY.rhs_pattern
-                assert stamped.tobytes() == build_network(r, part).rhs.tobytes()
+            stamped = part_values(s) @ TOPOLOGY.rhs_pattern
+            for row, part in zip(stamped, split(s)):
+                assert row.tobytes() == build_network(r, part).rhs.tobytes()
 
     def test_solve_flux_equals_three_assembled_networks(self):
-        # Reference: the split as three separately assembled networks,
-        # the way solve_flux computed it before it shared one matrix.
         rng = np.random.default_rng([108, 1])
         for _ in range(100):
-            r, s = sample_regime_case(rng, 10.0)
-            got = solve_flux(r, s)
-            systems = [build_network(r, part) for part in s.parts]
-            total, coil, pm = (solve_linear(system).values for system in systems)
-            assert got.mesh_fluxes.tobytes() == total.tobytes()
-            assert got.coil_mesh_fluxes.tobytes() == coil.tobytes()
-            assert got.pm_mesh_fluxes.tobytes() == pm.tobytes()
-            assert got.residual == kirchhoff_residual(systems[0], MeshFluxes(values=total))
+            assert_three_assembled_networks(*sample_regime_case(rng, 10.0))
+
+    @settings(design_settings, max_examples=100)
+    @given(designs())
+    def test_random_designs_equal_three_assembled_networks(self, design):
+        assert_three_assembled_networks(*design)
 
     def test_split_parts(self):
-        parts = SourceSet(f_e=2.0, f_pm=3.0).parts
-        assert parts == (
-            SourceSet(f_e=2.0, f_pm=3.0),
-            SourceSet(f_e=2.0, f_pm=0.0),
-            SourceSet(f_e=0.0, f_pm=3.0),
-        )
+        expected = [source_values(part) for part in split(SourceSet(f_e=2.0, f_pm=3.0))]
+        assert part_values(SourceSet(f_e=2.0, f_pm=3.0)).tobytes() == np.array(expected).tobytes()
 
     def test_zero_current_kills_coil_part(self):
         geom, mats = default_pair()
@@ -408,15 +406,47 @@ class TestBranchFluxesAndDecomposition:
         assert np.any(sol.pm_mesh_fluxes != 0.0)
 
 
+def assert_three_assembled_networks(r, s):
+    """solve_flux(r, s) against its reference: the split as three
+    separately assembled networks, the way solve_flux computed it before
+    it shared one matrix, and the total's residual as kirchhoff_residual
+    measures it, bit for bit."""
+    systems = [build_network(r, part) for part in split(s)]
+    if any(too_small(system.rhs) for system in systems):
+        with pytest.raises(SolveError, match="too small to round exactly"):
+            solve_flux(r, s)
+        return
+    got = solve_flux(r, s)
+    total, coil, pm = (solve_linear(system).values for system in systems)
+    assert got.mesh_fluxes.tobytes() == total.tobytes()
+    assert got.coil_mesh_fluxes.tobytes() == coil.tobytes()
+    assert got.pm_mesh_fluxes.tobytes() == pm.tobytes()
+    assert got.residual.hex() == kirchhoff_residual(systems[0], MeshFluxes(values=total)).hex()
+
+
 def too_small(rhs) -> bool:
     """Whether solve_linear refuses this right-hand side as too small to
     round its solution exactly."""
     return 0.0 < np.max(np.abs(rhs)) < SMALLEST_RHS
 
 
+def at_current(current):
+    """(reluctances, sources) of the default design at a current."""
+    geometry, materials = default_pair()
+    return reluctances_from_geometry(geometry, materials, 7.5), sources_for(geometry, materials, current)
+
+
+# The default design at coil currents that the plain range's draws have
+# reached: a subnormal coil MMF, whose coil part is too small to solve
+# beside a normal total, and a normal one of about 1e-200 At.
+SUBNORMAL_COIL, TINY_COIL = at_current(5e-313), at_current(1e-202)
+
+
 class TestRandomDesigns:
     @design_settings
     @given(designs())
+    @example(SUBNORMAL_COIL)
+    @example(TINY_COIL)
     def test_linear_solve_is_the_correctly_rounded_exact_solution(self, design):
         system = build_network(*design)
         if too_small(system.rhs):
@@ -428,6 +458,8 @@ class TestRandomDesigns:
 
     @design_settings
     @given(designs())
+    @example(SUBNORMAL_COIL)
+    @example(TINY_COIL)
     def test_coil_and_magnet_parts_sum_to_the_total(self, design):
         # Each part is a correctly rounded exact solution: half an ulp
         # of its own size.  The three right-hand sides round separately
@@ -469,21 +501,8 @@ def counted(monkeypatch, owner, name) -> list:
 class TestReportedResidual:
     """solve_superposition reports the residual that solve_linear's
     refinement measured, and it is kirchhoff_residual's value bit for
-    bit, measured or not."""
-
-    @settings(design_settings, max_examples=100)
-    @given(designs())
-    def test_reported_residual_is_kirchhoff_residual(self, design):
-        r, s = design
-        system = build_network(r, s)
-        parts = [source_values(part) @ TOPOLOGY.rhs_pattern for part in s.parts]
-        if any(too_small(rhs) for rhs in parts):
-            with pytest.raises(SolveError, match="too small to round exactly"):
-                solve_superposition(system.matrix, s)
-            return
-        solution = solve_superposition(system.matrix, s)
-        expected = kirchhoff_residual(system, MeshFluxes(solution.mesh_fluxes))
-        assert solution.residual.hex() == expected.hex()
+    bit, measured or not (over random designs, see
+    test_random_designs_equal_three_assembled_networks)."""
 
     def test_a_moved_total_falls_back_to_kirchhoff_residual(self, monkeypatch):
         geometry, materials = default_pair()
@@ -503,7 +522,7 @@ class TestReportedResidual:
             return x
 
         monkeypatch.setattr(np.linalg, "solve", nudged)
-        kirchhoff = counted(monkeypatch, motor, "kirchhoff_residual")
+        kirchhoff = counted(monkeypatch, network, "kirchhoff_residual")
         solution = solve_superposition(system.matrix, s)
         assert len(corrections) == 1 + REFINEMENT_STEPS
         assert not np.array_equal(solution.mesh_fluxes, plain.mesh_fluxes)
@@ -520,16 +539,16 @@ class TestReportedResidual:
         fluxes = solve_linear(stack)
         assert fluxes.residuals.shape == fluxes.values.shape
         for system, values, residual in zip(systems, fluxes.values, fluxes.residuals):
-            scale = max(float(np.abs(system.rhs).max()), network.RESIDUAL_FLOOR)
-            relative = float(np.abs(residual).max() / scale)
-            assert relative == kirchhoff_residual(system, MeshFluxes(values))
+            assert residual.tobytes() == network._exact_residual_vector(system, values).tobytes()
+            relative = network.relative_residual(system, MeshFluxes(values, residual))
+            assert relative.hex() == kirchhoff_residual(system, MeshFluxes(values)).hex()
         # Measured residuals are optional and take no part in equality.
         assert MeshFluxes(fluxes.values).residuals is None
         assert MeshFluxes(fluxes.values) == fluxes
 
     def test_one_solve_measures_each_residual_once(self, monkeypatch):
         residuals = counted(monkeypatch, network, "_rounded_residuals")
-        kirchhoff = [counted(monkeypatch, owner, "kirchhoff_residual") for owner in (network, motor)]
+        kirchhoff = counted(monkeypatch, network, "kirchhoff_residual")
         geometry, materials = default_pair()
         for current, angle in ((0.5, 3.0), (2.0, 10.0), (8.0, 17.5)):
             s = sources_for(geometry, materials, current)
@@ -537,7 +556,7 @@ class TestReportedResidual:
             residuals.clear()
             solve_superposition(system.matrix, s)
             assert len(residuals) == REFINEMENT_STEPS
-        assert kirchhoff == [[], []]
+        assert kirchhoff == []
 
     def test_the_audit_measures_no_extra_residual(self, monkeypatch):
         # One production solve of one 50-system stream: one chunk, one

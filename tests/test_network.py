@@ -17,6 +17,7 @@ from srmec.motor import (
     SourceSet,
     build_network,
     element_values,
+    part_values,
     source_values,
 )
 from srmec.network import (
@@ -822,8 +823,7 @@ class TestStackedSolve:
 
     def test_three_right_hand_sides_of_one_matrix(self):
         matrices, _ = audit_systems(0, 1)
-        parts = SourceSet(f_e=700.0, f_pm=4000.0).parts
-        rhs = np.array([source_values(part) for part in parts]) @ TOPOLOGY.rhs_pattern
+        rhs = part_values(SourceSet(f_e=700.0, f_pm=4000.0)) @ TOPOLOGY.rhs_pattern
         stacked = solve_linear(MeshSystem(matrices[0], rhs)).values
         for k in range(3):
             alone = solve_linear(MeshSystem(matrices[0], rhs[k])).values
