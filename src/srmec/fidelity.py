@@ -49,18 +49,16 @@ import numpy as np
 
 from .exact import solve_exact
 from .motor import (
-    TOPOLOGY,
     ReluctanceSet,
     SourceSet,
     branch_flux_values,
+    build_network,
     closed_form_branch_fluxes,
     closed_form_mesh_fluxes,
     composite_reluctances,
     dominance_ratios,
-    element_values,
-    source_values,
 )
-from .network import MeshSystem, solve_linear
+from .network import solve_linear
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +91,7 @@ class RegimeSamples(NamedTuple):
     """Regime-valid samples as (n,) arrays, one entry per sample.
 
     The fields are named as those of ReluctanceSet and SourceSet, so the
-    closed forms and element_values/source_values take a whole batch.
+    closed forms and build_network take a whole batch as both.
     """
 
     r_sy: np.ndarray
@@ -230,19 +228,18 @@ def _collect(n_samples: int, seed: int, threshold: float, stream: int) -> dict[s
         r, s = sample_regime_case(rng, threshold, tested)
         values[k] = r.r_sy, r.r_sp, r.r_ry, r.r_g, r.r_pm, s.f_e, s.f_pm
     samples = RegimeSamples(*values.T)
-    matrices = TOPOLOGY.stamp(element_values(samples))
-    rhs = source_values(samples) @ TOPOLOGY.rhs_pattern
+    system = build_network(samples, samples)
     sampled = clock()
     logger.info(
         "audit stream %d: dominance threshold %g, %d samples, %d candidates tested; "
         "wall ms: sampling %.1f",
         stream, threshold, n_samples, sum(tested), 1e3 * (sampled - started),
     )
-    exact = solve_exact(matrices, rhs).rounded()
+    exact = solve_exact(system.matrix, system.rhs).rounded()
     solved_exactly = clock()
     production = None
     if threshold == BASE_THRESHOLD:
-        production = solve_linear(MeshSystem(matrices, rhs, "srm mesh system")).values
+        production = solve_linear(system).values
     solved = clock()
     series = _rows(samples, exact, production)
     logger.info(

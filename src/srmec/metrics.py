@@ -51,6 +51,8 @@ class MotorRecord:
             raise ValueError("name must be nonempty without surrounding whitespace")
         if not (math.isfinite(self.volume_ml) and self.volume_ml > 0):
             raise ValueError(f"{self.name}: volume_ml must be positive")
+        if self.volume_l == 0.0:
+            raise ValueError(f"{self.name}: volume_ml {self.volume_ml!r} underflows to 0 L")
         if not (math.isfinite(self.current_a) and self.current_a > 0):
             raise ValueError(f"{self.name}: current_a must be positive")
         if not (math.isfinite(self.mean_torque_nm) and self.mean_torque_nm >= 0):
@@ -196,6 +198,9 @@ def comparison_table(
     density per ampere is than each row's (zero on the baseline row
     itself); the baseline defaults to the first record.  Values are
     shown rounded half-even to 3 decimals unless full_precision is set.
+
+    Raises MotorDataError, naming the row, where that improvement
+    overflows the float range.
     """
     if not records:
         raise ValueError("at least one motor record is required")
@@ -217,6 +222,13 @@ def comparison_table(
             improvement = improvement_percent(reference, metrics)
         except ZeroDivisionError:
             improvement = None  # zero-torque row: improvement undefined, cell left empty
+        else:
+            if not math.isfinite(improvement):
+                raise MotorDataError(
+                    f"row {record.name!r}, column 'baseline_improvement_percent': the "
+                    f"baseline {baseline_name!r} over this row's torque density per ampere "
+                    f"({metrics.torque_density_per_ampere!r}) overflows"
+                )
         cells = (
             record.name,
             _format_value(record.volume_ml, full_precision),

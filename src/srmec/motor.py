@@ -576,8 +576,9 @@ def sources_for(geometry: MotorGeometry, materials: MaterialSet, current: float)
 
 
 def build_network(r: ReluctanceSet, s: SourceSet, label: str = "srm mesh system") -> MeshSystem:
-    """Stamp the five-mesh system for one reluctance/source state through
-    TOPOLOGY, the assembly every solve path shares."""
+    """Stamp the five-mesh system for one reluctance/source state, or a
+    stack of them from fields that are (n,) arrays, through TOPOLOGY,
+    the assembly every solve path shares."""
     return MeshSystem(TOPOLOGY.stamp(element_values(r)), source_values(s) @ TOPOLOGY.rhs_pattern, label)
 
 

@@ -159,9 +159,8 @@ class MeshFluxes:
 
     residuals, when solve_linear fills it, is shaped like values and
     holds each system's exact residual A@phi - b at these fluxes (see
-    _rounded_residuals), or NaN for a system whose residual at them was
-    not measured; relative_residual reads it.  It takes no part in
-    equality.
+    _rounded_residuals); relative_residual reads it.  It takes no part
+    in equality.
     """
 
     values: np.ndarray
@@ -409,10 +408,9 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
     batched LAPACK solve, and, per chunk of RESIDUAL_CHUNK systems,
     REFINEMENT_STEPS passes that each measure the exact residual of every
     system still being refined at once.  A system whose residual is
-    exactly zero stops refining.  The residual measured last is that of
-    the returned fluxes wherever refinement stopped at a zero residual
-    or the last correction left the fluxes unchanged; MeshFluxes
-    .residuals carries it there, and NaN elsewhere, so relative_residual
+    exactly zero stops refining, and one whose last correction moved a
+    value has its residual measured once more, so MeshFluxes.residuals
+    holds the exact residual at the returned fluxes and relative_residual
     need not measure it again.
     Every system of a stack gets the bits it gets alone.  A system whose
     2-norm condition number exceeds CONDITION_LIMIT is refused, and so is
@@ -489,9 +487,16 @@ def solve_linear(system: MeshSystem) -> MeshFluxes:
         else:
             # The exact residual depends only on the fluxes' values (a
             # signed zero adds nothing), so where the last correction
-            # moved no value it is the residual just measured.
-            moved = (x_k != residual_at).any(axis=1)
-            measured[where] = np.where(moved[:, None], math.nan, residual)
+            # moved no value it is the residual just measured; elsewhere
+            # it is measured once more.
+            moved = np.flatnonzero((x_k != residual_at).any(axis=1))
+            if moved.size:
+                residual[moved], residual_failures = _rounded_residuals(
+                    rows.take(moved), _flux_rows(x_k[moved])
+                )
+                for j, reason in residual_failures.items():
+                    failures.setdefault(int(where[moved[j]]), reason)
+            measured[where] = residual
         values[where] = x_k
 
     if failures:
@@ -693,17 +698,16 @@ def kirchhoff_residual(system: MeshSystem, fluxes: MeshFluxes) -> float:
 
 def relative_residual(system: MeshSystem, fluxes: MeshFluxes) -> float:
     """kirchhoff_residual(system, fluxes), bit for bit, read from the
-    exact residual that solve_linear measured at these fluxes where it
-    filled fluxes.residuals without NaN, and measured anew elsewhere.
+    exact residual that solve_linear measured at these fluxes, or
+    measured anew when fluxes carry none.
 
     Args:
         system: assembled mesh system.
         fluxes: its mesh fluxes, as solve_linear returned them or not.
     """
-    measured = fluxes.residuals
-    if measured is None or np.isnan(measured).any():
+    if fluxes.residuals is None:
         return kirchhoff_residual(system, fluxes)
-    return _relative_defect(measured, system.rhs)
+    return _relative_defect(fluxes.residuals, system.rhs)
 
 
 def _relative_defect(residual: np.ndarray, rhs: np.ndarray) -> float:

@@ -33,10 +33,9 @@ keep iterating.  Every mesh matrix the engine builds is symmetric and
 strictly diagonally dominant, so batches of ELIMINATION_MIN_SYSTEMS
 systems or more are solved by TOPOLOGY.solve (elimination without
 pivoting, one numpy operation per step over the batch) and smaller
-ones by LAPACK.  The same dominance bounds the condition number
-cheaply: a system whose bound passes the single-point limit gets an
-exact condition number, and one over the limit is refused, converged
-or not, naming each (current, angle) that maps to it.
+ones by LAPACK.  A system that network's conditioning screen refuses
+is refused here too, converged or not, naming each (current, angle)
+that maps to it.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from .motor import (
     solve_superposition,
     sources_for,
 )
-from .network import CONDITION_LIMIT, SolveError, condition_bound
+from .network import SolveError, _refusals
 
 # Newton controls: the relative flux change an undamped chord solve
 # would still make for a point to count as converged, and the cap on
@@ -243,9 +242,9 @@ class NonlinearGridResult:
     matrices; mesh_fluxes (n_systems, 5), the total fluxes, each the
     solve of its system's matrix (see solve_nonlinear_grid for when it
     is kept from the pass that froze the system); iterations, the Newton
-    passes per system.  The properties of the same names without the
-    prefix gather a field over the requested grid when read, e.g.
-    mesh_fluxes (n_currents, n_angles, 5).
+    passes per system.  The properties matrices and iterations gather
+    their field over the requested grid when read, e.g. iterations
+    (n_currents, n_angles).
     gap_reluctances (n_angles,) is the air-gap reluctance at each
     requested angle.  max_residual is the worst relative Kirchhoff
     residual of the final systems.  solve_superposition on a matrix
@@ -265,10 +264,6 @@ class NonlinearGridResult:
     def distinct_systems(self) -> int:
         """Mesh systems the solve ran, at most one per requested point."""
         return self.system_iterations.size
-
-    @property
-    def mesh_fluxes(self) -> np.ndarray:
-        return self.system_mesh_fluxes[self.system_index]
 
     @property
     def matrices(self) -> np.ndarray:
@@ -297,19 +292,15 @@ def _guarded_solve(
     raises SolveError naming the points of a singular system, a
     non-finite solution or a non-finite diagonal.  Each element adds its
     positive value to the diagonal of every mesh it borders, so the last
-    catches an overflowed element whose solve stays finite.  Large
-    batches are solved by elimination without pivoting, which the grid's
-    strictly diagonally dominant mesh matrices allow; small ones by
-    LAPACK, which is cheaper per call.  A batch whose whole solution and
-    diagonal are finite returns at once; only a failing one is searched
-    system by system."""
-    batch = matrices.shape[:-2]
-    if rhs.shape[:-2] != batch:
-        batch = np.broadcast_shapes(batch, rhs.shape[:-2])
-    count = math.prod(batch)
+    catches an overflowed element whose solve stays finite.  Batches of
+    ELIMINATION_MIN_SYSTEMS systems or more are solved by elimination
+    without pivoting, which the grid's strictly diagonally dominant mesh
+    matrices allow; smaller ones by LAPACK, which is cheaper per call.
+    A batch whose whole solution and diagonal are finite returns at
+    once; only a failing one is searched system by system."""
     diagonal = np.diagonal(matrices, axis1=-2, axis2=-1)
     try:
-        if count >= ELIMINATION_MIN_SYSTEMS:
+        if len(systems) >= ELIMINATION_MIN_SYSTEMS:
             solved = TOPOLOGY.solve(matrices, rhs)
         else:
             solved = np.linalg.solve(matrices, rhs)
@@ -337,20 +328,14 @@ def _refuse_ill_conditioned(
     matrices: np.ndarray, systems: np.ndarray, named: _PointNamer, qualifier: str = ""
 ) -> None:
     """Raise SolveError naming the points of the systems whose (m, n, n)
-    mesh matrix has a condition number above CONDITION_LIMIT, the
-    single-point solve's limit.  np.linalg.cond runs only where the
-    cheap bound exceeds the limit."""
-    screened = ~(condition_bound(matrices) <= CONDITION_LIMIT)
-    if not screened.any():
-        return
-    condition = np.linalg.cond(matrices[screened])
-    ill = ~(condition <= CONDITION_LIMIT)
-    if ill.any():
-        named_points = named(systems[screened][ill])
+    mesh matrix network's conditioning screen (solve_linear's) refuses,
+    with the reason of the first of them."""
+    refused = _refusals(matrices)
+    if refused:
+        points = named(systems[list(refused)])
         raise SolveError(
-            f"condition number {np.max(condition):.3e} exceeds limit {CONDITION_LIMIT:.3e} "
-            f"at {len(named_points)} {qualifier}operating point(s): "
-            f"{_describe_points(named_points)}"
+            f"{next(iter(refused.values()))} at {len(points)} {qualifier}operating point(s): "
+            f"{_describe_points(points)}"
         )
 
 
@@ -387,16 +372,16 @@ def solve_nonlinear_grid(
     permeability and takes Newton passes through assembly and solves
     batched over the still-moving subset; a system that reaches
     tolerance freezes and drops out of the batch.  A system's fluxes are
-    the solve of its frozen matrix, kept from the pass that froze it
-    while every trial solve took the route of the full batch (always
-    for a grid under ELIMINATION_MIN_SYSTEMS systems); a grid that mixed
-    routes solves every frozen matrix once more at the end.
+    the solve of its frozen matrix, kept from the pass that froze it,
+    unless the full batch took elimination and the last trial batch
+    LAPACK (see ELIMINATION_MIN_SYSTEMS): such a grid mixed routes, and
+    it solves every frozen matrix once more at the end.
 
     Raises ValueError if currents or angles is empty or a current is
     negative.  Raises NonConvergenceError if any system is still moving
     after MAX_ITERATIONS passes, and SolveError if a system is
-    singular, solves to non-finite fluxes, or has a condition number
-    above network.CONDITION_LIMIT; both name every requested operating
+    singular, solves to non-finite fluxes, or fails network's
+    conditioning screen; both name every requested operating
     point of the failing systems, in request order.
     """
     currents = np.atleast_1d(np.asarray(currents, dtype=float))
@@ -452,10 +437,6 @@ def solve_nonlinear_grid(
     # Trailing singleton keeps the batched solve in the matrix signature
     # on every numpy version.
     fluxes = _guarded_solve(matrix, rhs[..., None], all_systems, named)[..., 0]
-    # Whether every trial solve took the route of the full batch (see
-    # the end).
-    eliminated = n_s >= ELIMINATION_MIN_SYSTEMS
-    routes_agree = True
     active = np.ones(n_s, dtype=bool)
     iterations = np.zeros(n_s, dtype=int)
     # Convergence is judged before stepping, on the flux change a full
@@ -484,7 +465,6 @@ def solve_nonlinear_grid(
             vals_a[:, IRON_SLOTS] = iron_lengths / (chord * iron_areas)
             chords, rhs_a = TOPOLOGY.assemble(vals_a, sources[idx])
             trial = _guarded_solve(chords, rhs_a[..., None], idx, named)[..., 0]
-            routes_agree &= (idx.size >= ELIMINATION_MIN_SYSTEMS) == eliminated
             scale = np.maximum(np.abs(trial).max(axis=-1), 1e-300)
             change = np.abs(trial - flux_a).max(axis=-1) / scale
             iterations[idx] += 1
@@ -537,11 +517,12 @@ def solve_nonlinear_grid(
     # A frozen system's fluxes are its initial solution or the trial it
     # froze on, so the solve of its frozen matrix; a solve rounds the same
     # alone or in any batch of one route, and the trial and final
-    # right-hand sides are the same bits.  A grid whose trial batches fell
-    # below ELIMINATION_MIN_SYSTEMS while its full batch did not mixed
-    # routes: it solves the frozen systems again.
+    # right-hand sides are the same bits.  Trial batches only shrink, so
+    # the grid mixed routes exactly when its last one (idx, from the pass
+    # that broke the loop) took LAPACK and its full batch elimination:
+    # it solves the frozen systems again.
     total = fluxes
-    if not routes_agree:
+    if idx.size < ELIMINATION_MIN_SYSTEMS <= n_s:
         total = _guarded_solve(matrix, rhs[..., None], all_systems, named)[..., 0]
     # Converged systems are held to the single-point solve's limit too.
     _refuse_ill_conditioned(matrix, all_systems, named)

@@ -1,6 +1,7 @@
 """Tests for configuration loading and the command-line interface."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -519,7 +521,28 @@ class TestFidelityCommand:
         assert not (tmp_path / "manifest.json").exists()
 
 
+# SHA-256 of the default sweep's files (`srmec sweep` without a config).
+SWEEP_SHA256 = {
+    "torque_curve_1A.csv": "db7b20cb94543691f00a224d72221014f732517e58c79142ca3035e4e7a7f5e2",
+    "torque_curve_2A.csv": "047574b27bdc6d5b9b43175628263366d427e7eee0c2f59fa382f9b36bd6931c",
+    "torque_curve_3A.csv": "058dd3b56331170135f7f4448371acfd6c7d4e07731405941c755db73a3eacc2",
+    "torque_curve_4A.csv": "c3befd92cbd05efe83e413e6e850e3d50ad752bf0b3b6cd196d893cebf6b66c3",
+    "torque_curve_5A.csv": "673491f2fbea74b9fd58f42c24dcae098edcef1bcc1ff0e83e3c7119b5a8051c",
+    "torque_curve_6A.csv": "7b4a200d231e4f41b6cee0457ad3dab0570088dc5cedf3537b4cacd46b38c4bf",
+    "torque_curve_7A.csv": "8d29f9baf056d0d6a101bb48d4ef5bdbfc3000f0a0908e1def158b1436b55805",
+    "torque_curve_8A.csv": "11371affbf7a7c4dff2a652d7e8558e1b959837306c5e0697a6e9271318ed6c7",
+    "torque_summary.csv": "7befb29f3ce0a1705bb1e83a48667178ba06d88f848f0f3aaaee296cf6cc891d",
+}
+
+
 class TestSweepCommand:
+    def test_default_sweep_files_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == list(SWEEP_SHA256)
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SWEEP_SHA256}
+        assert digests == SWEEP_SHA256
+
     def test_writes_curves_and_summary(self, tmp_path, capsys):
         config = write_config(tmp_path, FAST_SWEEP)
         out = tmp_path / "sweep"
@@ -825,6 +848,38 @@ class TestCompareCommand:
     def test_unknown_baseline_exits_2(self, tmp_path, capsys):
         assert main(["compare", "--baseline", "ghost", "--out", str(tmp_path / "o")]) == 2
         assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, column, message",
+        [
+            # 5e-324 mL is 0 L, which the metrics would divide by.
+            ("srm-8-4", "volume_ml", "srmec: error: srm-8-4: volume_ml 5e-324 underflows to 0 L\n"),
+            # The baseline's torque density per ampere over this row's
+            # subnormal one is inf.
+            (
+                "multitooth-hesrm",
+                "mean_torque_nm",
+                "srmec: error: row 'multitooth-hesrm', column 'baseline_improvement_percent': the "
+                "baseline 'hemtsrm-16-18' over this row's torque density per ampere (5e-324) overflows\n",
+            ),
+        ],
+        ids=["volume", "improvement"],
+    )
+    def test_a_subnormal_cell_exits_2_before_the_manifest(self, tmp_path, capsys, row, column, message):
+        bundled = resources.files("srmec").joinpath("data/motors.csv").read_text()
+        rows = list(csv.DictReader(io.StringIO(bundled)))
+        for record in rows:
+            if record["name"] == row:
+                record[column] = "5e-324"
+        motors = tmp_path / "motors.csv"
+        with open(motors, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--motors", str(motors), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 class TestParser:

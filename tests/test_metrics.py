@@ -1,6 +1,7 @@
 """Tests for motor comparison metrics and the bundled records."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -225,6 +226,10 @@ class TestLoadMotorRecords:
                 "name,volume_ml,pm_volume_ml,current_a,mean_torque_nm\n" "one,-5,,4,1.0\n",
                 "volume_ml must be positive",
             ),
+            (
+                "name,volume_ml,pm_volume_ml,current_a,mean_torque_nm\n" "one,5e-324,,4,1.0\n",
+                "one: volume_ml 5e-324 underflows to 0 L",
+            ),
         ],
     )
     def test_schema_violations_are_named(self, tmp_path, body, fragment):
@@ -325,6 +330,14 @@ class TestComparisonTable:
         lines = table.strip().split("\n")
         row = next(line for line in lines[1:] if line.startswith("srm-8-12,"))
         assert row.split(",")[-1] == "0.000"
+
+    def test_overflowing_improvement_names_its_row(self):
+        base = MotorRecord(name="base", volume_ml=100.0, pm_volume_ml=None, current_a=1.0, mean_torque_nm=1.0)
+        tiny = replace(base, name="tiny", mean_torque_nm=5e-324)
+        with pytest.raises(MotorDataError, match=r"^row 'tiny', column 'baseline_improvement_percent': "):
+            comparison_table([base, tiny])
+        # Against the tiny baseline the other row's improvement is -100%.
+        assert comparison_table([base, tiny], baseline="tiny").split("\n")[1].endswith(",-100.000")
 
     def test_unknown_baseline_raises(self, bundled):
         with pytest.raises(ValueError, match="not among the records"):

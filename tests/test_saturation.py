@@ -431,7 +431,7 @@ class TestNonlinearGrid:
             for ai, angle in enumerate(angles):
                 point = OperatingPoint(float(current), float(angle))
                 sol = solve_nonlinear(geometry, materials, curve, point)
-                assert grid.mesh_fluxes[ci, ai] == pytest.approx(
+                assert grid.system_mesh_fluxes[grid.system_index[ci, ai]] == pytest.approx(
                     sol.mesh_fluxes, rel=1e-6
                 )
 
@@ -439,7 +439,7 @@ class TestNonlinearGrid:
         grid = solve_nonlinear_grid(
             geometry, materials, curve, np.array([0.0, 8.0]), np.array([0.0, 5.0, 10.0])
         )
-        assert grid.mesh_fluxes.shape == (2, 3, 5)
+        assert grid.system_mesh_fluxes[grid.system_index].shape == (2, 3, 5)
         assert grid.matrices.shape == (2, 3, 5, 5)
         assert grid.iterations.shape == (2, 3)
         assert np.issubdtype(grid.iterations.dtype, np.integer)
@@ -459,7 +459,8 @@ class TestNonlinearGrid:
         angles = np.array([0.0, 5.0, 10.0])
         first = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
         second = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
-        assert np.array_equal(first.mesh_fluxes, second.mesh_fluxes)
+        assert np.array_equal(first.system_index, second.system_index)
+        assert np.array_equal(first.system_mesh_fluxes, second.system_mesh_fluxes)
         assert np.array_equal(first.matrices, second.matrices)
         assert np.array_equal(first.iterations, second.iterations)
         assert first.max_residual == second.max_residual
@@ -468,7 +469,8 @@ class TestNonlinearGrid:
         grid = solve_nonlinear_grid(
             geometry, materials, curve, np.array([4.0]), np.array([0.0, ALIGNED])
         )
-        phi_g = np.abs(grid.mesh_fluxes[0, :, 3] - grid.mesh_fluxes[0, :, 0])
+        fluxes = grid.system_mesh_fluxes[grid.system_index]
+        phi_g = np.abs(fluxes[0, :, 3] - fluxes[0, :, 0])
         assert phi_g[1] > 10.0 * phi_g[0]
 
     def test_newton_tail_on_the_default_grid(self, geometry, materials, curve):
@@ -663,7 +665,7 @@ class TestFrozenSystems:
         # One right-hand side per current, shared by every angle.
         rhs = (sources @ TOPOLOGY.rhs_pattern)[:, None, :, None]
         solved = TOPOLOGY.solve(grid.matrices, rhs)
-        assert solved[..., 0].tobytes() == grid.mesh_fluxes.tobytes()
+        assert solved[..., 0].tobytes() == grid.system_mesh_fluxes[grid.system_index].tobytes()
 
     @pytest.mark.parametrize(
         "currents, angles",
@@ -680,7 +682,7 @@ class TestFrozenSystems:
         sources = np.array([source_values(sources_for(geometry, materials, i)) for i in currents])
         rhs = (sources @ TOPOLOGY.rhs_pattern)[:, None, :, None]
         solved = np.linalg.solve(grid.matrices, rhs)
-        assert solved[..., 0].tobytes() == grid.mesh_fluxes.tobytes()
+        assert solved[..., 0].tobytes() == grid.system_mesh_fluxes[grid.system_index].tobytes()
 
 
 class CountingSolves:
@@ -758,7 +760,13 @@ class TestConditionGuard:
         assert condition_bound(matrix) == np.inf
 
 
-GRID_FIELDS = ("mesh_fluxes", "matrices", "iterations")
+def grid_fields(grid):
+    """The total fluxes, matrices and iterations of every requested point."""
+    return {
+        "mesh_fluxes": grid.system_mesh_fluxes[grid.system_index],
+        "matrices": grid.matrices,
+        "iterations": grid.iterations,
+    }
 
 
 class TestDistinctSystems:
@@ -786,9 +794,10 @@ class TestDistinctSystems:
             geometry, materials, curve, requested_currents, requested_angles
         )
         assert grid.distinct_systems == distinct.distinct_systems == 3 * 4
-        for name in GRID_FIELDS:
-            expanded = getattr(distinct, name)[np.ix_(current_of, angle_of)]
-            assert getattr(grid, name).tobytes() == expanded.tobytes(), name
+        requested = grid_fields(grid)
+        for name, field in grid_fields(distinct).items():
+            expanded = field[np.ix_(current_of, angle_of)]
+            assert requested[name].tobytes() == expanded.tobytes(), name
         assert grid.max_residual == distinct.max_residual
 
     def test_ill_conditioned_system_names_every_mirrored_point(self, materials, curve):

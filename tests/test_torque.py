@@ -242,7 +242,8 @@ class TestSweepGrid:
         )
         currents = np.linspace(0.0, 4.0, 5)
         result = solve_nonlinear_grid(geometry, materials, curve, currents, swept.angles)
-        linkages = geometry.turns_per_pole * SERIES_COILS * pole_flux(result.mesh_fluxes)
+        fluxes = result.system_mesh_fluxes[result.system_index]
+        linkages = geometry.turns_per_pole * SERIES_COILS * pole_flux(fluxes)
         widths = np.diff(currents)[:, None]
         coenergy_row = np.sum(0.5 * (linkages[1:] + linkages[:-1]) * widths, axis=0)
         step_rad = math.radians(2.5)
@@ -314,7 +315,8 @@ class TestLinkageBound:
         angles = angles_for_period(geometry, 2.5)
         currents = np.linspace(0.0, current, 5)
         result = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
-        linkages = turns * SERIES_COILS * pole_flux(result.mesh_fluxes)
+        fluxes = result.system_mesh_fluxes[result.system_index]
+        linkages = turns * SERIES_COILS * pole_flux(fluxes)
         assert np.max(np.abs(linkages)) <= linkage_bound(geometry, materials, curve, current)
 
     def test_grows_as_turns_squared_and_overflows_to_inf(self, materials, curve):
