@@ -30,7 +30,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, config_hash, load_config
-from .fidelity import DEFAULT_SAMPLES, DEFAULT_SEED, audit_notes, run_fidelity_audit
+from .fidelity import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    MAX_AUDIT_SAMPLES,
+    audit_notes,
+    run_fidelity_audit,
+)
 from .metrics import MotorDataError, comparison_table, load_motor_records
 from .motor import OperatingPoint, branch_flux_values, regime_check, reluctances_from_geometry
 from .network import SolveError
@@ -150,6 +156,8 @@ def fidelity_csv_text(rows) -> str:
 def cmd_fidelity(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
+    if args.samples > MAX_AUDIT_SAMPLES:
+        raise ConfigError(f"--samples must be at most {MAX_AUDIT_SAMPLES}")
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
     # The audit samples its own designs and reads no config.
@@ -250,7 +258,10 @@ def _parser() -> argparse.ArgumentParser:
         "fidelity", help="audit the closed-form flux expressions against the exact oracle"
     )
     fidelity.add_argument(
-        "--samples", type=int, default=DEFAULT_SAMPLES, help="regime-valid samples per row"
+        "--samples",
+        type=int,
+        default=DEFAULT_SAMPLES,
+        help=f"regime-valid samples per row, at most {MAX_AUDIT_SAMPLES}",
     )
     fidelity.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
     fidelity.add_argument(

@@ -27,14 +27,22 @@ nothing but the crossing; the scale-relative form keeps every row a
 bounded, comparable number.  Rows whose candidates are exact identities
 report zero.
 
-Each sampling stream is drawn sample by sample (sample_regime_case,
-which tests its candidates in vectorised blocks) and then audited as
-one batch: every system is stamped at once, the exact oracle is one
-stacked solve_exact call, the production solve behind
+Each sampling stream is drawn sample by sample and then audited as one
+batch: every system is stamped at once, the exact oracle is one stacked
+solve_exact call, the production solve behind
 branch_map_production_vs_exact is one stacked solve_linear call, and
-every row is an array expression over all samples.  Only the sampler
-runs sample by sample.  Every per-sample value has the bits the
-one-sample-at-a-time audit gave it.
+every row is an array expression over all samples.  Every per-sample
+value has the bits the one-sample-at-a-time audit gave it.
+
+The sampler, sample_regime_case, draws and tests its candidates in
+vectorised blocks, then steps the generator back over the doubles it
+drew past the sample.  That needs a bit generator whose advance() jumps
+back in O(log n) steps, one step per double: PCG64 (what
+np.random.default_rng builds) or PCG64DXSM; any other is refused with
+TypeError before a draw.  It stays one call per sample, although a walk
+over a whole stream would cost less, because the benchmark harness
+(perfbench/) credits audit work by counting sample_regime_case calls;
+ROADMAP item 1 re-points that count.
 """
 
 from __future__ import annotations
@@ -64,6 +72,11 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 108
+# Most samples `srmec fidelity` takes.  On a 2-core x86-64 machine an
+# audit of 10,000 samples took 1.45 s and peaked at 56 MB RSS, and one
+# of 100,000 took 13.8 s and 216 MB: about 0.14 ms and 1.8 kB per
+# sample, so an audit at the bound takes about 30 s and 400 MB.
+MAX_AUDIT_SAMPLES = 200_000
 # Sampling windows (log-uniform): reluctances span iron-to-magnet scales,
 # MMFs span fractions of a turn-amp to kiloamp-turn excitation.
 RELUCTANCE_DECADES = (2.0, 8.0)
@@ -118,25 +131,55 @@ def sample_regime_case(
 
     Candidates are drawn as raw doubles SAMPLE_BLOCK at a time, mapped to
     reluctances once per double and tested with array operations; the
-    accepted candidate's two MMF draws are the two doubles after it.  The
-    generator is then rewound to where the call started and advanced over
-    exactly the doubles used, so the sample and the generator state
-    afterwards are exactly those of drawing and testing one candidate at
-    a time.
+    accepted candidate's two MMF draws are the two doubles after it,
+    drawn anew only when it is the block's last candidate.  Otherwise
+    the generator is advanced by minus the count of doubles drawn past
+    them, which PCG's LCG does in O(log n) steps, with no redraw, and
+    the 32-bit buffer that advance() clears is put back.  So the sample
+    and the full generator state afterwards are exactly those of drawing
+    and testing one candidate at a time.  One call draws one sample,
+    since the benchmark harness credits the audit's work per call (see
+    the module docstring).
+
+    Raises TypeError, before drawing, if rng's bit generator is not
+    PCG64 or PCG64DXSM.
     """
+    bit_generator = rng.bit_generator
+    # Their advance() counts one step per 64-bit output, and the LCG
+    # behind PCG jumps any distance in O(log n) (Brown, "Random Number
+    # Generation with Arbitrary Strides", 1994).  MT19937 and SFC64 have
+    # no advance, and Philox's counts blocks of four outputs.  Named
+    # here, not at import, since numpy loads numpy.random on first use.
+    if not isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise TypeError(
+            f"sample_regime_case needs a PCG64 or PCG64DXSM bit generator, "
+            f"got {type(bit_generator).__name__}"
+        )
     lo, hi = RELUCTANCE_DECADES
-    start = rng.bit_generator.state
     rejected = 0
     while True:
-        block = 10.0 ** (lo + (hi - lo) * rng.random(5 * SAMPLE_BLOCK))
-        ratios = dominance_ratios(*block.reshape(SAMPLE_BLOCK, 5).T)
-        passing = np.logical_and.reduce([v >= threshold for v in ratios.values()])
+        draws = rng.random(5 * SAMPLE_BLOCK)
+        # A contiguous power: numpy may round a strided one differently.
+        block = 10.0 ** (lo + (hi - lo) * draws)
+        a, b, c, d = dominance_ratios(*block.reshape(SAMPLE_BLOCK, 5).T).values()
+        # np.minimum propagates NaN, so a NaN ratio fails as it does alone.
+        passing = np.minimum(np.minimum(a, b), np.minimum(c, d)) >= threshold
         first = int(passing.argmax())
         if passing[first]:
             break
         rejected += SAMPLE_BLOCK
-    rng.bit_generator.state = start
-    mmf_draws = rng.random(5 * (rejected + first) + 7)[-2:]
+    if first == SAMPLE_BLOCK - 1:
+        mmf_draws = rng.random(2)
+    else:
+        mmf_draws = draws[5 * first + 5 : 5 * first + 7]
+        # Step back over the rest of the block.  advance() zeroes the
+        # buffered 32-bit half and its flag, which the state keeps even
+        # once the half is spent; the doubles drawn never touch them.
+        state = bit_generator.state
+        bit_generator.advance(-(5 * (SAMPLE_BLOCK - first) - 7) % 2**128)
+        if state["has_uint32"] or state["uinteger"]:
+            state["state"] = bit_generator.state["state"]
+            bit_generator.state = state
     if tested is not None:
         tested.append(rejected + first + 1)
     r_sy, r_sp, r_ry, r_g, r_pm = block[5 * first : 5 * first + 5]

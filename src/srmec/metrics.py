@@ -21,6 +21,12 @@ from pathlib import Path
 
 DEFAULT_MOTORS_RESOURCE = "data/motors.csv"
 MOTORS_COLUMNS = ("name", "volume_ml", "pm_volume_ml", "current_a", "mean_torque_nm")
+# The comparison table's column for each MetricsRow field.
+METRIC_COLUMNS = {
+    "torque_density": "torque_density_nm_per_l",
+    "torque_per_ampere": "torque_per_ampere_nm_per_a",
+    "torque_density_per_ampere": "torque_density_per_ampere_nm_per_l_per_a",
+}
 
 
 class MotorDataError(ValueError):
@@ -93,13 +99,23 @@ def derive_metrics(record: MotorRecord) -> MetricsRow:
     independent quotient), so the round-trip identity
     density_per_ampere * current * volume_L = mean_torque holds to
     rounding.
+
+    Raises MotorDataError, naming the row and the column, where a
+    figure overflows the float range.
     """
     density = record.mean_torque_nm / record.volume_l
-    return MetricsRow(
-        torque_density=density,
-        torque_per_ampere=record.mean_torque_nm / record.current_a,
-        torque_density_per_ampere=density / record.current_a,
-    )
+    values = {
+        "torque_density": density,
+        "torque_per_ampere": record.mean_torque_nm / record.current_a,
+        "torque_density_per_ampere": density / record.current_a,
+    }
+    for field_name, value in values.items():
+        if math.isinf(value):
+            raise MotorDataError(
+                f"row {record.name!r}, column {METRIC_COLUMNS[field_name]!r}: "
+                f"{field_name} overflows the float range"
+            )
+    return MetricsRow(**values)
 
 
 def improvement_percent(candidate: MetricsRow, baseline: MetricsRow) -> float:
@@ -199,8 +215,8 @@ def comparison_table(
     itself); the baseline defaults to the first record.  Values are
     shown rounded half-even to 3 decimals unless full_precision is set.
 
-    Raises MotorDataError, naming the row, where that improvement
-    overflows the float range.
+    Raises MotorDataError, naming the row, where a derived metric or
+    that improvement overflows the float range.
     """
     if not records:
         raise ValueError("at least one motor record is required")
@@ -209,12 +225,7 @@ def comparison_table(
     if baseline_name not in names:
         raise ValueError(f"baseline {baseline_name!r} is not among the records")
     reference = derive_metrics(records[names.index(baseline_name)])
-    header = MOTORS_COLUMNS + (
-        "torque_density_nm_per_l",
-        "torque_per_ampere_nm_per_a",
-        "torque_density_per_ampere_nm_per_l_per_a",
-        "baseline_improvement_percent",
-    )
+    header = MOTORS_COLUMNS + tuple(METRIC_COLUMNS.values()) + ("baseline_improvement_percent",)
     lines = [",".join(header)]
     for record in records:
         metrics = derive_metrics(record)

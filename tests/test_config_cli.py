@@ -32,6 +32,7 @@ from srmec.config import (
     default_config,
     load_config,
 )
+from srmec.fidelity import MAX_AUDIT_SAMPLES
 from srmec.metrics import comparison_table, load_motor_records
 from srmec.motor import ELEMENT_ORDER, TOPOLOGY, MaterialSet, MotorGeometry, OperatingPoint
 from srmec.network import condition_bound
@@ -515,6 +516,14 @@ class TestFidelityCommand:
         assert main(["fidelity", "--samples", "0", "--out", str(tmp_path)]) == 2
         assert "--samples" in capsys.readouterr().err
 
+    def test_samples_past_the_bound_exit_2_before_the_manifest(self, tmp_path, capsys):
+        too_many = str(MAX_AUDIT_SAMPLES + 1)
+        assert main(["fidelity", "--samples", too_many, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"srmec: error: --samples must be at most {MAX_AUDIT_SAMPLES}\n"
+        )
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_negative_seed_exits_2_before_the_manifest(self, tmp_path, capsys):
         assert main(["fidelity", "--seed", "-1", "--out", str(tmp_path)]) == 2
         assert "--seed" in capsys.readouterr().err
@@ -850,27 +859,51 @@ class TestCompareCommand:
         assert "ghost" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "row, column, message",
+        "row, column, value, message",
         [
             # 5e-324 mL is 0 L, which the metrics would divide by.
-            ("srm-8-4", "volume_ml", "srmec: error: srm-8-4: volume_ml 5e-324 underflows to 0 L\n"),
+            (
+                "srm-8-4",
+                "volume_ml",
+                "5e-324",
+                "srmec: error: srm-8-4: volume_ml 5e-324 underflows to 0 L\n",
+            ),
             # The baseline's torque density per ampere over this row's
             # subnormal one is inf.
             (
                 "multitooth-hesrm",
                 "mean_torque_nm",
+                "5e-324",
                 "srmec: error: row 'multitooth-hesrm', column 'baseline_improvement_percent': the "
                 "baseline 'hemtsrm-16-18' over this row's torque density per ampere (5e-324) overflows\n",
             ),
+            # 1e-320 mL is 1e-323 L, and the torque over it is inf.
+            (
+                "srm-8-4",
+                "volume_ml",
+                "1e-320",
+                "srmec: error: row 'srm-8-4', column 'torque_density_nm_per_l': "
+                "torque_density overflows the float range\n",
+            ),
+            # The baseline row's own torque per ampere is inf.
+            (
+                "hemtsrm-16-18",
+                "current_a",
+                "5e-324",
+                "srmec: error: row 'hemtsrm-16-18', column 'torque_per_ampere_nm_per_a': "
+                "torque_per_ampere overflows the float range\n",
+            ),
         ],
-        ids=["volume", "improvement"],
+        ids=["volume", "improvement", "density", "baseline-per-ampere"],
     )
-    def test_a_subnormal_cell_exits_2_before_the_manifest(self, tmp_path, capsys, row, column, message):
+    def test_a_subnormal_cell_exits_2_before_the_manifest(
+        self, tmp_path, capsys, row, column, value, message
+    ):
         bundled = resources.files("srmec").joinpath("data/motors.csv").read_text()
         rows = list(csv.DictReader(io.StringIO(bundled)))
         for record in rows:
             if record["name"] == row:
-                record[column] = "5e-324"
+                record[column] = value
         motors = tmp_path / "motors.csv"
         with open(motors, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")

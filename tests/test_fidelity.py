@@ -13,6 +13,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from srmec import fidelity
 from srmec.exact import solve_exact
@@ -153,6 +155,16 @@ class TestBlockSamplerStreamIdentity:
             )
             assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
 
+    @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
+    def test_pcg64dxsm_stream(self, threshold):
+        block_rng = np.random.Generator(np.random.PCG64DXSM(2718))
+        scalar_rng = np.random.Generator(np.random.PCG64DXSM(2718))
+        for _ in range(40):
+            assert sample_regime_case(block_rng, threshold) == scalar_rejection_sample(
+                scalar_rng, threshold
+            )
+            assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+
     def test_accepted_reluctances_keep_their_type(self):
         r, s = sample_regime_case(np.random.default_rng(5), BASE_THRESHOLD)
         ref_r, ref_s = scalar_rejection_sample(np.random.default_rng(5), BASE_THRESHOLD)
@@ -168,6 +180,41 @@ class TestBlockSamplerStreamIdentity:
         for _ in range(30):
             sample_regime_case(block_rng, threshold, tested)
         assert tested == [counted_rejection_sample(scalar_rng, threshold)[2] for _ in range(30)]
+
+
+class TestGeneratorContract:
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_a_generator_without_a_per_draw_advance_is_refused_before_drawing(self, bit_generator):
+        rng = np.random.Generator(bit_generator(1))
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError, match=bit_generator.__name__):
+            sample_regime_case(rng, BASE_THRESHOLD)
+        np.testing.assert_equal(rng.bit_generator.state, before)
+
+    # At most 50 examples, reproducible, reported as drawn.
+    @settings(max_examples=50, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(
+        block=st.integers(1, 256),
+        seed=st.integers(0, 2**64 - 1),
+        threshold=st.floats(1.0, STRONG_THRESHOLD),
+    )
+    def test_any_block_matches_the_one_candidate_stream(self, block, seed, threshold):
+        """Samples and the full generator state equal the one-candidate
+        reference after every call, with a 32-bit draw between calls, so
+        the calls start in turn with a buffered 32-bit half pending and
+        with one spent."""
+        block_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fidelity, "SAMPLE_BLOCK", block)
+            for _ in range(4):
+                assert sample_regime_case(block_rng, threshold) == scalar_rejection_sample(
+                    scalar_rng, threshold
+                )
+                assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+                assert block_rng.integers(2**32, dtype=np.uint32) == scalar_rng.integers(
+                    2**32, dtype=np.uint32
+                )
 
 
 @pytest.fixture(params=[1, 2, 13], ids=lambda block: f"block={block}")

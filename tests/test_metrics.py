@@ -339,6 +339,25 @@ class TestComparisonTable:
         # Against the tiny baseline the other row's improvement is -100%.
         assert comparison_table([base, tiny], baseline="tiny").split("\n")[1].endswith(",-100.000")
 
+    @pytest.mark.parametrize(
+        "change, column",
+        [
+            ({"volume_ml": 1e-320}, "torque_density_nm_per_l"),
+            ({"current_a": 5e-324}, "torque_per_ampere_nm_per_a"),
+            ({"current_a": 1e-300, "volume_ml": 1e-10}, "torque_density_per_ampere_nm_per_l_per_a"),
+        ],
+        ids=["density", "per-ampere", "density-per-ampere"],
+    )
+    def test_overflowing_metric_names_its_row_and_column(self, change, column):
+        base = MotorRecord(name="base", volume_ml=100.0, pm_volume_ml=None, current_a=1.0, mean_torque_nm=1.0)
+        wild = replace(base, name="wild", **change)
+        pattern = rf"^row 'wild', column '{column}': "
+        with pytest.raises(MotorDataError, match=pattern):
+            derive_metrics(wild)
+        for records in ([base, wild], [wild, base]):
+            with pytest.raises(MotorDataError, match=pattern):
+                comparison_table(records)
+
     def test_unknown_baseline_raises(self, bundled):
         with pytest.raises(ValueError, match="not among the records"):
             comparison_table(bundled, baseline="missing")
