@@ -642,22 +642,11 @@ def solve_flux(
 # --- closed forms under audit ----------------------------------------------
 
 
-def _squared(x):
-    """x**2 rounded as libm pow rounds it, for a scalar or an array.
-
-    numpy squares an array by multiplication, which rounds differently
-    from pow in about 1 of 1,200 audit draws; the frozen audit verdicts
-    were computed with pow."""
-    if np.ndim(x) == 0:
-        return x**2
-    return np.array([math.pow(v, 2.0) for v in x.tolist()])
-
-
 def composite_reluctances(r: ReluctanceSet) -> CompositeReluctances:
     """Composite reluctance terms of the closed-form flux expressions;
     the fields of r may be arrays of samples."""
     r_g, r_ry, r_sp = r.r_g, r.r_ry, r.r_sp
-    g2, ry2, sp2 = _squared(r_g), _squared(r_ry), _squared(r_sp)
+    g2, ry2, sp2 = r_g * r_g, r_ry * r_ry, r_sp * r_sp
     return CompositeReluctances(
         r_1=r_g + r_ry + 2.0 * r_sp,
         r_2=2.0 * g2 + 3.0 * r_g * r_ry + 6.0 * r_g * r_sp + ry2 + 4.0 * r_ry * r_sp + 4.0 * sp2,

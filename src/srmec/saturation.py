@@ -30,10 +30,10 @@ point to its system.  On the default
 angles and the fringing floor leave 20 gap values of 80, and the
 current rows share currents).  Converged systems freeze while the rest
 keep iterating.  Every mesh matrix the engine builds is symmetric and
-strictly diagonally dominant, so batches of ELIMINATION_MIN_SYSTEMS
-systems or more are solved by TOPOLOGY.solve (elimination without
-pivoting, one numpy operation per step over the batch) and smaller
-ones by LAPACK.  A system that network's conditioning screen refuses
+strictly diagonally dominant, so a grid of ELIMINATION_MIN_SYSTEMS
+distinct systems or more solves by TOPOLOGY.solve (elimination without
+pivoting, one numpy operation per step over the batch) and a smaller
+one by LAPACK.  A system that network's conditioning screen refuses
 is refused here too, converged or not, naming each (current, angle)
 that maps to it.
 """
@@ -240,9 +240,8 @@ class NonlinearGridResult:
     point to its system, and the system_* arrays hold one row per
     distinct system: matrices, the converged (n_systems, 5, 5) mesh
     matrices; mesh_fluxes (n_systems, 5), the total fluxes, each the
-    solve of its system's matrix (see solve_nonlinear_grid for when it
-    is kept from the pass that froze the system); iterations, the Newton
-    passes per system.  The properties matrices and iterations gather
+    solve of its system's matrix on the grid's route; iterations, the
+    Newton passes per system.  The properties matrices and iterations gather
     their field over the requested grid when read, e.g. iterations
     (n_currents, n_angles).
     gap_reluctances (n_angles,) is the air-gap reluctance at each
@@ -274,11 +273,14 @@ class NonlinearGridResult:
         return self.system_iterations[self.system_index]
 
 
-# Batches of at least this many systems go to TOPOLOGY.solve, smaller
-# ones to np.linalg.solve.  Measured crossover for the one-column Newton
-# passes: LAPACK costs about 9 us per call plus 0.5 us per system, the
-# elimination about 80 us per call plus 0.17 us per system.
-ELIMINATION_MIN_SYSTEMS = 192
+# Grids of at least this many distinct systems solve by TOPOLOGY.solve,
+# smaller ones by np.linalg.solve.  Medians of 15 alternating grid solves
+# on the default design over 80 angles (2-core x86-64, OpenBLAS on one
+# thread), elimination against LAPACK: 4.8 against 3.1 ms at 20 systems,
+# 8.1/7.3 ms at 660, 11.4/11.5 ms at 1,320, 14.7/17.0 ms at 2,000 and
+# 18.5/20.8 ms at the default sweep's 2,740.  Without magnets the two
+# cross nearer 1,000 systems.
+ELIMINATION_MIN_SYSTEMS = 1200
 
 # Names the requested (current, angle) points, in request order, whose
 # system is among the given system indices.
@@ -286,24 +288,22 @@ _PointNamer = Callable[[np.ndarray], tuple[tuple[float, float], ...]]
 
 
 def _guarded_solve(
-    matrices: np.ndarray, rhs: np.ndarray, systems: np.ndarray, named: _PointNamer
+    solve: Callable[..., np.ndarray],
+    matrices: np.ndarray,
+    rhs: np.ndarray,
+    systems: np.ndarray,
+    named: _PointNamer,
 ) -> np.ndarray:
-    """Batched solve whose last batch axis runs over the given systems;
-    raises SolveError naming the points of a singular system, a
-    non-finite solution or a non-finite diagonal.  Each element adds its
-    positive value to the diagonal of every mesh it borders, so the last
-    catches an overflowed element whose solve stays finite.  Batches of
-    ELIMINATION_MIN_SYSTEMS systems or more are solved by elimination
-    without pivoting, which the grid's strictly diagonally dominant mesh
-    matrices allow; smaller ones by LAPACK, which is cheaper per call.
-    A batch whose whole solution and diagonal are finite returns at
-    once; only a failing one is searched system by system."""
+    """solve over the given systems; raises SolveError naming the points
+    of a singular system, a non-finite solution or a non-finite
+    diagonal.  Each element adds its positive value to the diagonal of
+    every mesh it borders, so the last catches an overflowed element
+    whose solve stays finite.  A batch whose whole solution and diagonal
+    are finite returns at once; only a failing one is searched system by
+    system."""
     diagonal = np.diagonal(matrices, axis1=-2, axis2=-1)
     try:
-        if len(systems) >= ELIMINATION_MIN_SYSTEMS:
-            solved = TOPOLOGY.solve(matrices, rhs)
-        else:
-            solved = np.linalg.solve(matrices, rhs)
+        solved = solve(matrices, rhs)
     except np.linalg.LinAlgError:
         sign, logdet = np.linalg.slogdet(matrices)
         bad = (sign == 0) | ~np.isfinite(logdet)
@@ -314,7 +314,6 @@ def _guarded_solve(
             return solved
         bad = ~np.all(np.isfinite(solved), axis=(-2, -1))
     bad = bad | ~np.all(np.isfinite(diagonal), axis=-1)
-    bad = bad.reshape(-1, len(systems)).any(axis=0)
     if bad.any():
         failing = named(systems[bad])
         raise SolveError(
@@ -371,11 +370,10 @@ def solve_nonlinear_grid(
     nothing.  Every system starts with its iron at the curve's initial
     permeability and takes Newton passes through assembly and solves
     batched over the still-moving subset; a system that reaches
-    tolerance freezes and drops out of the batch.  A system's fluxes are
-    the solve of its frozen matrix, kept from the pass that froze it,
-    unless the full batch took elimination and the last trial batch
-    LAPACK (see ELIMINATION_MIN_SYSTEMS): such a grid mixed routes, and
-    it solves every frozen matrix once more at the end.
+    tolerance freezes and drops out of the batch.  Every solve of a grid
+    takes one route, picked from its count of distinct systems (see
+    ELIMINATION_MIN_SYSTEMS), so a system's fluxes, kept from the pass
+    that froze it, are the solve of its frozen matrix.
 
     Raises ValueError if currents or angles is empty or a current is
     negative.  Raises NonConvergenceError if any system is still moving
@@ -420,6 +418,8 @@ def solve_nonlinear_grid(
     f_pm = sources_for(geometry, materials, float(unique_currents[-1])).f_pm
     coil_mmf = geometry.turns_per_pole * unique_currents
     sources = np.where(COIL_SOURCES, coil_mmf[current_of, None], f_pm)
+    # Looked up per call, so a wrapped solver sees every solve.
+    solve = TOPOLOGY.solve if n_s >= ELIMINATION_MIN_SYSTEMS else np.linalg.solve
 
     def iron_densities(flux: np.ndarray) -> np.ndarray:
         return TOPOLOGY.element_fluxes(flux)[:, IRON_SLOTS] / iron_areas
@@ -436,7 +436,7 @@ def solve_nonlinear_grid(
     all_systems = np.arange(n_s)
     # Trailing singleton keeps the batched solve in the matrix signature
     # on every numpy version.
-    fluxes = _guarded_solve(matrix, rhs[..., None], all_systems, named)[..., 0]
+    fluxes = _guarded_solve(solve, matrix, rhs[..., None], all_systems, named)[..., 0]
     active = np.ones(n_s, dtype=bool)
     iterations = np.zeros(n_s, dtype=int)
     # Convergence is judged before stepping, on the flux change a full
@@ -464,7 +464,7 @@ def solve_nonlinear_grid(
             vals_a = values[idx]
             vals_a[:, IRON_SLOTS] = iron_lengths / (chord * iron_areas)
             chords, rhs_a = TOPOLOGY.assemble(vals_a, sources[idx])
-            trial = _guarded_solve(chords, rhs_a[..., None], idx, named)[..., 0]
+            trial = _guarded_solve(solve, chords, rhs_a[..., None], idx, named)[..., 0]
             scale = np.maximum(np.abs(trial).max(axis=-1), 1e-300)
             change = np.abs(trial - flux_a).max(axis=-1) / scale
             iterations[idx] += 1
@@ -485,7 +485,8 @@ def solve_nonlinear_grid(
             vals_a = fixed_a.copy()
             vals_a[:, IRON_SLOTS] = iron_lengths / (differential * iron_areas)
             residual = mmf_residual(flux_a, fixed_a, rhs_a)
-            step = _guarded_solve(TOPOLOGY.stamp(vals_a), -residual[..., None], idx, named)[..., 0]
+            jacobian = TOPOLOGY.stamp(vals_a)
+            step = _guarded_solve(solve, jacobian, -residual[..., None], idx, named)[..., 0]
             base = np.abs(residual).max(axis=-1)
             tried = flux_a + step
             pending = np.arange(idx.size)
@@ -515,26 +516,20 @@ def solve_nonlinear_grid(
         )
 
     # A frozen system's fluxes are its initial solution or the trial it
-    # froze on, so the solve of its frozen matrix; a solve rounds the same
-    # alone or in any batch of one route, and the trial and final
-    # right-hand sides are the same bits.  Trial batches only shrink, so
-    # the grid mixed routes exactly when its last one (idx, from the pass
-    # that broke the loop) took LAPACK and its full batch elimination:
-    # it solves the frozen systems again.
-    total = fluxes
-    if idx.size < ELIMINATION_MIN_SYSTEMS <= n_s:
-        total = _guarded_solve(matrix, rhs[..., None], all_systems, named)[..., 0]
+    # froze on, so the solve of its frozen matrix: a solve rounds the same
+    # alone or in any batch of one route, and a trial's right-hand sides
+    # are the grid's bits.
     # Converged systems are held to the single-point solve's limit too.
     _refuse_ill_conditioned(matrix, all_systems, named)
 
-    residual_num = np.abs(np.einsum("...ij,...j->...i", matrix, total) - rhs).max(axis=-1)
+    residual_num = np.abs(np.einsum("...ij,...j->...i", matrix, fluxes) - rhs).max(axis=-1)
     residual_den = np.maximum(np.abs(rhs).max(axis=-1), 1e-300)
     return NonlinearGridResult(
         currents=currents,
         angles=angles,
         gap_reluctances=gap_r,
         system_index=index.reshape(n_c, n_a),
-        system_mesh_fluxes=total,
+        system_mesh_fluxes=fluxes,
         system_matrices=matrix,
         system_iterations=iterations,
         max_residual=float((residual_num / residual_den).max()),

@@ -33,7 +33,7 @@ from srmec.config import (
     load_config,
 )
 from srmec.fidelity import MAX_AUDIT_SAMPLES
-from srmec.metrics import comparison_table, load_motor_records
+from srmec.metrics import MOTORS_COLUMNS, comparison_table, load_motor_records
 from srmec.motor import ELEMENT_ORDER, TOPOLOGY, MaterialSet, MotorGeometry, OperatingPoint
 from srmec.network import condition_bound
 from srmec.saturation import BhCurve
@@ -536,10 +536,10 @@ SWEEP_SHA256 = {
     "torque_curve_2A.csv": "047574b27bdc6d5b9b43175628263366d427e7eee0c2f59fa382f9b36bd6931c",
     "torque_curve_3A.csv": "058dd3b56331170135f7f4448371acfd6c7d4e07731405941c755db73a3eacc2",
     "torque_curve_4A.csv": "c3befd92cbd05efe83e413e6e850e3d50ad752bf0b3b6cd196d893cebf6b66c3",
-    "torque_curve_5A.csv": "673491f2fbea74b9fd58f42c24dcae098edcef1bcc1ff0e83e3c7119b5a8051c",
-    "torque_curve_6A.csv": "7b4a200d231e4f41b6cee0457ad3dab0570088dc5cedf3537b4cacd46b38c4bf",
-    "torque_curve_7A.csv": "8d29f9baf056d0d6a101bb48d4ef5bdbfc3000f0a0908e1def158b1436b55805",
-    "torque_curve_8A.csv": "11371affbf7a7c4dff2a652d7e8558e1b959837306c5e0697a6e9271318ed6c7",
+    "torque_curve_5A.csv": "2dac1dcae0422db375773d89dc34a39badf6369fc5059c4f4728a14d7e70df74",
+    "torque_curve_6A.csv": "1fb98e786484dd8523458556e7c3260531cbbf89c979f63bd6375f49655e55e2",
+    "torque_curve_7A.csv": "18e3eb4127da06edb8fb41a73281ee5a506ec3cbfafe60f70d719123327502a0",
+    "torque_curve_8A.csv": "06d024557b82aec4fbc44986fdb41452c144a053e3cec521e148aa052eb79ebe",
     "torque_summary.csv": "7befb29f3ce0a1705bb1e83a48667178ba06d88f848f0f3aaaee296cf6cc891d",
 }
 
@@ -824,6 +824,24 @@ class TestSweepCommand:
         assert not (out / "manifest.json").exists()
 
 
+BUNDLED_MOTORS = resources.files("srmec").joinpath("data/motors.csv").read_text()
+
+
+def write_motors(path, cells):
+    """The bundled motors CSV with the given {(row name, column): text}
+    cells replaced, written to path."""
+    rows = list(csv.DictReader(io.StringIO(BUNDLED_MOTORS)))
+    for record in rows:
+        for (row, column), value in cells.items():
+            if record["name"] == row:
+                record[column] = value
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
 class TestCompareCommand:
     def test_matches_library_table(self, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -899,16 +917,7 @@ class TestCompareCommand:
     def test_a_subnormal_cell_exits_2_before_the_manifest(
         self, tmp_path, capsys, row, column, value, message
     ):
-        bundled = resources.files("srmec").joinpath("data/motors.csv").read_text()
-        rows = list(csv.DictReader(io.StringIO(bundled)))
-        for record in rows:
-            if record["name"] == row:
-                record[column] = value
-        motors = tmp_path / "motors.csv"
-        with open(motors, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        motors = write_motors(tmp_path / "motors.csv", {(row, column): value})
         out = tmp_path / "cmp"
         assert main(["compare", "--motors", str(motors), "--out", str(out)]) == 2
         assert capsys.readouterr().err == message
@@ -1078,6 +1087,48 @@ def check_cli_boundary(values) -> None:
                         assert_finite_numbers(written.read_text())
 
 
+# The fuzzed cells: every numeric column of every bundled motor, set to
+# a finite float of either sign over the whole range, or to one of the
+# values that once broke the command or border the float range.
+MOTOR_CELLS = tuple(
+    (record["name"], column)
+    for record in csv.DictReader(io.StringIO(BUNDLED_MOTORS))
+    for column in MOTORS_COLUMNS[1:]
+)
+cell_floats = st.one_of(extreme_floats, st.floats(min_value=5e-324, max_value=1e-300))
+extreme_cell_texts = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e309", "1e308", "5e-324", "1e-320", "0", "-0", "text", ""]),
+    st.one_of(cell_floats, cell_floats.map(lambda v: -v)).map(repr),
+)
+
+
+@st.composite
+def extreme_motor_cells(draw):
+    """One or two cells of the bundled motors CSV at extreme values:
+    {(row name, column): text}."""
+    cells = draw(st.lists(st.sampled_from(MOTOR_CELLS), min_size=1, max_size=2, unique=True))
+    return {cell: draw(extreme_cell_texts) for cell in cells}
+
+
+def check_compare_boundary(cells) -> None:
+    """The four promises of check_cli_boundary for `srmec compare` on
+    the bundled motors with the given cells replaced, with and without
+    --full-precision; compare has no warning to allow."""
+    with tempfile.TemporaryDirectory() as tmp:
+        motors = write_motors(Path(tmp) / "motors.csv", cells)
+        for flags in ([], ["--full-precision"]):
+            out = Path(tmp) / f"cmp{len(flags)}"
+            argv = ["compare", "--motors", str(motors), *flags, "--out", str(out)]
+            code, stdout, caught = run_recorded(argv)
+            assert code in (0, 2, 3), (flags, code)
+            if code == 2:
+                assert not out.exists(), flags
+            assert [str(w.message) for w in caught] == [], flags
+            if code == 0:
+                assert_finite_numbers(stdout)
+                assert_finite_numbers((out / "comparison.csv").read_text())
+
+
 class TestCliBoundaryFuzz:
     """Extreme config values end in a result, a named refusal or a named
     solve failure, never in a crash, a warning or a non-finite output."""
@@ -1098,3 +1149,14 @@ class TestCliBoundaryFuzz:
     @example({("geometry", "stator_outer_diameter"): 2.3e299})
     def test_extreme_keys_end_in_a_named_exit(self, values):
         check_cli_boundary(values)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(extreme_motor_cells())
+    # Reproducers that once crashed, printed inf or were refused without
+    # naming their row.
+    @example({("srm-8-4", "volume_ml"): "5e-324"})
+    @example({("multitooth-hesrm", "mean_torque_nm"): "5e-324"})
+    @example({("srm-8-4", "volume_ml"): "1e-320"})
+    @example({("hemtsrm-16-18", "current_a"): "5e-324"})
+    def test_extreme_motor_cells_end_in_a_named_exit(self, cells):
+        check_compare_boundary(cells)

@@ -327,8 +327,8 @@ class TestBatchAuditEqualsScalarAudit:
 
 class TestBatchClosedForms:
     def test_batch_evaluation_equals_per_sample_evaluation(self):
-        # Squares round as scalar pow does: numpy's array square (x*x)
-        # differs from it for about 1 in 1,200 draws.
+        # Squares are products, which round the same for a scalar and an
+        # array on every machine.
         rng = np.random.default_rng(11)
         cases = [sample_regime_case(rng, BASE_THRESHOLD) for _ in range(3000)]
         samples = RegimeSamples(

@@ -512,7 +512,7 @@ class TestNonlinearGrid:
             return tuple(map(tuple, points[failing]))
 
         with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(4 A, 0 deg\)$"):
-            _guarded_solve(matrices, rhs, np.arange(2), named)
+            _guarded_solve(np.linalg.solve, matrices, rhs, np.arange(2), named)
 
     def test_non_finite_diagonal_of_a_lone_system_names_its_point(self):
         # A one-point grid, as in every `srmec solve`: the batch of one
@@ -528,10 +528,10 @@ class TestNonlinearGrid:
             return ((4.0, 3.0),)
 
         with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(4 A, 3 deg\)$"):
-            _guarded_solve(matrices, rhs, np.arange(1), named)
+            _guarded_solve(np.linalg.solve, matrices, rhs, np.arange(1), named)
 
     def test_non_finite_diagonal_names_its_point_in_an_eliminated_batch(self):
-        m = ELIMINATION_MIN_SYSTEMS
+        m = 8
         values = np.full((m, len(ELEMENT_ORDER)), 1e6)
         values[m - 2, ELEMENT_ORDER.index("sy5")] = np.inf
         matrices = TOPOLOGY.stamp(values)
@@ -542,7 +542,7 @@ class TestNonlinearGrid:
             return tuple(map(tuple, points[failing]))
 
         with pytest.raises(SolveError, match=rf"at 1 operating point\(s\): \({m - 2} A, 0 deg\)$"):
-            _guarded_solve(matrices, rhs, np.arange(m), named)
+            _guarded_solve(TOPOLOGY.solve, matrices, rhs, np.arange(m), named)
 
     def test_overflowing_condition_bound_refuses_without_a_warning(self, materials, curve):
         # The magnet reluctance (3.8e307 A/Wb) fits a float, but the
@@ -564,21 +564,25 @@ class TestNonlinearGrid:
             solve_nonlinear_grid(thin, materials, curve, [8.0], [ALIGNED])
 
     def test_non_finite_points_named_in_a_batch_above_the_elimination_threshold(
-        self, geometry, materials, curve
+        self, geometry, materials, curve, monkeypatch
     ):
         # The overflowing curve of test_non_finite_system_names_its_points
-        # at 2 x 80 points: the first Newton pass
-        # (320 systems) goes to the elimination, which spoils only the
-        # 8 A systems.
+        # over 80 angles (20 distinct gaps) at 0 A, mA currents that stay
+        # on the first segment, and 8 A: the grid eliminates, and its
+        # first Newton pass spoils only the 8 A systems.
         overflowing = BhCurve(field_points=(50.0, 1.5e308), density_points=(0.25, 0.5))
         no_pm = replace(materials, pm_remanence=0.0)
         angles = angles_for_period(geometry)
-        assert 2 * 2 * angles.size >= ELIMINATION_MIN_SYSTEMS
+        currents = np.append(1e-3 * np.arange(math.ceil(ELIMINATION_MIN_SYSTEMS / 20)), 8.0)
+        calls = CountingSolves(monkeypatch)
         with pytest.raises(SolveError) as info:
-            solve_nonlinear_grid(geometry, no_pm, overflowing, [0.0, 8.0], angles)
+            solve_nonlinear_grid(geometry, no_pm, overflowing, currents, angles)
+        systems = 20 * currents.size
+        assert systems >= ELIMINATION_MIN_SYSTEMS
+        assert calls.lapack == [] and calls.elimination[0] == (systems,)
         message = str(info.value)
         assert "at 80 operating point(s): (8 A, 0 deg), (8 A, 0.25 deg)," in message
-        assert "(0 A" not in message
+        assert "(0 A" not in message and "(0.001 A" not in message
 
     def test_singular_batch_names_its_points(self):
         matrices = np.stack([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)])
@@ -589,13 +593,10 @@ class TestNonlinearGrid:
         def named(failing):
             return tuple(map(tuple, points[failing]))
 
-        assert _guarded_solve(matrices[[0, 2]], rhs[:2], systems[[0, 2]], named).shape == (2, 2, 1)
+        solved = _guarded_solve(np.linalg.solve, matrices[[0, 2]], rhs[:2], systems[[0, 2]], named)
+        assert solved.shape == (2, 2, 1)
         with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(2 A, 5 deg\)$"):
-            _guarded_solve(matrices, rhs, systems, named)
-        # A leading stack axis (trial and Newton systems) folds onto the
-        # systems axis.
-        with pytest.raises(SolveError, match=r"\(2 A, 5 deg\)$"):
-            _guarded_solve(np.stack([np.eye(2)[None].repeat(3, 0), matrices]), rhs, systems, named)
+            _guarded_solve(np.linalg.solve, matrices, rhs, systems, named)
 
     def test_line_search_keeps_newton_from_cycling_on_an_abrupt_knee(self, geometry, materials):
         # Past 1 T this curve's slope halves, past 1.5 T it drops 10,000x.
@@ -652,36 +653,30 @@ class TestFrozenSystems:
             assert sol.residual == split.residual
             assert sol.iterations == grid.iterations[0, 0]
 
-    def test_returned_matrices_reproduce_the_grid_fluxes(self, geometry, materials, curve):
-        # 10 x 80 points on 10 x 20 distinct systems: the final solve is
-        # above the elimination threshold, so TOPOLOGY.solve gives back
-        # the grid's bits.
-        currents = np.linspace(0.0, 8.0, 10)
-        angles = angles_for_period(geometry)
+    @pytest.mark.parametrize(
+        "currents, angles, solve",
+        [
+            ([8.0], [ALIGNED], np.linalg.solve),
+            ([1.0, 5.5, 8.0], [0.0, 3.0, 8.5, ALIGNED], np.linalg.solve),
+            (np.linspace(0.0, 8.0, 61), None, TOPOLOGY.solve),
+        ],
+        ids=["lapack-one_point", "lapack-3x4", "elimination-61x80"],
+    )
+    def test_grid_fluxes_are_the_solves_of_its_frozen_matrices(
+        self, geometry, materials, curve, currents, angles, solve
+    ):
+        # Every solve of a grid takes its route, so the grid keeps each
+        # system's solution from the pass that froze it: the initial one
+        # after one pass, else the chord trial's.
+        angles = angles_for_period(geometry) if angles is None else angles
         grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
-        assert grid.matrices.shape == (10, 80, 5, 5)
-        assert grid.distinct_systems >= ELIMINATION_MIN_SYSTEMS
+        eliminated = grid.distinct_systems >= ELIMINATION_MIN_SYSTEMS
+        assert eliminated == (solve == TOPOLOGY.solve)
+        assert grid.system_iterations.max() > 1
         sources = np.array([source_values(sources_for(geometry, materials, i)) for i in currents])
         # One right-hand side per current, shared by every angle.
         rhs = (sources @ TOPOLOGY.rhs_pattern)[:, None, :, None]
-        solved = TOPOLOGY.solve(grid.matrices, rhs)
-        assert solved[..., 0].tobytes() == grid.system_mesh_fluxes[grid.system_index].tobytes()
-
-    @pytest.mark.parametrize(
-        "currents, angles",
-        [([8.0], [ALIGNED]), ([1.0, 5.5, 8.0], [0.0, 3.0, 8.5, ALIGNED])],
-        ids=["one_point", "3x4"],
-    )
-    def test_kept_solutions_are_the_final_solves(self, geometry, materials, curve, currents, angles):
-        # Below the elimination threshold every solve is LAPACK's, so the
-        # grid keeps each system's solution from the pass that froze it:
-        # the initial one after one pass, else the chord trial's.
-        grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
-        assert grid.distinct_systems < ELIMINATION_MIN_SYSTEMS
-        assert grid.system_iterations.max() > 1
-        sources = np.array([source_values(sources_for(geometry, materials, i)) for i in currents])
-        rhs = (sources @ TOPOLOGY.rhs_pattern)[:, None, :, None]
-        solved = np.linalg.solve(grid.matrices, rhs)
+        solved = solve(grid.matrices, rhs)
         assert solved[..., 0].tobytes() == grid.system_mesh_fluxes[grid.system_index].tobytes()
 
 
@@ -705,30 +700,37 @@ class CountingSolves:
         monkeypatch.setattr(np.linalg, "solve", counted_lapack)
 
 
-class TestSolveSelection:
-    def test_one_point_grid_never_eliminates(self, geometry, materials, curve, monkeypatch):
-        calls = CountingSolves(monkeypatch)
-        grid = solve_nonlinear_grid(geometry, materials, curve, [8.0], [ALIGNED])
-        assert grid.iterations[0, 0] > 1
-        assert calls.elimination == []
-        # The initial solve, a trial solve per pass and a Newton step on
-        # every pass but the converging one: the frozen trial's solution
-        # is the final one, so there is no final solve.
-        assert len(calls.lapack) == 2 * grid.iterations[0, 0]
+# The default sweep's current rows: linspace(0, I, 33) for I = 1, ..., 8 A.
+SWEEP_ROWS = np.concatenate([np.linspace(0.0, i, DEFAULT_CURRENT_POINTS) for i in range(1, 9)])
 
-    def test_default_grid_eliminates_its_large_batches(self, geometry, materials, curve, monkeypatch):
+
+class TestSolveSelection:
+    @pytest.mark.parametrize(
+        "currents, angles, systems",
+        [
+            ([8.0], [ALIGNED], 1),
+            (np.linspace(0.0, 8.0, DEFAULT_CURRENT_POINTS), None, 33 * 20),
+            (SWEEP_ROWS, None, 137 * 20),
+        ],
+        ids=["one_point", "torque_grid", "default_sweep"],
+    )
+    def test_every_solve_of_a_grid_takes_its_route(
+        self, geometry, materials, curve, monkeypatch, currents, angles, systems
+    ):
+        angles = angles_for_period(geometry) if angles is None else angles
         calls = CountingSolves(monkeypatch)
-        currents = np.linspace(0.0, 8.0, DEFAULT_CURRENT_POINTS)
-        grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles_for_period(geometry))
-        # The 80 angles have 20 distinct gap reluctances.  The initial
-        # solve and the first pass's trial solve run over all 33 x 20
-        # distinct systems, and so does the final solve.
-        systems = grid.distinct_systems
-        assert systems == 33 * 20
-        assert calls.elimination[:2] == [(systems,), (systems,)]
-        assert calls.elimination[-1] == (systems,)
-        assert all(math.prod(shape) >= ELIMINATION_MIN_SYSTEMS for shape in calls.elimination)
-        assert all(math.prod(shape) < ELIMINATION_MIN_SYSTEMS for shape in calls.lapack)
+        grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
+        assert grid.distinct_systems == systems
+        assert grid.system_iterations.max() > 1
+        taken, other = (calls.elimination, calls.lapack)
+        if systems < ELIMINATION_MIN_SYSTEMS:
+            taken, other = other, taken
+        assert other == []
+        assert taken[:2] == [(systems,), (systems,)]
+        # The initial solve, a trial solve per pass and a Newton step on
+        # every pass but the last: a frozen trial's solution is the final
+        # one, so there is no final solve.
+        assert len(taken) == 2 * grid.system_iterations.max()
 
 
 class TestConditionGuard:
