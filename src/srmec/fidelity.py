@@ -34,21 +34,22 @@ branch_map_production_vs_exact is one stacked solve_linear call, and
 every row is an array expression over all samples.  Every per-sample
 value has the bits the one-sample-at-a-time audit gave it.
 
-The sampler, sample_regime_case, draws and tests its candidates in
-vectorised blocks, then steps the generator back over the doubles it
-drew past the sample.  That needs a bit generator whose advance() jumps
-back in O(log n) steps, one step per double: PCG64 (what
-np.random.default_rng builds) or PCG64DXSM; any other is refused with
-TypeError before a draw.  It stays one call per sample, although a walk
-over a whole stream would cost less, because the benchmark harness
-(perfbench/) credits audit work by counting sample_regime_case calls;
-ROADMAP item 1 re-points that count.
+The sampler, sample_regime_case, serves one sample per call from a
+walk over the stream that runs ahead of the caller in bounded chunks
+(StreamLookahead), bit for bit the stream of drawing one candidate at a
+time.  It moves the generator by advance(), so it takes PCG64 (what
+np.random.default_rng builds) or PCG64DXSM and refuses any other bit
+generator with TypeError before a draw.  It serves one sample per call,
+not a stream at once, because the benchmark harness (perfbench/)
+credits audit work by counting sample_regime_case calls; ROADMAP item 1
+re-points that count.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -73,9 +74,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 108
 # Most samples `srmec fidelity` takes.  On a 2-core x86-64 machine an
-# audit of 10,000 samples took 1.45 s and peaked at 56 MB RSS, and one
-# of 100,000 took 13.8 s and 216 MB: about 0.14 ms and 1.8 kB per
-# sample, so an audit at the bound takes about 30 s and 400 MB.
+# audit of 10,000 samples took 1.00 s and peaked at 56 MB RSS, and one
+# of 100,000 took 9.7 s and 216 MB: about 0.1 ms and 1.8 kB per sample,
+# so an audit at the bound takes about 20 s and 400 MB.
 MAX_AUDIT_SAMPLES = 200_000
 # Sampling windows (log-uniform): reluctances span iron-to-magnet scales,
 # MMFs span fractions of a turn-amp to kiloamp-turn excitation.
@@ -85,8 +86,11 @@ MMF_DECADES = (0.0, 4.0)
 # assume, and once more far inside the regime to expose asymptotics.
 BASE_THRESHOLD = 10.0
 STRONG_THRESHOLD = 1000.0
-# Reluctance candidates drawn and tested per vectorised rejection step.
+# Candidates in a sampling walk's chunk before it has served a sample,
+# and the margin over its estimate after.
 SAMPLE_BLOCK = 128
+# Most doubles one chunk of a sampling walk draws.
+WALK_CHUNK_DOUBLES = 32_768
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,144 @@ class RegimeSamples(NamedTuple):
     f_pm: np.ndarray
 
 
+def decade_map(draws: np.ndarray, decades: tuple[float, float]) -> np.ndarray:
+    """Map unit draws log-uniformly onto a decade window, as a new array.
+
+    Returns 10 ** (lo + (hi - lo) * draws) for decades = (lo, hi); the
+    affine step rounds as np.random.Generator.uniform(lo, hi) does.  Both
+    the reluctance and the MMF draws of the audit go through here.  The
+    power is numpy's float64 array-power ufunc, whose SIMD loop numpy
+    picks for the machine at import (AVX512_SKX where the frozen audit
+    pins were made).  It rounds differently from libm pow in about 1 of
+    20 draws, and FROZEN_AUDIT_STATS, FROZEN_VERDICTS and the audit
+    SHA-256 pins hang on its bits; a strided array may take another
+    loop, so draws should be contiguous.
+    """
+    lo, hi = decades
+    exponents = (hi - lo) * draws
+    exponents += lo
+    return np.power(10.0, exponents, out=exponents)
+
+
+class StreamLookahead:
+    """A sampling stream walked ahead of the caller, one chunk of doubles
+    at a time; sample_regime_case serves it one sample per call.
+
+    It holds the chunk walked last (its raw doubles and their reluctance
+    decade map), each candidate phase's passing candidates once the walk
+    has landed on that phase, the walk's position, and the generator
+    state the last served sample left.  remaining counts the samples the
+    caller still wants, which sizes the chunks; chunks, drawn, consumed
+    and served count the chunks walked, the doubles drawn, the doubles
+    the served samples used and the samples served.
+    """
+
+    def __init__(self, n_samples: int) -> None:
+        self.remaining = n_samples
+        self.chunks = self.drawn = self.consumed = self.served = 0
+        self._restart(None, None)
+
+    def serve(
+        self, rng: np.random.Generator, threshold: float
+    ) -> tuple[np.ndarray, list[float], int]:
+        """The next sample's five reluctances, its two MMFs and the count
+        of candidates tested for it; rng is left just past its draws."""
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        if state != self._state or threshold != self._threshold:
+            self._restart(state, threshold)
+        reluctances, sources, tested = self._next(rng)
+        self._seek(bit_generator)
+        after = bit_generator.state
+        # advance() zeroes the buffered 32-bit half and its flag, which the
+        # state keeps even once the half is spent; doubles never touch them.
+        if (after["has_uint32"], after["uinteger"]) != (state["has_uint32"], state["uinteger"]):
+            after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
+            bit_generator.state = after
+        self._state = after
+        self.remaining -= 1
+        self.served += 1
+        self.consumed += 5 * tested + 2
+        return reluctances, sources, tested
+
+    def _restart(self, state: dict | None, threshold: float | None) -> None:
+        """Walk afresh from the generator state given; the offsets below
+        count doubles from it."""
+        self._state = state
+        self._threshold = threshold
+        self._base = self._pos = self._offset = 0
+        self._raw = self._mapped = np.empty(0)
+        self._phases = [([], [])] * 5
+
+    def _next(self, rng: np.random.Generator) -> tuple[np.ndarray, list[float], int]:
+        """Walk to the next passing candidate whose MMF draws are drawn,
+        drawing chunks as needed."""
+        tested = 0
+        while True:
+            at = self._pos - self._base
+            phase = at % 5
+            if self._phases[phase] is None:
+                self._phases[phase] = self._accepted(phase)
+            offsets, sources = self._phases[phase]
+            k = bisect_left(offsets, at)
+            if k < len(sources):
+                first = offsets[k]
+                self._pos = self._base + first + 7
+                return self._mapped[first : first + 5], sources[k], tested + (first - at) // 5 + 1
+            if k < len(offsets):
+                # Its MMF draws lie past the chunk: it is tested again there.
+                tested += (offsets[k] - at) // 5
+                self._pos = self._base + offsets[k]
+            else:
+                untested = (self._raw.size - at) // 5
+                tested += untested
+                self._pos += 5 * untested
+            self._draw(rng)
+
+    def _seek(self, bit_generator: np.random.BitGenerator) -> None:
+        """Move the generator to the walk's position, the end of the last
+        sample or the first double a new chunk draws."""
+        if self._pos != self._offset:
+            bit_generator.advance((self._pos - self._offset) % 2**128)
+            self._offset = self._pos
+
+    def _draw(self, rng: np.random.Generator) -> None:
+        """Draw the next chunk from the walk's position, stepping the
+        generator back over any doubles the last chunk left untested."""
+        self._seek(rng.bit_generator)
+        if self.served:
+            size = -(-self.consumed * max(self.remaining, 1) // self.served) + 5 * SAMPLE_BLOCK
+        else:
+            size = max(self._pos, 5 * SAMPLE_BLOCK)
+        # At least a candidate and its MMF draws, so that the walk moves on.
+        size = max(min(size, WALK_CHUNK_DOUBLES), 7)
+        self._raw = rng.random(size)
+        self._mapped = decade_map(self._raw, RELUCTANCE_DECADES)
+        self._phases = [None] * 5
+        self._base = self._pos
+        self._offset += size
+        self.chunks += 1
+        self.drawn += size
+
+    def _accepted(self, phase: int) -> tuple[list[int], list[list[float]]]:
+        """Chunk offsets of the passing candidates at this phase, and the
+        MMFs of those whose MMF draws are in the chunk: all but the last
+        at most."""
+        count = (self._raw.size - phase) // 5
+        block = self._mapped[phase : phase + 5 * count].reshape(count, 5)
+        a, b, c, d = dominance_ratios(*block.T).values()
+        # np.minimum propagates NaN, so a NaN ratio fails as it does alone.
+        passing = np.minimum(np.minimum(a, b), np.minimum(c, d)) >= self._threshold
+        offsets = 5 * np.flatnonzero(passing) + phase
+        mmf = self._raw[offsets[offsets + 7 <= self._raw.size, None] + (5, 6)]
+        return offsets.tolist(), decade_map(mmf, MMF_DECADES).tolist()
+
+
 def sample_regime_case(
-    rng: np.random.Generator, threshold: float, tested: list[int] | None = None
+    rng: np.random.Generator,
+    threshold: float,
+    tested: list[int] | None = None,
+    lookahead: StreamLookahead | None = None,
 ) -> tuple[ReluctanceSet, SourceSet]:
     """Draw one regime-valid reluctance/source sample.
 
@@ -129,62 +269,39 @@ def sample_regime_case(
     state.  If tested is a list, the number of candidates tested is
     appended to it.
 
-    Candidates are drawn as raw doubles SAMPLE_BLOCK at a time, mapped to
-    reluctances once per double and tested with array operations; the
-    accepted candidate's two MMF draws are the two doubles after it,
-    drawn anew only when it is the block's last candidate.  Otherwise
-    the generator is advanced by minus the count of doubles drawn past
-    them, which PCG's LCG does in O(log n) steps, with no redraw, and
-    the 32-bit buffer that advance() clears is put back.  So the sample
-    and the full generator state afterwards are exactly those of drawing
-    and testing one candidate at a time.  One call draws one sample,
-    since the benchmark harness credits the audit's work per call (see
-    the module docstring).
+    The stream is walked ahead of the caller in chunks of raw doubles,
+    each mapped by one decade_map call.  A candidate takes 5 doubles and
+    an accepted one is followed by its 2 MMF doubles, so candidates fall
+    on 5 phases of a chunk; a phase's pass mask is computed, over the
+    whole chunk, when the walk first lands on it.  A chunk is sized from
+    the samples still wanted and the doubles per sample served so far
+    (5 * SAMPLE_BLOCK doubles until a sample is served, at most
+    WALK_CHUNK_DOUBLES).  A lookahead carries the walk from call to call
+    while the generator stays in the state its last call left; after a
+    draw in between, on another generator or at another threshold the
+    walk starts afresh.  Without one, the call walks for one sample.
+    Either way the generator is then moved by advance() to the end of
+    the sample's draws and the 32-bit buffer that advance() clears is
+    put back, so the sample and the full generator state afterwards are
+    exactly those of drawing and testing one candidate at a time.
 
     Raises TypeError, before drawing, if rng's bit generator is not
     PCG64 or PCG64DXSM.
     """
-    bit_generator = rng.bit_generator
     # Their advance() counts one step per 64-bit output, and the LCG
     # behind PCG jumps any distance in O(log n) (Brown, "Random Number
     # Generation with Arbitrary Strides", 1994).  MT19937 and SFC64 have
     # no advance, and Philox's counts blocks of four outputs.  Named
     # here, not at import, since numpy loads numpy.random on first use.
-    if not isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
         raise TypeError(
             f"sample_regime_case needs a PCG64 or PCG64DXSM bit generator, "
-            f"got {type(bit_generator).__name__}"
+            f"got {type(rng.bit_generator).__name__}"
         )
-    lo, hi = RELUCTANCE_DECADES
-    rejected = 0
-    while True:
-        draws = rng.random(5 * SAMPLE_BLOCK)
-        # A contiguous power: numpy may round a strided one differently.
-        block = 10.0 ** (lo + (hi - lo) * draws)
-        a, b, c, d = dominance_ratios(*block.reshape(SAMPLE_BLOCK, 5).T).values()
-        # np.minimum propagates NaN, so a NaN ratio fails as it does alone.
-        passing = np.minimum(np.minimum(a, b), np.minimum(c, d)) >= threshold
-        first = int(passing.argmax())
-        if passing[first]:
-            break
-        rejected += SAMPLE_BLOCK
-    if first == SAMPLE_BLOCK - 1:
-        mmf_draws = rng.random(2)
-    else:
-        mmf_draws = draws[5 * first + 5 : 5 * first + 7]
-        # Step back over the rest of the block.  advance() zeroes the
-        # buffered 32-bit half and its flag, which the state keeps even
-        # once the half is spent; the doubles drawn never touch them.
-        state = bit_generator.state
-        bit_generator.advance(-(5 * (SAMPLE_BLOCK - first) - 7) % 2**128)
-        if state["has_uint32"] or state["uinteger"]:
-            state["state"] = bit_generator.state["state"]
-            bit_generator.state = state
+    walk = StreamLookahead(1) if lookahead is None else lookahead
+    (r_sy, r_sp, r_ry, r_g, r_pm), (f_e, f_pm), count = walk.serve(rng, threshold)
     if tested is not None:
-        tested.append(rejected + first + 1)
-    r_sy, r_sp, r_ry, r_g, r_pm = block[5 * first : 5 * first + 5]
-    mlo, mhi = MMF_DECADES
-    f_e, f_pm = (10.0 ** (mlo + (mhi - mlo) * mmf_draws)).tolist()
+        tested.append(count)
     return (
         ReluctanceSet(r_sy=r_sy, r_sp=r_sp, r_ry=r_ry, r_g=r_g, r_pm=r_pm),
         SourceSet(f_e=f_e, f_pm=f_pm),
@@ -254,7 +371,8 @@ def _collect(n_samples: int, seed: int, threshold: float, stream: int) -> dict[s
     each an (n_samples,) array; off BASE_THRESHOLD, only the asymptotic
     rows, suffixed _strong_regime.
 
-    Samples are drawn one by one and their systems stamped at once; the
+    Samples are served one by one from the stream's walk (one
+    StreamLookahead) and their systems stamped at once; the
     exact oracle and the production solve are then one stacked call
     each, and each row is one array expression over the whole batch.
     The wall time of each of these four stages is logged: sampling with
@@ -266,17 +384,19 @@ def _collect(n_samples: int, seed: int, threshold: float, stream: int) -> dict[s
     started = clock()
     rng = np.random.default_rng([seed, stream])
     tested: list[int] = []
+    lookahead = StreamLookahead(n_samples)
     values = np.empty((n_samples, len(RegimeSamples._fields)))
     for k in range(n_samples):
-        r, s = sample_regime_case(rng, threshold, tested)
+        r, s = sample_regime_case(rng, threshold, tested, lookahead)
         values[k] = r.r_sy, r.r_sp, r.r_ry, r.r_g, r.r_pm, s.f_e, s.f_pm
     samples = RegimeSamples(*values.T)
     system = build_network(samples, samples)
     sampled = clock()
     logger.info(
-        "audit stream %d: dominance threshold %g, %d samples, %d candidates tested; "
-        "wall ms: sampling %.1f",
-        stream, threshold, n_samples, sum(tested), 1e3 * (sampled - started),
+        "audit stream %d: dominance threshold %g, %d samples, %d candidates tested, "
+        "%d chunks walked, %d doubles drawn for %d consumed; wall ms: sampling %.1f",
+        stream, threshold, n_samples, sum(tested), lookahead.chunks, lookahead.drawn,
+        lookahead.consumed, 1e3 * (sampled - started),
     )
     exact = solve_exact(system.matrix, system.rhs).rounded()
     solved_exactly = clock()

@@ -1129,6 +1129,57 @@ def check_compare_boundary(cells) -> None:
                 assert_finite_numbers((out / "comparison.csv").read_text())
 
 
+def signed(ints):
+    """Integer text with an optional sign."""
+    return st.tuples(st.sampled_from(["", "+", "-"]), ints).map(lambda parts: f"{parts[0]}{parts[1]}")
+
+
+# Text argparse's int() refuses or reads in a surprising way: floats,
+# non-finite words, other bases, digit separators, padding, non-ASCII
+# digits and option-like dashes.
+junk_texts = st.one_of(
+    st.sampled_from(["", " ", "abc", "0x10", "1e3", "2.", "nan", "inf", "-inf", "1_0", " 3 ", "\u0663", "--", "--1"]),
+    st.floats().map(repr),
+)
+# --samples stays tiny where it parses: a handful, or past the bound.
+# Plain valid text comes first, so that about a quarter of the runs
+# audit and write their files.
+samples_texts = st.one_of(
+    st.integers(1, 4).map(str),
+    signed(st.integers(0, 4)),
+    signed(st.integers(MAX_AUDIT_SAMPLES + 1, 10**60)),
+    junk_texts,
+)
+seed_texts = st.one_of(
+    st.integers(0, 2**16).map(str),
+    st.integers(2**63, 10**60).map(str),
+    signed(st.integers(0, 2**16)),
+    signed(st.integers(0, 10**60)),
+    junk_texts,
+)
+
+
+def check_fidelity_boundary(samples: str, seed: str) -> None:
+    """The four promises of check_cli_boundary for `srmec fidelity` with
+    the given --samples and --seed text.  argparse refuses text that is
+    not an int by raising SystemExit(2), which counts as that exit; the
+    audit has no warning to allow."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "fid"
+        argv = ["fidelity", "--samples", samples, "--seed", seed, "--out", str(out)]
+        try:
+            code, stdout, caught = run_recorded(argv)
+        except SystemExit as exit_:
+            code, stdout, caught = exit_.code, "", []
+        assert code in (0, 2, 3), code
+        if code == 2:
+            assert not out.exists()
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert_finite_numbers(stdout)
+            assert_finite_numbers((out / "fidelity.csv").read_text())
+
+
 class TestCliBoundaryFuzz:
     """Extreme config values end in a result, a named refusal or a named
     solve failure, never in a crash, a warning or a non-finite output."""
@@ -1160,3 +1211,15 @@ class TestCliBoundaryFuzz:
     @example({("hemtsrm-16-18", "current_a"): "5e-324"})
     def test_extreme_motor_cells_end_in_a_named_exit(self, cells):
         check_compare_boundary(cells)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(samples_texts, seed_texts)
+    # Seeds past 64 and 128 bits are accepted; -0 samples, one sample
+    # past the bound and a negative seed are refused before the manifest.
+    @example("2", "18446744073709551616")
+    @example("2", "340282366920938463463374607431768211457")
+    @example("-0", "108")
+    @example(str(MAX_AUDIT_SAMPLES + 1), "108")
+    @example("1", "-1")
+    def test_extreme_fidelity_arguments_end_in_a_named_exit(self, samples, seed):
+        check_fidelity_boundary(samples, seed)

@@ -10,6 +10,7 @@ against the exact elimination oracle before freezing.
 
 import functools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from srmec.fidelity import (
     STRONG_THRESHOLD,
     FidelityRow,
     RegimeSamples,
+    StreamLookahead,
     audit_notes,
     run_fidelity_audit,
     rsy_variant_composites,
@@ -127,43 +129,77 @@ def scalar_rejection_sample(rng, threshold):
     return candidate, sources
 
 
+@functools.lru_cache(maxsize=None)
+def reference_stream(seed, threshold, count, bit_generator=np.random.PCG64):
+    """The first count one-candidate samples of a seeded stream, each as
+    (sample, candidates tested, full generator state after it); computed
+    once per module for every class and block size that checks it."""
+    rng = np.random.Generator(bit_generator(list(seed) if isinstance(seed, tuple) else seed))
+    stream = []
+    for _ in range(count):
+        candidate, sources, tested = counted_rejection_sample(rng, threshold)
+        stream.append(((candidate, sources), tested, rng.bit_generator.state))
+    return tuple(stream)
+
+
+def hashable(seed):
+    return tuple(seed) if isinstance(seed, list) else seed
+
+
+@functools.lru_cache(maxsize=None)
+def reference_with_caller_draws(seed=2024, calls=40):
+    """The one-candidate stream with the caller's own draws between
+    samples: odd-sized random() draws and a 32-bit draw, which leave
+    buffered state in the generator.  Per call: (sample, the caller's
+    draws after it, full generator state after those)."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    for k in range(calls):
+        sample = scalar_rejection_sample(rng, caller_draw_threshold(k))
+        draws = (rng.random(k % 4), rng.integers(0, 2**31, dtype=np.int32))
+        steps.append((sample, draws, rng.bit_generator.state))
+    return tuple(steps)
+
+
+def caller_draw_threshold(k):
+    return STRONG_THRESHOLD if k % 3 == 0 else BASE_THRESHOLD
+
+
+def assert_serves_reference(rng, threshold, reference, lookahead=None):
+    """Each call equals the reference stream in its sample, its tested
+    count and the full generator state after it."""
+    for sample, count, state in reference:
+        tested = []
+        assert sample_regime_case(rng, threshold, tested, lookahead) == sample
+        assert tested == [count]
+        assert rng.bit_generator.state == state
+
+
 class TestBlockSamplerStreamIdentity:
     @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
     @pytest.mark.parametrize("seed", [3, 20260816, [108, 0], [108, 1]])
     def test_same_samples_and_generator_state(self, seed, threshold):
         block_rng = np.random.default_rng(seed)
-        scalar_rng = np.random.default_rng(seed)
-        for _ in range(60):
-            assert sample_regime_case(block_rng, threshold) == scalar_rejection_sample(
-                scalar_rng, threshold
-            )
-            assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+        for sample, _, state in reference_stream(hashable(seed), threshold, 60):
+            assert sample_regime_case(block_rng, threshold) == sample
+            assert block_rng.bit_generator.state == state
 
     def test_caller_draws_between_calls_stay_in_step(self):
         block_rng = np.random.default_rng(2024)
-        scalar_rng = np.random.default_rng(2024)
-        for k in range(40):
-            threshold = STRONG_THRESHOLD if k % 3 == 0 else BASE_THRESHOLD
-            assert sample_regime_case(block_rng, threshold) == scalar_rejection_sample(
-                scalar_rng, threshold
-            )
+        for k, (sample, (randoms, int32), state) in enumerate(reference_with_caller_draws()):
+            assert sample_regime_case(block_rng, caller_draw_threshold(k)) == sample
             # Odd-sized and 32-bit draws leave buffered state in the
             # generator; the sampler must carry it through unchanged.
-            assert np.array_equal(block_rng.random(k % 4), scalar_rng.random(k % 4))
-            assert block_rng.integers(0, 2**31, dtype=np.int32) == scalar_rng.integers(
-                0, 2**31, dtype=np.int32
-            )
-            assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+            assert np.array_equal(block_rng.random(k % 4), randoms)
+            assert block_rng.integers(0, 2**31, dtype=np.int32) == int32
+            assert block_rng.bit_generator.state == state
 
     @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
     def test_pcg64dxsm_stream(self, threshold):
         block_rng = np.random.Generator(np.random.PCG64DXSM(2718))
-        scalar_rng = np.random.Generator(np.random.PCG64DXSM(2718))
-        for _ in range(40):
-            assert sample_regime_case(block_rng, threshold) == scalar_rejection_sample(
-                scalar_rng, threshold
-            )
-            assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+        for sample, _, state in reference_stream(2718, threshold, 40, np.random.PCG64DXSM):
+            assert sample_regime_case(block_rng, threshold) == sample
+            assert block_rng.bit_generator.state == state
 
     def test_accepted_reluctances_keep_their_type(self):
         r, s = sample_regime_case(np.random.default_rng(5), BASE_THRESHOLD)
@@ -175,11 +211,10 @@ class TestBlockSamplerStreamIdentity:
     @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
     def test_reports_the_candidates_tested(self, threshold):
         block_rng = np.random.default_rng(17)
-        scalar_rng = np.random.default_rng(17)
         tested = []
         for _ in range(30):
             sample_regime_case(block_rng, threshold, tested)
-        assert tested == [counted_rejection_sample(scalar_rng, threshold)[2] for _ in range(30)]
+        assert tested == [count for _, count, _ in reference_stream(17, threshold, 30)]
 
 
 class TestGeneratorContract:
@@ -227,6 +262,166 @@ def small_sample_block(request, monkeypatch):
 @pytest.mark.usefixtures("small_sample_block")
 class TestSmallBlockStreamIdentity(TestBlockSamplerStreamIdentity):
     """The stream identity tests again with the sampler's block shrunk."""
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """A list that gets the threshold of each walk started afresh from a
+    generator state."""
+    started = []
+    restart = StreamLookahead._restart
+
+    def counting(self, state, threshold):
+        if state is not None:
+            started.append(threshold)
+        restart(self, state, threshold)
+
+    monkeypatch.setattr(StreamLookahead, "_restart", counting)
+    return started
+
+
+@pytest.fixture(params=[7, 3 * 5 * 13], ids=lambda bound: f"chunk<={bound}")
+def small_walk_chunks(request, monkeypatch):
+    """Chunks of at most three blocks of 13 candidates, or of one
+    candidate and its MMF draws, so that a stream crosses many chunk
+    boundaries."""
+    monkeypatch.setattr(fidelity, "SAMPLE_BLOCK", 13)
+    monkeypatch.setattr(fidelity, "WALK_CHUNK_DOUBLES", request.param)
+
+
+class TestStreamLookahead:
+    """A lookahead serves the one-candidate stream: after every call the
+    sample, its tested count and the full generator state equal the
+    reference, whether the call was served from the walk or walked
+    afresh."""
+
+    @pytest.mark.usefixtures("small_walk_chunks")
+    @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
+    @pytest.mark.parametrize("seed", [3, [108, 1]])
+    def test_serves_the_stream_across_chunk_boundaries(self, walks, seed, threshold):
+        lookahead = StreamLookahead(60)
+        reference = reference_stream(hashable(seed), threshold, 60)
+        assert_serves_reference(np.random.default_rng(seed), threshold, reference, lookahead)
+        assert len(walks) == 1
+        assert lookahead.chunks > 10
+        assert lookahead.served == 60
+        assert lookahead.consumed == sum(5 * count + 2 for _, count, _ in reference)
+        assert lookahead.drawn >= lookahead.consumed
+
+    @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
+    def test_default_chunks_serve_the_stream(self, walks, threshold):
+        lookahead = StreamLookahead(60)
+        reference = reference_stream((108, 1), threshold, 60)
+        assert_serves_reference(np.random.default_rng([108, 1]), threshold, reference, lookahead)
+        assert len(walks) == 1
+        assert lookahead.chunks < 60
+
+    def test_foreign_draws_between_calls_start_a_fresh_walk(self, walks):
+        rng = np.random.default_rng(2024)
+        lookahead = StreamLookahead(40)
+        for k, (sample, (randoms, int32), state) in enumerate(reference_with_caller_draws()):
+            assert sample_regime_case(rng, caller_draw_threshold(k), None, lookahead) == sample
+            assert np.array_equal(rng.random(k % 4), randoms)
+            assert rng.integers(0, 2**31, dtype=np.int32) == int32
+            assert rng.bit_generator.state == state
+        assert len(walks) == 40
+
+    @pytest.mark.usefixtures("small_walk_chunks")
+    @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
+    def test_a_pending_32_bit_half_is_kept_by_every_served_call(self, walks, threshold):
+        rng = np.random.default_rng(31)
+        scalar_rng = np.random.default_rng(31)
+        assert rng.integers(2**32, dtype=np.uint32) == scalar_rng.integers(2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        lookahead = StreamLookahead(30)
+        for _ in range(30):
+            tested = []
+            assert sample_regime_case(rng, threshold, tested, lookahead) == scalar_rejection_sample(
+                scalar_rng, threshold
+            )
+            assert rng.bit_generator.state == scalar_rng.bit_generator.state
+        assert len(walks) == 1
+
+    def test_one_lookahead_handed_a_second_generator(self, walks):
+        first, second = np.random.default_rng(3), np.random.default_rng([108, 1])
+        lookahead = StreamLookahead(60)
+        streams = zip(
+            reference_stream(3, BASE_THRESHOLD, 60)[:30],
+            reference_stream((108, 1), BASE_THRESHOLD, 60)[:30],
+        )
+        for steps in streams:
+            for rng, step in zip((first, second), steps):
+                assert_serves_reference(rng, BASE_THRESHOLD, [step], lookahead)
+        assert len(walks) == 60
+        # A generator in the very state the last call left continues the
+        # walk, whichever object it is.
+        copy = np.random.Generator(np.random.PCG64())
+        copy.bit_generator.state = second.bit_generator.state
+        rest = reference_stream((108, 1), BASE_THRESHOLD, 60)[30:]
+        assert_serves_reference(copy, BASE_THRESHOLD, rest, lookahead)
+        assert len(walks) == 60
+
+    def test_another_threshold_starts_a_fresh_walk(self, walks):
+        rng = np.random.default_rng(99)
+        scalar_rng = np.random.default_rng(99)
+        lookahead = StreamLookahead(12)
+        for k in range(12):
+            threshold = STRONG_THRESHOLD if k % 4 == 3 else BASE_THRESHOLD
+            assert sample_regime_case(rng, threshold, None, lookahead) == scalar_rejection_sample(
+                scalar_rng, threshold
+            )
+            assert rng.bit_generator.state == scalar_rng.bit_generator.state
+        assert walks == [BASE_THRESHOLD, STRONG_THRESHOLD] * 3
+
+    @pytest.mark.usefixtures("small_walk_chunks")
+    @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
+    def test_pcg64dxsm_stream(self, walks, threshold):
+        rng = np.random.Generator(np.random.PCG64DXSM(2718))
+        reference = reference_stream(2718, threshold, 40, np.random.PCG64DXSM)
+        assert_serves_reference(rng, threshold, reference, StreamLookahead(40))
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_other_generators_are_refused_before_drawing(self, bit_generator):
+        rng = np.random.Generator(bit_generator(1))
+        before = rng.bit_generator.state
+        lookahead = StreamLookahead(5)
+        with pytest.raises(TypeError, match=bit_generator.__name__):
+            sample_regime_case(rng, BASE_THRESHOLD, None, lookahead)
+        np.testing.assert_equal(rng.bit_generator.state, before)
+        assert (lookahead.chunks, lookahead.drawn, lookahead.served) == (0, 0, 0)
+
+    # At most 50 examples, reproducible, reported as drawn.
+    @settings(max_examples=50, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(
+        block=st.integers(1, 256),
+        bound=st.integers(1, 4096),
+        seed=st.integers(0, 2**64 - 1),
+        threshold=st.floats(1.0, STRONG_THRESHOLD),
+        foreign=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_any_chunking_matches_the_one_candidate_stream(self, block, bound, seed, threshold, foreign):
+        """Samples, tested counts and the full generator state equal the
+        one-candidate reference after every call, with a 32-bit draw
+        after the calls that foreign marks, so that calls are served
+        from the walk, walked afresh, and served with a buffered 32-bit
+        half pending or spent."""
+        rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        lookahead = StreamLookahead(len(foreign))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fidelity, "SAMPLE_BLOCK", block)
+            patch.setattr(fidelity, "WALK_CHUNK_DOUBLES", bound)
+            for draw in foreign:
+                tested = []
+                got = sample_regime_case(rng, threshold, tested, lookahead)
+                candidate, sources, count = counted_rejection_sample(scalar_rng, threshold)
+                assert (got, tested) == ((candidate, sources), [count])
+                assert rng.bit_generator.state == scalar_rng.bit_generator.state
+                if draw:
+                    assert rng.integers(2**32, dtype=np.uint32) == scalar_rng.integers(
+                        2**32, dtype=np.uint32
+                    )
 
 
 def _branch_array(b):
@@ -321,6 +516,13 @@ class TestBatchAuditEqualsScalarAudit:
     def test_every_row_bit_for_bit(self, monkeypatch, block, n_samples, seed):
         if block is not None:
             monkeypatch.setattr(fidelity, "SAMPLE_BLOCK", block)
+        got = run_fidelity_audit(n_samples, seed)
+        assert [repr(row) for row in got] == [repr(row) for row in scalar_audit(n_samples, seed)]
+
+    @pytest.mark.parametrize("n_samples, seed", [(50, 1), (50, 20260816), (64, 7), (200, 108)])
+    def test_every_row_bit_for_bit_across_small_chunks(self, monkeypatch, n_samples, seed):
+        monkeypatch.setattr(fidelity, "SAMPLE_BLOCK", 13)
+        monkeypatch.setattr(fidelity, "WALK_CHUNK_DOUBLES", 3 * 5 * 13)
         got = run_fidelity_audit(n_samples, seed)
         assert [repr(row) for row in got] == [repr(row) for row in scalar_audit(n_samples, seed)]
 
@@ -495,11 +697,17 @@ class TestAuditReport:
 
     @staticmethod
     def _rejection_lines(caplog):
-        return [
-            record.getMessage().split("; wall ms: ")[0]
-            for record in caplog.records
-            if "candidates tested" in record.getMessage()
-        ]
+        """Each stream's rejection line: its text up to the candidates
+        tested, then the chunks walked, doubles drawn and doubles consumed
+        it reports."""
+        lines = []
+        for record in caplog.records:
+            message = record.getMessage()
+            if "candidates tested" in message:
+                head, walk = message.split("; wall ms: ")[0].split(" candidates tested, ")
+                counts = re.fullmatch(r"(\d+) chunks walked, (\d+) doubles drawn for (\d+) consumed", walk)
+                lines.append((f"{head} candidates tested", *map(int, counts.groups())))
+        return lines
 
     @staticmethod
     def _tested(n_samples, seed, stream, threshold):
@@ -510,10 +718,18 @@ class TestAuditReport:
         with caplog.at_level(logging.INFO, logger="srmec.fidelity"):
             run_fidelity_audit(50, 108)
         tested = [self._tested(50, 108, 0, BASE_THRESHOLD), self._tested(50, 108, 1, STRONG_THRESHOLD)]
-        assert self._rejection_lines(caplog) == [
+        lines = self._rejection_lines(caplog)
+        assert [line[0] for line in lines] == [
             f"audit stream 0: dominance threshold 10, 50 samples, {tested[0]} candidates tested",
             f"audit stream 1: dominance threshold 1000, 50 samples, {tested[1]} candidates tested",
         ]
+        for (_, chunks, drawn, consumed), count in zip(lines, tested, strict=True):
+            # A candidate takes 5 doubles and a sample's MMFs 2.  The walk
+            # throws away at most the rest of its last chunk and the few
+            # doubles it draws again at each chunk boundary.
+            assert consumed == 5 * count + 2 * 50
+            assert consumed <= drawn <= consumed + fidelity.WALK_CHUNK_DOUBLES + 6 * chunks
+            assert chunks >= 1
 
     def test_logs_the_wall_time_of_each_stage(self, caplog):
         with caplog.at_level(logging.INFO, logger="srmec.fidelity"):
@@ -539,7 +755,7 @@ class TestAuditReport:
             with pytest.raises(ValueError, match="system 7 of the stack"):
                 run_fidelity_audit(50, 108)
         tested = self._tested(50, 108, 0, BASE_THRESHOLD)
-        assert self._rejection_lines(caplog) == [
+        assert [line[0] for line in self._rejection_lines(caplog)] == [
             f"audit stream 0: dominance threshold 10, 50 samples, {tested} candidates tested"
         ]
 
