@@ -37,17 +37,23 @@ value has the bits the one-sample-at-a-time audit gave it.
 The sampler, sample_regime_case, serves one sample per call from a
 walk over the stream that runs ahead of the caller in bounded chunks
 (StreamLookahead), bit for bit the stream of drawing one candidate at a
-time.  It moves the generator by advance(), so it takes PCG64 (what
-np.random.default_rng builds) or PCG64DXSM and refuses any other bit
-generator with TypeError before a draw.  It serves one sample per call,
-not a stream at once, because the benchmark harness (perfbench/)
-credits audit work by counting sample_regime_case calls; ROADMAP item 1
-re-points that count.
+time.  A cheap necessary test on the raw draws of each chunk
+(raw_bounds) picks the candidates the exact dominance test is run on,
+so most candidates are rejected before they are mapped to reluctances
+(the squeeze of Marsaglia, "The squeeze method for generating gamma
+variates", 1977, used only to reject).  The sampler moves the
+generator by advance(), so it takes PCG64 (what np.random.default_rng
+builds) or PCG64DXSM and refuses any other bit generator with
+TypeError before a draw.  It serves one sample per call, not a stream
+at once, because the benchmark harness (perfbench/) credits audit work
+by counting sample_regime_case calls; ROADMAP item 1 re-points that
+count.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -74,9 +80,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 108
 # Most samples `srmec fidelity` takes.  On a 2-core x86-64 machine an
-# audit of 10,000 samples took 1.00 s and peaked at 56 MB RSS, and one
-# of 100,000 took 9.7 s and 216 MB: about 0.1 ms and 1.8 kB per sample,
-# so an audit at the bound takes about 20 s and 400 MB.
+# audit of 10,000 samples took 1.15 s and peaked at 56 MB RSS, and one
+# of 100,000 took 10.5-11.9 s and 217 MB: about 0.11 ms and 1.8 kB per
+# sample, so an audit at the bound takes about 22 s and 400 MB.
 MAX_AUDIT_SAMPLES = 200_000
 # Sampling windows (log-uniform): reluctances span iron-to-magnet scales,
 # MMFs span fractions of a turn-amp to kiloamp-turn excitation.
@@ -91,6 +97,25 @@ STRONG_THRESHOLD = 1000.0
 SAMPLE_BLOCK = 128
 # Most doubles one chunk of a sampling walk draws.
 WALK_CHUNK_DOUBLES = 32_768
+# Each reluctance is 10 ** (2 + 6u) of its raw draw u, so a dominance
+# ratio pm / x >= k * threshold bounds the raw difference u_pm - u_x from
+# below by log10(k * threshold) / 6.  Each ratio of dominance_ratios
+# implies one of these (sp, sy, g and ry being positive): pm / (2 sp)
+# gives pm / sp >= 2T, pm / (sp + sy) and pm / sy give pm / sy >= T, and
+# 3 pm / (2 sy + 2 g + ry) gives pm / g >= 2T / 3 and pm / ry >= T / 3.
+# (column of the candidate's raw draw, k), most selective first.
+RAW_BOUND_FACTORS = ((1, 2.0), (0, 1.0), (3, 2.0 / 3.0), (2, 1.0 / 3.0))
+# The margin each raw bound is lowered by, so that it also holds for the
+# rounded exact route.  That route's error in log10 of a ratio, for the
+# same draws: the affine step 6u + 2 rounds twice (at most 8.9e-16 in
+# each exponent), the power is within a few ulps (about 4e-16 in log10
+# each), and the ratio's sums, product and division round a few times
+# more (about 2e-16 in all): under 3e-15, or 1e-14 for a power kernel
+# a few ulps worse, and 2e-15 in raw units after the division by 6.  The
+# bound's log10 and the difference of draws add about 1e-16.  1e-9 is
+# more than five orders of magnitude above all of it, and lets through
+# at most a few candidates in 1e9 more than the unmargined bounds.
+RAW_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,22 +164,67 @@ def decade_map(draws: np.ndarray, decades: tuple[float, float]) -> np.ndarray:
     return np.power(10.0, exponents, out=exponents)
 
 
-class StreamLookahead:
-    """A sampling stream walked ahead of the caller, one chunk of doubles
-    at a time; sample_regime_case serves it one sample per call.
+def raw_bounds(threshold: float) -> tuple[tuple[int, float], ...]:
+    """(column, bound) pairs, most selective first: a candidate of five
+    raw reluctance draws u can pass the dominance threshold only if
+    u[4] - u[column] >= bound for each pair (see RAW_BOUND_FACTORS).
 
-    It holds the chunk walked last (its raw doubles and their reluctance
-    decade map), each candidate phase's passing candidates once the walk
-    has landed on that phase, the walk's position, and the generator
-    state the last served sample left.  remaining counts the samples the
-    caller still wants, which sizes the chunks; chunks, drawn, consumed
-    and served count the chunks walked, the doubles drawn, the doubles
-    the served samples used and the samples served.
+    A threshold <= 0 gives bounds of -inf, which every candidate meets.
+    Raises ValueError naming the threshold if it is NaN or no candidate
+    can reach it: raw draws lie in [0, 1), so their differences stay
+    below 1, and a bound of 1 or more before the margin is out of reach.
+    On the reluctance window that is every threshold from 5e5 up, since
+    pm / (2 sp) < 1e8 / (2 * 1e2).
+    """
+    if threshold != threshold:
+        raise ValueError(f"dominance threshold {threshold} is not a number")
+    lo, hi = RELUCTANCE_DECADES
+    bounds = tuple(
+        (column, math.log10(k * threshold) / (hi - lo) if k * threshold > 0 else -math.inf)
+        for column, k in RAW_BOUND_FACTORS
+    )
+    if max(bound for _, bound in bounds) >= 1.0:
+        raise ValueError(
+            f"dominance threshold {threshold} is out of reach: no reluctance set on "
+            f"the window 10**{lo:g} to 10**{hi:g} has every dominance ratio that large"
+        )
+    return tuple((column, bound - RAW_BOUND_MARGIN) for column, bound in bounds)
+
+
+def bounded_offsets(raw: np.ndarray, bounds: tuple[tuple[int, float], ...]) -> np.ndarray:
+    """Ascending offsets i into the raw draws at which the candidate
+    raw[i : i + 5] meets every bound of raw_bounds: the most selective
+    over every offset at once, with contiguous slices, and the others on
+    its survivors."""
+    count = raw.size - 4
+    (column, bound), *rest = bounds
+    offsets = np.flatnonzero(raw[4:] - raw[column : column + count] >= bound)
+    pm = raw[offsets + 4]
+    keep = np.ones(offsets.size, dtype=bool)
+    for column, bound in rest:
+        keep &= pm - raw[offsets + column] >= bound
+    return offsets[keep]
+
+
+class StreamLookahead:
+    """A sampling stream walked ahead of the caller, one chunk of raw
+    doubles at a time; sample_regime_case serves it one sample per call.
+
+    It holds the chunk walked last (its raw doubles and the offsets of
+    the candidates in it that meet raw_bounds), each candidate phase's
+    passing candidates once the walk has landed on that phase, the walk's
+    position, and the generator state the last served sample left.
+    remaining counts the samples the caller still wants, which sizes the
+    chunks; chunks, drawn, consumed and served count the chunks walked,
+    the doubles drawn, the doubles the served samples used and the
+    samples served, and exactly_tested the candidates tested for the
+    served samples that met the raw bounds and so were decided by the
+    exact test.
     """
 
     def __init__(self, n_samples: int) -> None:
         self.remaining = n_samples
-        self.chunks = self.drawn = self.consumed = self.served = 0
+        self.chunks = self.drawn = self.consumed = self.served = self.exactly_tested = 0
         self._restart(None, None)
 
     def serve(
@@ -182,12 +252,15 @@ class StreamLookahead:
 
     def _restart(self, state: dict | None, threshold: float | None) -> None:
         """Walk afresh from the generator state given; the offsets below
-        count doubles from it."""
+        count doubles from it.  Raises raw_bounds' ValueError, before any
+        change, for a threshold no candidate can pass."""
+        bounds = None if threshold is None else raw_bounds(threshold)
         self._state = state
         self._threshold = threshold
+        self._bounds = bounds
         self._base = self._pos = self._offset = 0
-        self._raw = self._mapped = np.empty(0)
-        self._phases = [([], [])] * 5
+        self._raw = self._bounded = np.empty(0)
+        self._phases = [([], [], [], [])] * 5
 
     def _next(self, rng: np.random.Generator) -> tuple[np.ndarray, list[float], int]:
         """Walk to the next passing candidate whose MMF draws are drawn,
@@ -198,19 +271,23 @@ class StreamLookahead:
             phase = at % 5
             if self._phases[phase] is None:
                 self._phases[phase] = self._accepted(phase)
-            offsets, sources = self._phases[phase]
+            bounded, offsets, rows, sources = self._phases[phase]
+            start = bisect_left(bounded, at)
             k = bisect_left(offsets, at)
             if k < len(sources):
                 first = offsets[k]
                 self._pos = self._base + first + 7
-                return self._mapped[first : first + 5], sources[k], tested + (first - at) // 5 + 1
+                self.exactly_tested += bisect_left(bounded, first) + 1 - start
+                return rows[k], sources[k], tested + (first - at) // 5 + 1
             if k < len(offsets):
                 # Its MMF draws lie past the chunk: it is tested again there.
                 tested += (offsets[k] - at) // 5
+                self.exactly_tested += bisect_left(bounded, offsets[k]) - start
                 self._pos = self._base + offsets[k]
             else:
                 untested = (self._raw.size - at) // 5
                 tested += untested
+                self.exactly_tested += len(bounded) - start
                 self._pos += 5 * untested
             self._draw(rng)
 
@@ -223,7 +300,8 @@ class StreamLookahead:
 
     def _draw(self, rng: np.random.Generator) -> None:
         """Draw the next chunk from the walk's position, stepping the
-        generator back over any doubles the last chunk left untested."""
+        generator back over any doubles the last chunk left untested, and
+        find the candidates in it that meet the raw bounds."""
         self._seek(rng.bit_generator)
         if self.served:
             size = -(-self.consumed * max(self.remaining, 1) // self.served) + 5 * SAMPLE_BLOCK
@@ -232,25 +310,28 @@ class StreamLookahead:
         # At least a candidate and its MMF draws, so that the walk moves on.
         size = max(min(size, WALK_CHUNK_DOUBLES), 7)
         self._raw = rng.random(size)
-        self._mapped = decade_map(self._raw, RELUCTANCE_DECADES)
+        self._bounded = bounded_offsets(self._raw, self._bounds)
         self._phases = [None] * 5
         self._base = self._pos
         self._offset += size
         self.chunks += 1
         self.drawn += size
 
-    def _accepted(self, phase: int) -> tuple[list[int], list[list[float]]]:
-        """Chunk offsets of the passing candidates at this phase, and the
-        MMFs of those whose MMF draws are in the chunk: all but the last
-        at most."""
-        count = (self._raw.size - phase) // 5
-        block = self._mapped[phase : phase + 5 * count].reshape(count, 5)
+    def _accepted(self, phase: int) -> tuple[list[int], list[int], np.ndarray, list[list[float]]]:
+        """Chunk offsets of the candidates at this phase that meet the raw
+        bounds and of those that pass the exact test, the passing ones'
+        reluctances, and the MMFs of those whose MMF draws are in the
+        chunk: all but the last at most."""
+        bounded = self._bounded[self._bounded % 5 == phase]
+        # Only these are mapped, gathered into one contiguous array: the
+        # power gives each double the bits it gives it in any array.
+        block = decade_map(self._raw[bounded[:, None] + np.arange(5)], RELUCTANCE_DECADES)
         a, b, c, d = dominance_ratios(*block.T).values()
         # np.minimum propagates NaN, so a NaN ratio fails as it does alone.
         passing = np.minimum(np.minimum(a, b), np.minimum(c, d)) >= self._threshold
-        offsets = 5 * np.flatnonzero(passing) + phase
+        offsets = bounded[passing]
         mmf = self._raw[offsets[offsets + 7 <= self._raw.size, None] + (5, 6)]
-        return offsets.tolist(), decade_map(mmf, MMF_DECADES).tolist()
+        return bounded.tolist(), offsets.tolist(), block[passing], decade_map(mmf, MMF_DECADES).tolist()
 
 
 def sample_regime_case(
@@ -269,11 +350,14 @@ def sample_regime_case(
     state.  If tested is a list, the number of candidates tested is
     appended to it.
 
-    The stream is walked ahead of the caller in chunks of raw doubles,
-    each mapped by one decade_map call.  A candidate takes 5 doubles and
-    an accepted one is followed by its 2 MMF doubles, so candidates fall
-    on 5 phases of a chunk; a phase's pass mask is computed, over the
-    whole chunk, when the walk first lands on it.  A chunk is sized from
+    The stream is walked ahead of the caller in chunks of raw doubles.
+    A candidate takes 5 doubles and an accepted one is followed by its 2
+    MMF doubles, so a candidate can start at any offset of a chunk.  On
+    each chunk, raw_bounds, a test on the raw draws that every passing
+    candidate meets, is run over all offsets at once; when the walk
+    first lands on one of the 5 phases (offsets modulo 5), only that
+    phase's candidates that meet it are mapped by decade_map and given
+    the exact dominance test, which alone decides.  A chunk is sized from
     the samples still wanted and the doubles per sample served so far
     (5 * SAMPLE_BLOCK doubles until a sample is served, at most
     WALK_CHUNK_DOUBLES).  A lookahead carries the walk from call to call
@@ -286,7 +370,9 @@ def sample_regime_case(
     exactly those of drawing and testing one candidate at a time.
 
     Raises TypeError, before drawing, if rng's bit generator is not
-    PCG64 or PCG64DXSM.
+    PCG64 or PCG64DXSM, and ValueError, before drawing, if the threshold
+    is NaN or out of every candidate's reach (see raw_bounds).  A
+    threshold <= 0 passes the first candidate.
     """
     # Their advance() counts one step per 64-bit output, and the LCG
     # behind PCG jumps any distance in O(log n) (Brown, "Random Number
@@ -394,9 +480,10 @@ def _collect(n_samples: int, seed: int, threshold: float, stream: int) -> dict[s
     sampled = clock()
     logger.info(
         "audit stream %d: dominance threshold %g, %d samples, %d candidates tested, "
-        "%d chunks walked, %d doubles drawn for %d consumed; wall ms: sampling %.1f",
-        stream, threshold, n_samples, sum(tested), lookahead.chunks, lookahead.drawn,
-        lookahead.consumed, 1e3 * (sampled - started),
+        "%d of them exactly, %d chunks walked, %d doubles drawn for %d consumed; "
+        "wall ms: sampling %.1f",
+        stream, threshold, n_samples, sum(tested), lookahead.exactly_tested,
+        lookahead.chunks, lookahead.drawn, lookahead.consumed, 1e3 * (sampled - started),
     )
     exact = solve_exact(system.matrix, system.rhs).rounded()
     solved_exactly = clock()

@@ -27,10 +27,14 @@ from srmec.fidelity import (
     RELUCTANCE_DECADES,
     ROW_ORDER,
     STRONG_THRESHOLD,
+    RAW_BOUND_FACTORS,
     FidelityRow,
     RegimeSamples,
     StreamLookahead,
     audit_notes,
+    bounded_offsets,
+    decade_map,
+    raw_bounds,
     run_fidelity_audit,
     rsy_variant_composites,
     sample_regime_case,
@@ -45,6 +49,7 @@ from srmec.motor import (
     closed_form_branch_fluxes,
     closed_form_mesh_fluxes,
     composite_reluctances,
+    dominance_ratios,
     regime_check,
 )
 from srmec.network import MeshFluxes, solve_linear
@@ -381,6 +386,22 @@ class TestStreamLookahead:
         assert_serves_reference(rng, threshold, reference, StreamLookahead(40))
         assert len(walks) == 1
 
+    @pytest.mark.parametrize(
+        "bound, threshold",
+        [(7, BASE_THRESHOLD)] + [(bound, t) for bound in (3 * 5 * 13, None) for t in (BASE_THRESHOLD, STRONG_THRESHOLD)],
+        ids=lambda value: str(value) if isinstance(value, float) else f"chunk<={value or 'default'}",
+    )
+    def test_counts_the_candidates_tested_exactly(self, monkeypatch, bound, threshold):
+        """exactly_tested counts the stream's tested candidates that meet
+        the raw bounds, however the walk is chunked."""
+        if bound is not None:
+            monkeypatch.setattr(fidelity, "SAMPLE_BLOCK", 13)
+            monkeypatch.setattr(fidelity, "WALK_CHUNK_DOUBLES", bound)
+        lookahead = StreamLookahead(60)
+        rng = np.random.default_rng([108, 1])
+        assert_serves_reference(rng, threshold, reference_stream((108, 1), threshold, 60), lookahead)
+        assert lookahead.exactly_tested == exactly_tested_reference((108, 1), threshold, 60)
+
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
     def test_other_generators_are_refused_before_drawing(self, bit_generator):
         rng = np.random.Generator(bit_generator(1))
@@ -422,6 +443,205 @@ class TestStreamLookahead:
                     assert rng.integers(2**32, dtype=np.uint32) == scalar_rng.integers(
                         2**32, dtype=np.uint32
                     )
+
+
+def passes_exactly(candidates, threshold):
+    """The sampler's exact test on (n, 5) raw reluctance draws: map them
+    and compare the least dominance ratio with the threshold."""
+    ratios = dominance_ratios(*decade_map(candidates, RELUCTANCE_DECADES).T).values()
+    return np.minimum.reduce(list(ratios)) >= threshold
+
+
+def meets_raw_bounds(candidates, threshold):
+    """Whether each (n, 5) candidate meets raw_bounds, through the
+    sampler's own chunk-wide bounded_offsets on the flattened rows."""
+    met = np.zeros(len(candidates), dtype=bool)
+    offsets = bounded_offsets(np.ravel(candidates), raw_bounds(threshold))
+    met[offsets[offsets % 5 == 0] // 5] = True
+    return met
+
+
+@functools.lru_cache(maxsize=None)
+def exactly_tested_reference(seed, threshold, count):
+    """Candidates of the one-candidate stream's first count samples that
+    meet the raw bounds: the stream's raw draws, cut into candidates by
+    the reference's tested counts (5 doubles each, and 2 MMF doubles
+    after each sample's last)."""
+    counts = [tested for _, tested, _ in reference_stream(seed, threshold, count)]
+    ends = np.cumsum([5 * tested + 2 for tested in counts])
+    starts = np.concatenate(
+        [np.arange(end - 5 * tested - 2, end - 2, 5) for end, tested in zip(ends, counts)]
+    )
+    raw = np.random.default_rng(list(seed) if isinstance(seed, tuple) else seed).random(ends[-1])
+    return int(meets_raw_bounds(raw[starts[:, None] + np.arange(5)], threshold).sum())
+
+
+def ulp_steps(values, steps):
+    """Each value moved by each number of ulps (negative: down), as a
+    (len(values), len(steps)) array."""
+    bits = np.asarray(values, dtype=np.float64)[:, None].view(np.int64) + np.asarray(steps)
+    return bits.view(np.float64)
+
+
+class TestRawBounds:
+    """raw_bounds is a necessary test: every candidate the exact
+    dominance test passes meets it, down to the last ulp."""
+
+    PM_DRAWS = np.array([0.6, 0.68, 0.75, 0.8125, 0.87, 0.93, 0.99, np.nextafter(1.0, 0.0)])
+    STEPS = np.arange(-12, 13)
+
+    @staticmethod
+    def exact_edge(candidate, column, threshold):
+        """The largest draw at column for which the exact test passes
+        with the other draws as in candidate, found by bisection on the
+        draw's bits (the test passes as the draw falls)."""
+        def passes(bits):
+            trial = candidate.copy()
+            trial[column] = np.int64(bits).view(np.float64)
+            return passes_exactly(trial[None, :], threshold)[0]
+
+        lo, hi = np.float64(0.0).view(np.int64), np.float64(candidate[4]).view(np.int64)
+        if not passes(lo):
+            return None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+        return np.int64(lo).view(np.float64)
+
+    def candidates_at(self, column, k, threshold):
+        """Candidates whose draw at column sits a few ulps either side of
+        its raw bound and of the exact test's own edge, the other
+        non-magnet draws at 0 (the least binding) and the magnet draw
+        spread over the window."""
+        rows = []
+        for u_pm in self.PM_DRAWS:
+            base = np.zeros(5)
+            base[4] = u_pm
+            edges = [u_pm - np.log10(k * threshold) / 6]
+            edge = self.exact_edge(base, column, threshold)
+            if edge is not None:
+                edges.append(edge)
+            for u in ulp_steps(edges, self.STEPS).ravel():
+                if 0.0 <= u < 1.0:
+                    row = base.copy()
+                    row[column] = u
+                    rows.append(row)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
+    @pytest.mark.parametrize("column, k", RAW_BOUND_FACTORS, ids=["sp", "sy", "g", "ry"])
+    def test_candidates_at_each_bound(self, column, k, threshold):
+        candidates = self.candidates_at(column, k, threshold)
+        passing = passes_exactly(candidates, threshold)
+        # Both sides of the exact edge are present wherever it lies.
+        assert passing.any() and not passing.all()
+        assert meets_raw_bounds(candidates, threshold)[passing].all()
+
+    @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
+    def test_a_chunk_of_draws(self, threshold):
+        raw = np.random.default_rng([25, int(threshold)]).random(32_768)
+        count = raw.size - 4
+        candidates = raw[np.arange(count)[:, None] + np.arange(5)]
+        passing = np.flatnonzero(passes_exactly(candidates, threshold))
+        offsets = bounded_offsets(raw, raw_bounds(threshold))
+        assert np.isin(passing, offsets).all()
+        assert passing.size < offsets.size < count // 10
+
+    # At most 200 examples, reproducible, reported as drawn.
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(
+        threshold=st.floats(1.0, 4e5),
+        bound=st.sampled_from(range(len(RAW_BOUND_FACTORS))),
+        u_pm=st.floats(0.0, 1.0, exclude_max=True),
+        steps=st.integers(-64, 64),
+        others=st.lists(st.floats(0.0, 0.1), min_size=3, max_size=3),
+    )
+    def test_any_candidate_near_a_bound(self, threshold, bound, u_pm, steps, others):
+        """A candidate whose draw for one bound sits within 64 ulps of
+        it, the other draws low: if the exact test passes, every bound
+        is met."""
+        column, k = RAW_BOUND_FACTORS[bound]
+        u = ulp_steps([u_pm - np.log10(k * threshold) / 6], [steps])[0, 0]
+        if not 0.0 <= u < 1.0:
+            return
+        candidate = np.empty((1, 5))
+        candidate[0, [c for c in range(4) if c != column]] = others
+        candidate[0, column] = u
+        candidate[0, 4] = u_pm
+        if passes_exactly(candidate, threshold)[0]:
+            assert meets_raw_bounds(candidate, threshold)[0]
+
+    def test_thresholds_at_or_below_zero_bound_nothing(self):
+        for threshold in (0.0, -1.0, -np.inf):
+            assert all(bound == -np.inf for _, bound in raw_bounds(threshold))
+
+    def test_the_window_corner_is_reachable_and_5e5_is_not(self):
+        """The corner of the window, the largest magnet draw and the
+        least of every other, passes the largest threshold any candidate
+        can, which is below 5e5, the least threshold raw_bounds refuses;
+        raw_bounds refuses none the corner reaches."""
+        corner = np.array([[0.0, 0.0, 0.0, 0.0, np.nextafter(1.0, 0.0)]])
+        ratios = dominance_ratios(*decade_map(corner, RELUCTANCE_DECADES).T).values()
+        reachable = min(float(ratio[0]) for ratio in ratios)
+        assert reachable < 5e5
+        assert passes_exactly(corner, reachable)[0]
+        assert meets_raw_bounds(corner, reachable)[0]
+        with pytest.raises(ValueError):
+            raw_bounds(5e5)
+
+
+class TestUnreachableThresholds:
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 5e5, 1e7])
+    def test_refused_before_any_draw(self, threshold):
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        lookahead = StreamLookahead(3)
+        with pytest.raises(ValueError, match=re.escape(f"dominance threshold {threshold} ")):
+            sample_regime_case(rng, threshold, None, lookahead)
+        assert rng.bit_generator.state == before
+        assert (lookahead.chunks, lookahead.drawn, lookahead.served) == (0, 0, 0)
+        with pytest.raises(ValueError, match=re.escape(f"dominance threshold {threshold} ")):
+            sample_regime_case(rng, threshold)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_thresholds_at_or_below_zero_pass_every_candidate(self, threshold):
+        rng = np.random.default_rng(1)
+        reference = reference_stream(1, threshold, 20)
+        assert all(count == 1 for _, count, _ in reference)
+        assert_serves_reference(rng, threshold, reference, StreamLookahead(20))
+
+
+@pytest.mark.parametrize("decades", [RELUCTANCE_DECADES, MMF_DECADES], ids=["reluctance", "mmf"])
+class TestDecadeMapUnderGathering:
+    """The sampler maps only the gathered candidates it tests, so every
+    double must map to the same bits whichever array it sits in."""
+
+    RAW = np.random.default_rng(20261020).random(32_768)
+
+    def test_every_short_gather(self, decades):
+        full = decade_map(self.RAW, decades)
+        rng = np.random.default_rng(8)
+        for length in range(1, 41):
+            for _ in range(8):
+                idx = rng.choice(self.RAW.size, size=length, replace=False)
+                start = rng.integers(0, self.RAW.size - length + 1)
+                for gathered in (idx, np.sort(idx), np.arange(start, start + length)):
+                    got = decade_map(self.RAW[gathered], decades)
+                    assert np.array_equal(got.view(np.uint64), full[gathered].view(np.uint64))
+
+    def test_random_index_sets_and_candidate_rows(self, decades):
+        full = decade_map(self.RAW, decades)
+        rng = np.random.default_rng(9)
+        for size in (41, 127, 1_000, 6_553, 32_768):
+            idx = rng.integers(0, self.RAW.size, size=size)
+            got = decade_map(self.RAW[idx], decades)
+            assert np.array_equal(got.view(np.uint64), full[idx].view(np.uint64))
+            # The (m, 5) rows of candidate offsets, as the walk gathers them.
+            starts = np.sort(idx[idx <= self.RAW.size - 5])
+            rows = starts[:, None] + np.arange(5)
+            got = decade_map(self.RAW[rows], decades)
+            assert np.array_equal(got.view(np.uint64), full[rows].view(np.uint64))
 
 
 def _branch_array(b):
@@ -698,14 +918,17 @@ class TestAuditReport:
     @staticmethod
     def _rejection_lines(caplog):
         """Each stream's rejection line: its text up to the candidates
-        tested, then the chunks walked, doubles drawn and doubles consumed
-        it reports."""
+        tested, then the candidates tested exactly, chunks walked, doubles
+        drawn and doubles consumed it reports."""
         lines = []
         for record in caplog.records:
             message = record.getMessage()
             if "candidates tested" in message:
                 head, walk = message.split("; wall ms: ")[0].split(" candidates tested, ")
-                counts = re.fullmatch(r"(\d+) chunks walked, (\d+) doubles drawn for (\d+) consumed", walk)
+                counts = re.fullmatch(
+                    r"(\d+) of them exactly, (\d+) chunks walked, (\d+) doubles drawn for (\d+) consumed",
+                    walk,
+                )
                 lines.append((f"{head} candidates tested", *map(int, counts.groups())))
         return lines
 
@@ -723,7 +946,10 @@ class TestAuditReport:
             f"audit stream 0: dominance threshold 10, 50 samples, {tested[0]} candidates tested",
             f"audit stream 1: dominance threshold 1000, 50 samples, {tested[1]} candidates tested",
         ]
-        for (_, chunks, drawn, consumed), count in zip(lines, tested, strict=True):
+        for (_, exact, chunks, drawn, consumed), count in zip(lines, tested, strict=True):
+            # Every sample's candidate passed the exact test, and only
+            # tested candidates reach it.
+            assert 50 <= exact <= count
             # A candidate takes 5 doubles and a sample's MMFs 2.  The walk
             # throws away at most the rest of its last chunk and the few
             # doubles it draws again at each chunk boundary.
