@@ -39,15 +39,15 @@ walk over the stream that runs ahead of the caller in bounded chunks
 (StreamLookahead), bit for bit the stream of drawing one candidate at a
 time.  A cheap necessary test on the raw draws of each chunk
 (raw_bounds) picks the candidates the exact dominance test is run on,
-so most candidates are rejected before they are mapped to reluctances
-(the squeeze of Marsaglia, "The squeeze method for generating gamma
-variates", 1977, used only to reject).  The sampler moves the
-generator by advance(), so it takes PCG64 (what np.random.default_rng
-builds) or PCG64DXSM and refuses any other bit generator with
-TypeError before a draw.  It serves one sample per call, not a stream
-at once, because the benchmark harness (perfbench/) credits audit work
-by counting sample_regime_case calls; ROADMAP item 1 re-points that
-count.
+once per chunk, so most candidates are rejected before they are mapped
+to reluctances (the squeeze of Marsaglia, "The squeeze method for
+generating gamma variates", 1977, used only to reject).  The sampler
+moves the generator by advance(), so it takes PCG64 (what
+np.random.default_rng builds) or PCG64DXSM and refuses any other bit
+generator with TypeError before a draw.  It serves one sample per call,
+not a stream at once, because the benchmark harness (perfbench/)
+credits audit work by counting sample_regime_case calls; ROADMAP item 1
+re-points that count.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 108
 # Most samples `srmec fidelity` takes.  On a 2-core x86-64 machine an
-# audit of 10,000 samples took 1.15 s and peaked at 56 MB RSS, and one
-# of 100,000 took 10.5-11.9 s and 217 MB: about 0.11 ms and 1.8 kB per
-# sample, so an audit at the bound takes about 22 s and 400 MB.
+# audit of 10,000 samples took 0.78-0.84 s and peaked at 56 MB RSS, and
+# one of 100,000 took 8.4-9.3 s and 217 MB: about 0.09 ms and 1.8 kB per
+# sample, so an audit at the bound takes about 18 s and 400 MB.
 MAX_AUDIT_SAMPLES = 200_000
 # Sampling windows (log-uniform): reluctances span iron-to-magnet scales,
 # MMFs span fractions of a turn-amp to kiloamp-turn excitation.
@@ -95,7 +95,10 @@ STRONG_THRESHOLD = 1000.0
 # Candidates in a sampling walk's chunk before it has served a sample,
 # and the margin over its estimate after.
 SAMPLE_BLOCK = 128
-# Most doubles one chunk of a sampling walk draws.
+# Most doubles one chunk of a sampling walk draws.  20 s harness audit
+# runs, seeds 0-3, 2-core x86-64, against the walk that tested each phase
+# apart: work_per_cal x1.04-1.14 / 1.02-1.06 / 1.01-1.07 and peak RSS
+# -0.8..+0.2 / -0.1..+0.9 / +1.0..+1.7 MB at 32,768 / 65,536 / 131,072.
 WALK_CHUNK_DOUBLES = 32_768
 # Each reluctance is 10 ** (2 + 6u) of its raw draw u, so a dominance
 # ratio pm / x >= k * threshold bounds the raw difference u_pm - u_x from
@@ -210,21 +213,23 @@ class StreamLookahead:
     """A sampling stream walked ahead of the caller, one chunk of raw
     doubles at a time; sample_regime_case serves it one sample per call.
 
-    It holds the chunk walked last (its raw doubles and the offsets of
-    the candidates in it that meet raw_bounds), each candidate phase's
-    passing candidates once the walk has landed on that phase, the walk's
-    position, and the generator state the last served sample left.
-    remaining counts the samples the caller still wants, which sizes the
-    chunks; chunks, drawn, consumed and served count the chunks walked,
-    the doubles drawn, the doubles the served samples used and the
-    samples served, and exactly_tested the candidates tested for the
-    served samples that met the raw bounds and so were decided by the
-    exact test.
+    Of the chunk walked last it holds, for each candidate in it that
+    meets raw_bounds, its key (phase * chunk size + offset, so that each
+    phase, offsets modulo 5, is one ascending run), the index of the
+    first such candidate at or after it that passes the exact test, and
+    its reluctances and MMFs; no raw doubles.  remaining counts the
+    samples the caller still wants, which sizes the chunks; at 0 the
+    chunk is dropped.  chunks, drawn, consumed and served count the
+    chunks walked, the doubles drawn, the doubles the served samples used
+    and the samples served; survivors counts the candidates the chunks
+    tested exactly, and exactly_tested those of them tested for the
+    served samples.
     """
 
     def __init__(self, n_samples: int) -> None:
         self.remaining = n_samples
-        self.chunks = self.drawn = self.consumed = self.served = self.exactly_tested = 0
+        self.chunks = self.drawn = self.consumed = self.served = 0
+        self.survivors = self.exactly_tested = 0
         self._restart(None, None)
 
     def serve(
@@ -248,6 +253,8 @@ class StreamLookahead:
         self.remaining -= 1
         self.served += 1
         self.consumed += 5 * tested + 2
+        if self.remaining == 0:
+            self._drop()
         return reluctances, sources, tested
 
     def _restart(self, state: dict | None, threshold: float | None) -> None:
@@ -255,40 +262,34 @@ class StreamLookahead:
         count doubles from it.  Raises raw_bounds' ValueError, before any
         change, for a threshold no candidate can pass."""
         bounds = None if threshold is None else raw_bounds(threshold)
-        self._state = state
-        self._threshold = threshold
-        self._bounds = bounds
-        self._base = self._pos = self._offset = 0
-        self._raw = self._bounded = np.empty(0)
-        self._phases = [([], [], [], [])] * 5
+        self._state, self._threshold, self._bounds = state, threshold, bounds
+        self._pos = self._offset = 0
+        self._drop()
+
+    def _drop(self) -> None:
+        """Let go of the chunk; the walk goes on from its position."""
+        self._base, self._size, self._rows, self._sources = self._pos, 0, None, None
+        self._keys, self._ahead = [0], [0]
 
     def _next(self, rng: np.random.Generator) -> tuple[np.ndarray, list[float], int]:
-        """Walk to the next passing candidate whose MMF draws are drawn,
-        drawing chunks as needed."""
+        """Walk to the next passing candidate, drawing chunks as needed."""
         tested = 0
         while True:
             at = self._pos - self._base
-            phase = at % 5
-            if self._phases[phase] is None:
-                self._phases[phase] = self._accepted(phase)
-            bounded, offsets, rows, sources = self._phases[phase]
-            start = bisect_left(bounded, at)
-            k = bisect_left(offsets, at)
-            if k < len(sources):
-                first = offsets[k]
+            run = at % 5 * self._size  # the key of the phase's offset 0
+            start = bisect_left(self._keys, run + at)
+            j = self._ahead[start]
+            if self._keys[j] < run + self._size:
+                first = self._keys[j] - run
                 self._pos = self._base + first + 7
-                self.exactly_tested += bisect_left(bounded, first) + 1 - start
-                return rows[k], sources[k], tested + (first - at) // 5 + 1
-            if k < len(offsets):
-                # Its MMF draws lie past the chunk: it is tested again there.
-                tested += (offsets[k] - at) // 5
-                self.exactly_tested += bisect_left(bounded, offsets[k]) - start
-                self._pos = self._base + offsets[k]
-            else:
-                untested = (self._raw.size - at) // 5
-                tested += untested
-                self.exactly_tested += len(bounded) - start
-                self._pos += 5 * untested
+                self.exactly_tested += j + 1 - start
+                tested += (first - at) // 5 + 1
+                return self._rows[j], self._sources[2 * j : 2 * j + 2], tested
+            self.exactly_tested += bisect_left(self._keys, run + self._size) - start
+            # Candidates from size - 6 on lack MMF draws: the next chunk tests them.
+            untested = max((self._size - 2 - at) // 5, 0)
+            tested += untested
+            self._pos += 5 * untested
             self._draw(rng)
 
     def _seek(self, bit_generator: np.random.BitGenerator) -> None:
@@ -301,7 +302,8 @@ class StreamLookahead:
     def _draw(self, rng: np.random.Generator) -> None:
         """Draw the next chunk from the walk's position, stepping the
         generator back over any doubles the last chunk left untested, and
-        find the candidates in it that meet the raw bounds."""
+        give the exact test, once, to the candidates in it that meet the
+        raw bounds and whose MMF draws it holds."""
         self._seek(rng.bit_generator)
         if self.served:
             size = -(-self.consumed * max(self.remaining, 1) // self.served) + 5 * SAMPLE_BLOCK
@@ -309,29 +311,25 @@ class StreamLookahead:
             size = max(self._pos, 5 * SAMPLE_BLOCK)
         # At least a candidate and its MMF draws, so that the walk moves on.
         size = max(min(size, WALK_CHUNK_DOUBLES), 7)
-        self._raw = rng.random(size)
-        self._bounded = bounded_offsets(self._raw, self._bounds)
-        self._phases = [None] * 5
+        raw = rng.random(size)
+        keys = bounded_offsets(raw[:-2], self._bounds)
+        keys = np.sort(keys % 5 * size + keys)
+        bounded = keys % size
+        # Contiguous: the power gives each double the bits it gives it in any array.
+        block = decade_map(raw[bounded[:, None] + np.arange(5)], RELUCTANCE_DECADES)
+        a, b, c, d = dominance_ratios(*block.T).values()
+        # np.minimum propagates NaN, so a NaN ratio fails as it does alone.
+        passing = np.flatnonzero(np.minimum(np.minimum(a, b), np.minimum(c, d)) >= self._threshold)
+        # Each survivor's first passing survivor at or after it, else the sentinel.
+        ahead = np.append(passing, keys.size)[np.searchsorted(passing, np.arange(keys.size + 1))]
+        self._size, self._rows = size, block
+        self._sources = decade_map(raw[bounded[:, None] + (5, 6)], MMF_DECADES).ravel().tolist()
+        self._keys, self._ahead = keys.tolist() + [5 * size], ahead.tolist()
         self._base = self._pos
         self._offset += size
         self.chunks += 1
         self.drawn += size
-
-    def _accepted(self, phase: int) -> tuple[list[int], list[int], np.ndarray, list[list[float]]]:
-        """Chunk offsets of the candidates at this phase that meet the raw
-        bounds and of those that pass the exact test, the passing ones'
-        reluctances, and the MMFs of those whose MMF draws are in the
-        chunk: all but the last at most."""
-        bounded = self._bounded[self._bounded % 5 == phase]
-        # Only these are mapped, gathered into one contiguous array: the
-        # power gives each double the bits it gives it in any array.
-        block = decade_map(self._raw[bounded[:, None] + np.arange(5)], RELUCTANCE_DECADES)
-        a, b, c, d = dominance_ratios(*block.T).values()
-        # np.minimum propagates NaN, so a NaN ratio fails as it does alone.
-        passing = np.minimum(np.minimum(a, b), np.minimum(c, d)) >= self._threshold
-        offsets = bounded[passing]
-        mmf = self._raw[offsets[offsets + 7 <= self._raw.size, None] + (5, 6)]
-        return bounded.tolist(), offsets.tolist(), block[passing], decade_map(mmf, MMF_DECADES).tolist()
+        self.survivors += keys.size
 
 
 def sample_regime_case(
@@ -354,20 +352,22 @@ def sample_regime_case(
     A candidate takes 5 doubles and an accepted one is followed by its 2
     MMF doubles, so a candidate can start at any offset of a chunk.  On
     each chunk, raw_bounds, a test on the raw draws that every passing
-    candidate meets, is run over all offsets at once; when the walk
-    first lands on one of the 5 phases (offsets modulo 5), only that
-    phase's candidates that meet it are mapped by decade_map and given
-    the exact dominance test, which alone decides.  A chunk is sized from
-    the samples still wanted and the doubles per sample served so far
-    (5 * SAMPLE_BLOCK doubles until a sample is served, at most
-    WALK_CHUNK_DOUBLES).  A lookahead carries the walk from call to call
-    while the generator stays in the state its last call left; after a
-    draw in between, on another generator or at another threshold the
-    walk starts afresh.  Without one, the call walks for one sample.
-    Either way the generator is then moved by advance() to the end of
-    the sample's draws and the 32-bit buffer that advance() clears is
-    put back, so the sample and the full generator state afterwards are
-    exactly those of drawing and testing one candidate at a time.
+    candidate meets, runs over all offsets at once, and the candidates
+    of all 5 phases (offsets modulo 5) that meet it, save those whose
+    MMF draws lie past the chunk, are mapped by decade_map and given the
+    exact dominance test, which alone decides, in one call each.  A chunk
+    is sized from the samples still wanted and the doubles per sample
+    served so far (5 * SAMPLE_BLOCK doubles until a sample is served, at
+    most WALK_CHUNK_DOUBLES).  A lookahead carries the walk from call to
+    call while the generator stays in the state its last call left;
+    after a draw in between, on another generator or at another
+    threshold the walk starts afresh.  Once it has served the samples it
+    was made for, it lets go of its chunk.  Without one, the call walks
+    for one sample.  Either way the generator is then moved by advance()
+    to the end of the sample's draws and the 32-bit buffer that
+    advance() clears is put back, so the sample and the full generator
+    state afterwards are exactly those of drawing and testing one
+    candidate at a time.
 
     Raises TypeError, before drawing, if rng's bit generator is not
     PCG64 or PCG64DXSM, and ValueError, before drawing, if the threshold
@@ -480,10 +480,10 @@ def _collect(n_samples: int, seed: int, threshold: float, stream: int) -> dict[s
     sampled = clock()
     logger.info(
         "audit stream %d: dominance threshold %g, %d samples, %d candidates tested, "
-        "%d of them exactly, %d chunks walked, %d doubles drawn for %d consumed; "
-        "wall ms: sampling %.1f",
-        stream, threshold, n_samples, sum(tested), lookahead.exactly_tested,
-        lookahead.chunks, lookahead.drawn, lookahead.consumed, 1e3 * (sampled - started),
+        "%d of them exactly, %d chunks walked, %d raw-bound survivors tested exactly, "
+        "%d doubles drawn for %d consumed; wall ms: sampling %.1f",
+        stream, threshold, n_samples, sum(tested), lookahead.exactly_tested, lookahead.chunks,
+        lookahead.survivors, lookahead.drawn, lookahead.consumed, 1e3 * (sampled - started),
     )
     exact = solve_exact(system.matrix, system.rhs).rounded()
     solved_exactly = clock()

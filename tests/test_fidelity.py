@@ -402,6 +402,48 @@ class TestStreamLookahead:
         assert_serves_reference(rng, threshold, reference_stream((108, 1), threshold, 60), lookahead)
         assert lookahead.exactly_tested == exactly_tested_reference((108, 1), threshold, 60)
 
+    @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
+    def test_lets_go_of_its_chunk_once_the_stream_is_served(self, walks, threshold):
+        """After its n samples a lookahead holds no raw doubles and no
+        array or list of its chunk, and one more call on the generator
+        still serves the stream's next sample."""
+
+        def held(lookahead):
+            return [
+                name
+                for name, value in vars(lookahead).items()
+                if isinstance(value, np.ndarray) or isinstance(value, list) and len(value) > 1
+            ]
+
+        lookahead = StreamLookahead(30)
+        reference = reference_stream((108, 1), threshold, 31)
+        rng = np.random.default_rng([108, 1])
+        assert_serves_reference(rng, threshold, reference[:29], lookahead)
+        assert held(lookahead)
+        assert_serves_reference(rng, threshold, reference[29:30], lookahead)
+        assert held(lookahead) == []
+        assert_serves_reference(rng, threshold, reference[30:], lookahead)
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("threshold", [BASE_THRESHOLD, STRONG_THRESHOLD])
+    def test_tests_each_chunk_exactly_once(self, monkeypatch, threshold):
+        """One dominance_ratios call per chunk, over all of the chunk's
+        raw-bound survivors, whichever phases the walk lands on."""
+        calls = []
+
+        def counting(*reluctances):
+            calls.append(len(reluctances[0]))
+            return dominance_ratios(*reluctances)
+
+        monkeypatch.setattr(fidelity, "dominance_ratios", counting)
+        lookahead = StreamLookahead(1000)
+        rng = np.random.default_rng([108, 1])
+        for _ in range(1000):
+            sample_regime_case(rng, threshold, None, lookahead)
+        assert lookahead.chunks > 1
+        assert len(calls) == lookahead.chunks
+        assert sum(calls) == lookahead.survivors
+
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
     def test_other_generators_are_refused_before_drawing(self, bit_generator):
         rng = np.random.Generator(bit_generator(1))
@@ -918,15 +960,17 @@ class TestAuditReport:
     @staticmethod
     def _rejection_lines(caplog):
         """Each stream's rejection line: its text up to the candidates
-        tested, then the candidates tested exactly, chunks walked, doubles
-        drawn and doubles consumed it reports."""
+        tested, then the candidates tested exactly, chunks walked, raw-bound
+        survivors tested exactly, doubles drawn and doubles consumed it
+        reports."""
         lines = []
         for record in caplog.records:
             message = record.getMessage()
             if "candidates tested" in message:
                 head, walk = message.split("; wall ms: ")[0].split(" candidates tested, ")
                 counts = re.fullmatch(
-                    r"(\d+) of them exactly, (\d+) chunks walked, (\d+) doubles drawn for (\d+) consumed",
+                    r"(\d+) of them exactly, (\d+) chunks walked, (\d+) raw-bound survivors "
+                    r"tested exactly, (\d+) doubles drawn for (\d+) consumed",
                     walk,
                 )
                 lines.append((f"{head} candidates tested", *map(int, counts.groups())))
@@ -946,10 +990,13 @@ class TestAuditReport:
             f"audit stream 0: dominance threshold 10, 50 samples, {tested[0]} candidates tested",
             f"audit stream 1: dominance threshold 1000, 50 samples, {tested[1]} candidates tested",
         ]
-        for (_, exact, chunks, drawn, consumed), count in zip(lines, tested, strict=True):
+        for (_, exact, chunks, survivors, drawn, consumed), count in zip(lines, tested, strict=True):
             # Every sample's candidate passed the exact test, and only
             # tested candidates reach it.
             assert 50 <= exact <= count
+            # The chunks test every survivor of the raw bounds exactly,
+            # served or not, and each tested one at least once.
+            assert exact <= survivors
             # A candidate takes 5 doubles and a sample's MMFs 2.  The walk
             # throws away at most the rest of its last chunk and the few
             # doubles it draws again at each chunk boundary.
