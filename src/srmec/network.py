@@ -20,6 +20,7 @@ Units: reluctance A/Wb, MMF ampere-turns (At), flux Wb.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -562,11 +563,13 @@ class MeshStamps:
         row i's margin a_ii - sum_{j != i} |a_ij| is at least the sum of
         the elements mesh i owns.  Elimination without pivoting is then
         stable with a growth factor of at most 2, and its pivots are the
-        ones partial pivoting would choose.  The batch axes are kept
-        last, so each elimination step is one numpy operation over all
-        systems, and every right-hand-side column goes through the same
-        operations: a column solves to the same bits alone or with
-        others.
+        ones partial pivoting would choose.  One loop runs the
+        elimination entry by entry over the augmented rows [A | b]: on
+        Python floats for a single system, and on each entry's contiguous
+        row over the batch otherwise.  Every entry takes the same IEEE
+        operations in the same order either way, so a system solves to
+        the same bits alone or in any batch, and a right-hand-side column
+        alone or with others.
 
         Args:
             matrices: (..., n, n) mesh matrices stamped by this topology.
@@ -587,22 +590,43 @@ class MeshStamps:
             )
         n, k = rhs.shape[-2:]
         batch = np.broadcast_shapes(matrices.shape[:-2], rhs.shape[:-2])
-        # Augmented [A | b] with the system axes first, batch axes last.
-        aug = np.empty((n, n + k) + batch)
-        aug[:, :n] = _systems_first(matrices)
-        aug[:, n:] = _systems_first(rhs)
-        solution = aug[:, n:]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for p in range(n - 1):
-                factors = aug[p + 1 :, p, None] / aug[p, p]
-                aug[p + 1 :, p + 1 :] -= factors * aug[p, None, p + 1 :]
+        size = math.prod(batch)
+        # Augmented rows [A | b].  A zero or non-finite pivot stays on the
+        # diagonal for the check after the loop.
+        if size == 1:
+            # Python floats, on which a zero pivot raises.
+            rows = [a + b for a, b in zip(matrices.reshape(n, n).tolist(), rhs.reshape(n, k).tolist())]
+            quiet = suppress(ZeroDivisionError)
+        else:
+            # Each entry a contiguous row of aug over the batch, updated in
+            # place; numpy divides a zero pivot to inf or NaN.
+            aug = np.empty((n, n + k) + batch)
+            aug[:, :n] = _systems_first(matrices)
+            aug[:, n:] = _systems_first(rhs)
+            rows = [list(row) for row in aug.reshape(n, n + k, size)]
+            quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+        with quiet:
+            for p, pivot in enumerate(rows):
+                columns = range(p + 1, n + k)
+                for row in rows[p + 1 :]:
+                    factor = row[p] / pivot[p]
+                    for j in columns:
+                        row[j] -= factor * pivot[j]
             for p in range(n - 1, -1, -1):
-                solution[p] /= aug[p, p]
-                solution[:p] -= aug[:p, p, None] * solution[p]
+                pivot = rows[p]
+                for j in range(n, n + k):
+                    pivot[j] /= pivot[p]
+                    for row in rows[:p]:
+                        row[j] -= row[p] * pivot[j]
+        if size == 1:
+            solution = np.array([row[n:] for row in rows]).reshape(batch + (n, k))
+            if not all(0.0 < abs(row[p]) < math.inf for p, row in enumerate(rows)):
+                solution[...] = np.nan
+            return solution
         pivots = aug[:, :n].diagonal()
+        solution = aug[:, n:]
         solution[..., ~(np.isfinite(pivots) & (pivots != 0.0)).all(axis=-1)] = np.nan
-        nd = solution.ndim
-        return solution.transpose(*range(2, nd), 0, 1).copy()
+        return solution.transpose(*range(2, solution.ndim), 0, 1).copy()
 
     @cached_property
     def _dominance_defect(self) -> str:

@@ -30,12 +30,11 @@ point to its system.  On the default
 angles and the fringing floor leave 20 gap values of 80, and the
 current rows share currents).  Converged systems freeze while the rest
 keep iterating.  Every mesh matrix the engine builds is symmetric and
-strictly diagonally dominant, so a grid of ELIMINATION_MIN_SYSTEMS
-distinct systems or more solves by TOPOLOGY.solve (elimination without
-pivoting, one numpy operation per step over the batch) and a smaller
-one by LAPACK.  A system that network's conditioning screen refuses
-is refused here too, converged or not, naming each (current, angle)
-that maps to it.
+strictly diagonally dominant, so every solve runs TOPOLOGY.solve
+(elimination without pivoting), which gives a system the same bits
+alone or in any batch.  A system that network's conditioning screen
+refuses is refused here too, converged or not, naming each (current,
+angle) that maps to it.
 """
 
 from __future__ import annotations
@@ -239,8 +238,8 @@ class NonlinearGridResult:
     system_index ((n_currents, n_angles), ints) maps every requested
     point to its system, and the system_* arrays hold one row per
     distinct system: matrices, the converged (n_systems, 5, 5) mesh
-    matrices; mesh_fluxes (n_systems, 5), the total fluxes, each the
-    solve of its system's matrix on the grid's route; iterations, the
+    matrices; mesh_fluxes (n_systems, 5), the total fluxes, each
+    TOPOLOGY.solve of its system's matrix; iterations, the
     Newton passes per system.  The properties matrices and iterations gather
     their field over the requested grid when read, e.g. iterations
     (n_currents, n_angles).
@@ -273,54 +272,28 @@ class NonlinearGridResult:
         return self.system_iterations[self.system_index]
 
 
-# Grids of at least this many distinct systems solve by TOPOLOGY.solve,
-# smaller ones by np.linalg.solve.  Medians of 15 alternating grid solves
-# on the default design over 80 angles (2-core x86-64, OpenBLAS on one
-# thread), elimination against LAPACK: 4.8 against 3.1 ms at 20 systems,
-# 8.1/7.3 ms at 660, 11.4/11.5 ms at 1,320, 14.7/17.0 ms at 2,000 and
-# 18.5/20.8 ms at the default sweep's 2,740.  Without magnets the two
-# cross nearer 1,000 systems.
-ELIMINATION_MIN_SYSTEMS = 1200
-
 # Names the requested (current, angle) points, in request order, whose
 # system is among the given system indices.
 _PointNamer = Callable[[np.ndarray], tuple[tuple[float, float], ...]]
 
 
 def _guarded_solve(
-    solve: Callable[..., np.ndarray],
-    matrices: np.ndarray,
-    rhs: np.ndarray,
-    systems: np.ndarray,
-    named: _PointNamer,
+    matrices: np.ndarray, rhs: np.ndarray, systems: np.ndarray, named: _PointNamer
 ) -> np.ndarray:
-    """solve over the given systems; raises SolveError naming the points
-    of a singular system, a non-finite solution or a non-finite
-    diagonal.  Each element adds its positive value to the diagonal of
-    every mesh it borders, so the last catches an overflowed element
-    whose solve stays finite.  A batch whose whole solution and diagonal
-    are finite returns at once; only a failing one is searched system by
-    system."""
-    diagonal = np.diagonal(matrices, axis1=-2, axis2=-1)
-    try:
-        solved = solve(matrices, rhs)
-    except np.linalg.LinAlgError:
-        sign, logdet = np.linalg.slogdet(matrices)
-        bad = (sign == 0) | ~np.isfinite(logdet)
-        if not bad.any():
-            bad[...] = True
-    else:
-        if np.isfinite(solved).all() and np.isfinite(diagonal).all():
-            return solved
-        bad = ~np.all(np.isfinite(solved), axis=(-2, -1))
-    bad = bad | ~np.all(np.isfinite(diagonal), axis=-1)
-    if bad.any():
-        failing = named(systems[bad])
-        raise SolveError(
-            f"singular or non-finite saturated mesh system at {len(failing)} "
-            f"operating point(s): {_describe_points(failing)}"
-        )
-    return solved
+    """TOPOLOGY.solve over the given systems; raises SolveError naming
+    the points of every system that solves to a non-finite value.  That
+    covers a zero or non-finite pivot, which the elimination turns into
+    NaN: each element adds its positive value to the diagonal of every
+    mesh it borders, so an overflowed element leaves an infinite pivot
+    even where the rest of the solution would stay finite."""
+    solved = TOPOLOGY.solve(matrices, rhs)
+    if np.isfinite(solved).all():
+        return solved
+    failing = named(systems[~np.isfinite(solved).all(axis=(-2, -1))])
+    raise SolveError(
+        f"singular or non-finite saturated mesh system at {len(failing)} "
+        f"operating point(s): {_describe_points(failing)}"
+    )
 
 
 def _refuse_ill_conditioned(
@@ -370,10 +343,9 @@ def solve_nonlinear_grid(
     nothing.  Every system starts with its iron at the curve's initial
     permeability and takes Newton passes through assembly and solves
     batched over the still-moving subset; a system that reaches
-    tolerance freezes and drops out of the batch.  Every solve of a grid
-    takes one route, picked from its count of distinct systems (see
-    ELIMINATION_MIN_SYSTEMS), so a system's fluxes, kept from the pass
-    that froze it, are the solve of its frozen matrix.
+    tolerance freezes and drops out of the batch.  A system's fluxes,
+    kept from the pass that froze it, are TOPOLOGY.solve of its frozen
+    matrix: the elimination rounds a system the same in any batch.
 
     Raises ValueError if currents or angles is empty or a current is
     negative.  Raises NonConvergenceError if any system is still moving
@@ -418,8 +390,6 @@ def solve_nonlinear_grid(
     f_pm = sources_for(geometry, materials, float(unique_currents[-1])).f_pm
     coil_mmf = geometry.turns_per_pole * unique_currents
     sources = np.where(COIL_SOURCES, coil_mmf[current_of, None], f_pm)
-    # Looked up per call, so a wrapped solver sees every solve.
-    solve = TOPOLOGY.solve if n_s >= ELIMINATION_MIN_SYSTEMS else np.linalg.solve
 
     def iron_densities(flux: np.ndarray) -> np.ndarray:
         return TOPOLOGY.element_fluxes(flux)[:, IRON_SLOTS] / iron_areas
@@ -434,9 +404,7 @@ def solve_nonlinear_grid(
 
     matrix, rhs = TOPOLOGY.assemble(values, sources)
     all_systems = np.arange(n_s)
-    # Trailing singleton keeps the batched solve in the matrix signature
-    # on every numpy version.
-    fluxes = _guarded_solve(solve, matrix, rhs[..., None], all_systems, named)[..., 0]
+    fluxes = _guarded_solve(matrix, rhs[..., None], all_systems, named)[..., 0]
     active = np.ones(n_s, dtype=bool)
     iterations = np.zeros(n_s, dtype=int)
     # Convergence is judged before stepping, on the flux change a full
@@ -464,7 +432,7 @@ def solve_nonlinear_grid(
             vals_a = values[idx]
             vals_a[:, IRON_SLOTS] = iron_lengths / (chord * iron_areas)
             chords, rhs_a = TOPOLOGY.assemble(vals_a, sources[idx])
-            trial = _guarded_solve(solve, chords, rhs_a[..., None], idx, named)[..., 0]
+            trial = _guarded_solve(chords, rhs_a[..., None], idx, named)[..., 0]
             scale = np.maximum(np.abs(trial).max(axis=-1), 1e-300)
             change = np.abs(trial - flux_a).max(axis=-1) / scale
             iterations[idx] += 1
@@ -486,7 +454,7 @@ def solve_nonlinear_grid(
             vals_a[:, IRON_SLOTS] = iron_lengths / (differential * iron_areas)
             residual = mmf_residual(flux_a, fixed_a, rhs_a)
             jacobian = TOPOLOGY.stamp(vals_a)
-            step = _guarded_solve(solve, jacobian, -residual[..., None], idx, named)[..., 0]
+            step = _guarded_solve(jacobian, -residual[..., None], idx, named)[..., 0]
             base = np.abs(residual).max(axis=-1)
             tried = flux_a + step
             pending = np.arange(idx.size)
@@ -516,9 +484,9 @@ def solve_nonlinear_grid(
         )
 
     # A frozen system's fluxes are its initial solution or the trial it
-    # froze on, so the solve of its frozen matrix: a solve rounds the same
-    # alone or in any batch of one route, and a trial's right-hand sides
-    # are the grid's bits.
+    # froze on, so the solve of its frozen matrix: the elimination rounds
+    # the same alone or in any batch, and a trial's right-hand sides are
+    # the grid's bits.
     # Converged systems are held to the single-point solve's limit too.
     _refuse_ill_conditioned(matrix, all_systems, named)
 

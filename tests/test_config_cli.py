@@ -365,7 +365,7 @@ def read_record(path):
 
 # SHA-256 of the concatenated solve records pinned by
 # TestSolveCommand.test_solve_records_are_pinned.
-SOLVE_RECORDS_SHA256 = "9f744655b6b3b12ff9ea297a28b16525518a0c9fd6d23cfd8a5df66a6d6e50b5"
+SOLVE_RECORDS_SHA256 = "d7970cc60e0225d0b729e5747abfdcf47950fa710f9e21cd7e1cc9a79bb4f381"
 
 
 class TestSolveCommand:

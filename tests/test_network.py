@@ -272,6 +272,18 @@ class TestStampedElimination:
             alone = TOPOLOGY.solve(matrices, rhs[..., column : column + 1])
             assert alone[..., 0].tobytes() == solved[..., column].tobytes()
 
+    def test_each_system_solves_to_the_same_bits_alone(self):
+        # One system runs the elimination on Python floats, a batch on
+        # numpy rows: the same operations, so the same bits.
+        rng = np.random.default_rng(10)
+        matrices = random_stamps(rng, 200, 8)
+        rhs = rng.normal(size=(200, 5, 2))
+        batched = TOPOLOGY.solve(matrices, rhs)
+        for matrix, columns, row in zip(matrices, rhs, batched):
+            alone = TOPOLOGY.solve(matrix, columns)
+            assert alone.shape == (5, 2)
+            assert alone.tobytes() == TOPOLOGY.solve(matrix[None], columns[None]).tobytes() == row.tobytes()
+
     def test_single_system_without_batch_axes(self):
         matrix = random_stamps(np.random.default_rng(8), 1, 3)[0]
         rhs = np.arange(1.0, 6.0)[:, None]
@@ -279,8 +291,9 @@ class TestStampedElimination:
         assert solved.shape == (5, 1)
         assert normwise_difference(solved, np.linalg.solve(matrix, rhs)).max() <= 1e-14
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_zero_or_non_finite_pivot_spoils_only_its_system(self):
+        # Warnings fail the suite, so this also checks that none is raised,
+        # alone or in a batch.
         rng = np.random.default_rng(9)
         matrices = random_stamps(rng, 300, 4)
         rhs = rng.normal(size=(300, 5, 1))
@@ -291,10 +304,16 @@ class TestStampedElimination:
         # pivot alone would leave the solution finite.
         broken[100, 2, 2] = np.inf
         broken[200, 1, 1] = np.nan
+        broken[250, 0, 3] = np.inf
+        # A zero pivot reached after a step of elimination.
+        broken[280, 1, 1] = broken[280, 1, 0] / broken[280, 0, 0] * broken[280, 0, 1]
         solved = TOPOLOGY.solve(broken, rhs)
         spoiled = np.isnan(solved).all(axis=(-2, -1))
-        assert np.flatnonzero(spoiled).tolist() == [7, 100, 200]
+        assert np.flatnonzero(spoiled).tolist() == [7, 100, 200, 250, 280]
         assert solved[~spoiled].tobytes() == reference[~spoiled].tobytes()
+        for i in np.flatnonzero(spoiled):
+            assert np.isnan(TOPOLOGY.solve(broken[i : i + 1], rhs[i : i + 1])).all()
+            assert np.isnan(TOPOLOGY.solve(broken[i], rhs[i])).all()
 
     def test_refuses_a_topology_with_a_mesh_that_owns_no_element(self):
         # Mesh 1 traverses only the element it shares with mesh 0, so its

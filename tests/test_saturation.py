@@ -25,7 +25,6 @@ from srmec.motor import (
 from srmec import saturation
 from srmec.network import CONDITION_LIMIT, MeshStamps, SolveError, condition_bound
 from srmec.saturation import (
-    ELIMINATION_MIN_SYSTEMS,
     BhCurve,
     NonConvergenceError,
     _guarded_solve,
@@ -499,8 +498,8 @@ class TestNonlinearGrid:
 
     def test_non_finite_diagonal_names_its_point(self):
         # An overflowed iron reluctance puts inf on the diagonal, yet
-        # LAPACK still returns finite fluxes: only the diagonal check
-        # refuses the system.
+        # LAPACK would still return finite fluxes: only the elimination's
+        # infinite pivot refuses the system.
         values = np.full((2, len(ELEMENT_ORDER)), 1e6)
         values[1, ELEMENT_ORDER.index("sy5")] = np.inf
         matrices = TOPOLOGY.stamp(values)
@@ -512,11 +511,11 @@ class TestNonlinearGrid:
             return tuple(map(tuple, points[failing]))
 
         with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(4 A, 0 deg\)$"):
-            _guarded_solve(np.linalg.solve, matrices, rhs, np.arange(2), named)
+            _guarded_solve(matrices, rhs, np.arange(2), named)
 
     def test_non_finite_diagonal_of_a_lone_system_names_its_point(self):
-        # A one-point grid, as in every `srmec solve`: the batch of one
-        # solves finite, and only the diagonal check refuses it.
+        # A one-point grid, as in every `srmec solve`: the batch of one,
+        # eliminated on Python floats, has an infinite pivot.
         values = np.full((1, len(ELEMENT_ORDER)), 1e6)
         values[0, ELEMENT_ORDER.index("sy5")] = np.inf
         matrices = TOPOLOGY.stamp(values)
@@ -528,7 +527,7 @@ class TestNonlinearGrid:
             return ((4.0, 3.0),)
 
         with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(4 A, 3 deg\)$"):
-            _guarded_solve(np.linalg.solve, matrices, rhs, np.arange(1), named)
+            _guarded_solve(matrices, rhs, np.arange(1), named)
 
     def test_non_finite_diagonal_names_its_point_in_an_eliminated_batch(self):
         m = 8
@@ -542,7 +541,7 @@ class TestNonlinearGrid:
             return tuple(map(tuple, points[failing]))
 
         with pytest.raises(SolveError, match=rf"at 1 operating point\(s\): \({m - 2} A, 0 deg\)$"):
-            _guarded_solve(TOPOLOGY.solve, matrices, rhs, np.arange(m), named)
+            _guarded_solve(matrices, rhs, np.arange(m), named)
 
     def test_overflowing_condition_bound_refuses_without_a_warning(self, materials, curve):
         # The magnet reluctance (3.8e307 A/Wb) fits a float, but the
@@ -563,23 +562,19 @@ class TestNonlinearGrid:
         with pytest.raises(SolveError, match=r"condition number .* exceeds limit .*\(8 A, 10 deg\)$"):
             solve_nonlinear_grid(thin, materials, curve, [8.0], [ALIGNED])
 
-    def test_non_finite_points_named_in_a_batch_above_the_elimination_threshold(
-        self, geometry, materials, curve, monkeypatch
-    ):
+    def test_non_finite_points_named_in_a_large_batch(self, geometry, materials, curve, monkeypatch):
         # The overflowing curve of test_non_finite_system_names_its_points
-        # over 80 angles (20 distinct gaps) at 0 A, mA currents that stay
-        # on the first segment, and 8 A: the grid eliminates, and its
-        # first Newton pass spoils only the 8 A systems.
+        # over 80 angles (20 distinct gaps) at 0 A, 1-59 mA currents that
+        # stay on the first segment, and 8 A: the first Newton pass
+        # spoils only the 8 A systems of the 1,220.
         overflowing = BhCurve(field_points=(50.0, 1.5e308), density_points=(0.25, 0.5))
         no_pm = replace(materials, pm_remanence=0.0)
         angles = angles_for_period(geometry)
-        currents = np.append(1e-3 * np.arange(math.ceil(ELIMINATION_MIN_SYSTEMS / 20)), 8.0)
+        currents = np.append(1e-3 * np.arange(60), 8.0)
         calls = CountingSolves(monkeypatch)
         with pytest.raises(SolveError) as info:
             solve_nonlinear_grid(geometry, no_pm, overflowing, currents, angles)
-        systems = 20 * currents.size
-        assert systems >= ELIMINATION_MIN_SYSTEMS
-        assert calls.lapack == [] and calls.elimination[0] == (systems,)
+        assert calls.lapack == [] and calls.elimination[0] == (1220,)
         message = str(info.value)
         assert "at 80 operating point(s): (8 A, 0 deg), (8 A, 0.25 deg)," in message
         assert "(0 A" not in message and "(0.001 A" not in message
@@ -593,10 +588,10 @@ class TestNonlinearGrid:
         def named(failing):
             return tuple(map(tuple, points[failing]))
 
-        solved = _guarded_solve(np.linalg.solve, matrices[[0, 2]], rhs[:2], systems[[0, 2]], named)
+        solved = _guarded_solve(matrices[[0, 2]], rhs[:2], systems[[0, 2]], named)
         assert solved.shape == (2, 2, 1)
         with pytest.raises(SolveError, match=r"at 1 operating point\(s\): \(2 A, 5 deg\)$"):
-            _guarded_solve(np.linalg.solve, matrices, rhs, systems, named)
+            _guarded_solve(matrices, rhs, systems, named)
 
     def test_line_search_keeps_newton_from_cycling_on_an_abrupt_knee(self, geometry, materials):
         # Past 1 T this curve's slope halves, past 1.5 T it drops 10,000x.
@@ -654,29 +649,27 @@ class TestFrozenSystems:
             assert sol.iterations == grid.iterations[0, 0]
 
     @pytest.mark.parametrize(
-        "currents, angles, solve",
+        "currents, angles",
         [
-            ([8.0], [ALIGNED], np.linalg.solve),
-            ([1.0, 5.5, 8.0], [0.0, 3.0, 8.5, ALIGNED], np.linalg.solve),
-            (np.linspace(0.0, 8.0, 61), None, TOPOLOGY.solve),
+            ([8.0], [ALIGNED]),
+            ([1.0, 5.5, 8.0], [0.0, 3.0, 8.5, ALIGNED]),
+            (np.linspace(0.0, 8.0, 61), None),
         ],
-        ids=["lapack-one_point", "lapack-3x4", "elimination-61x80"],
+        ids=["one_point", "3x4", "61x80"],
     )
     def test_grid_fluxes_are_the_solves_of_its_frozen_matrices(
-        self, geometry, materials, curve, currents, angles, solve
+        self, geometry, materials, curve, currents, angles
     ):
-        # Every solve of a grid takes its route, so the grid keeps each
-        # system's solution from the pass that froze it: the initial one
-        # after one pass, else the chord trial's.
+        # The elimination rounds a system the same in any batch, so the
+        # grid keeps each system's solution from the pass that froze it:
+        # the initial one after one pass, else the chord trial's.
         angles = angles_for_period(geometry) if angles is None else angles
         grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
-        eliminated = grid.distinct_systems >= ELIMINATION_MIN_SYSTEMS
-        assert eliminated == (solve == TOPOLOGY.solve)
         assert grid.system_iterations.max() > 1
         sources = np.array([source_values(sources_for(geometry, materials, i)) for i in currents])
         # One right-hand side per current, shared by every angle.
         rhs = (sources @ TOPOLOGY.rhs_pattern)[:, None, :, None]
-        solved = solve(grid.matrices, rhs)
+        solved = TOPOLOGY.solve(grid.matrices, rhs)
         assert solved[..., 0].tobytes() == grid.system_mesh_fluxes[grid.system_index].tobytes()
 
 
@@ -714,7 +707,7 @@ class TestSolveSelection:
         ],
         ids=["one_point", "torque_grid", "default_sweep"],
     )
-    def test_every_solve_of_a_grid_takes_its_route(
+    def test_every_solve_of_a_grid_eliminates(
         self, geometry, materials, curve, monkeypatch, currents, angles, systems
     ):
         angles = angles_for_period(geometry) if angles is None else angles
@@ -722,15 +715,12 @@ class TestSolveSelection:
         grid = solve_nonlinear_grid(geometry, materials, curve, currents, angles)
         assert grid.distinct_systems == systems
         assert grid.system_iterations.max() > 1
-        taken, other = (calls.elimination, calls.lapack)
-        if systems < ELIMINATION_MIN_SYSTEMS:
-            taken, other = other, taken
-        assert other == []
-        assert taken[:2] == [(systems,), (systems,)]
+        assert calls.lapack == []
+        assert calls.elimination[:2] == [(systems,), (systems,)]
         # The initial solve, a trial solve per pass and a Newton step on
         # every pass but the last: a frozen trial's solution is the final
         # one, so there is no final solve.
-        assert len(taken) == 2 * grid.system_iterations.max()
+        assert len(calls.elimination) == 2 * grid.system_iterations.max()
 
 
 class TestConditionGuard:

@@ -401,6 +401,21 @@ class TestTorqueAngleSweep:
         assert np.array_equal(again.samples, sweeps[4.0].samples)
         assert again.stroke_mean_torque == sweeps[4.0].stroke_mean_torque
 
+    @pytest.mark.parametrize("remanence", [None, 0.0], ids=["default_magnets", "no_magnets"])
+    def test_one_current_sweeps_equal_the_joint_default_sweep(
+        self, geometry, materials, curve, remanence
+    ):
+        # The elimination rounds a mesh system the same in any batch, so a
+        # curve does not depend on which other currents share its grid.
+        # The one difference left, the Newton residual's product on a lone
+        # row, meets none of these curves.
+        if remanence is not None:
+            materials = replace(materials, pm_remanence=remanence)
+        joint = torque_angle_sweeps(geometry, materials, curve, DEFAULT_SWEEP_CURRENTS)
+        for swept in joint:
+            (alone,) = torque_angle_sweeps(geometry, materials, curve, (swept.current,))
+            assert alone.samples.tobytes() == swept.samples.tobytes()
+
     def test_halved_angle_step_agrees_at_midstroke(
         self, geometry, materials, curve, sweeps
     ):
